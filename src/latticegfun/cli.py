@@ -196,7 +196,8 @@ def _dispatch(args) -> int:
 
     if args.command == "ehrhart":
         P = _load_polytope(args.polytope)
-        wsp = weighted_sum_poly(P, P.top_face(), WeightPoly.one(P.ambient_dim))
+        top = P.top_face()
+        wsp = weighted_sum_poly(P, top, WeightPoly.one(P.ambient_dim))[top]
         payload = {
             "face": sorted(wsp.face.vertex_indices),
             "closed": wsp.closed.to_json(),
@@ -209,7 +210,7 @@ def _dispatch(args) -> int:
         P = _load_polytope(args.polytope)
         phi = _load_phi(args.phi, P.ambient_dim)
         face = _face_from_arg(P, args.face)
-        wsp = weighted_sum_poly(P, face, phi)
+        wsp = weighted_sum_poly(P, face, phi)[face]
         payload = {
             "face": sorted(face.vertex_indices),
             "closed": wsp.closed.to_json(),

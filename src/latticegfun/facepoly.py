@@ -126,8 +126,13 @@ def h_polynomial(P: Polytope) -> MultiPoly:
 def dual_g(P: Polytope, F: Face) -> MultiPoly:
     """g-polynomial of the dual face: the reversed interval [F, P].
 
-    Returns 1 for F = P, and 1 for every face of a simple polytope.
+    Returns 1 at once when F lies on exactly codim F facets: the interval
+    is then Boolean and the dual face a simplex.  That covers F = P and
+    every face of a simple polytope.
     """
+    if len(F.containing_facets) == P.ambient_dim - F.dim:
+        # same variable tuple as fg_polynomials gives for these intervals
+        return MultiPoly.const(1) if F.dim == P.ambient_dim else MultiPoly(("x",), {(0,): 1})
     lattice = P.face_lattice
     low = lattice.index_of(F.vertex_indices)
     _, g = fg_polynomials(GradedPoset.reversed_interval(lattice, low))

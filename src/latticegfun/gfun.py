@@ -61,13 +61,10 @@ def build_gfun(P: Polytope, phi: WeightPoly | None = None) -> GFunction:
     n = P.ambient_dim
     d = phi.degree
     y = MultiPoly.variable("y")
-    lattice = P.face_lattice
 
     closed_total = MultiPoly.zero()
     open_total = MultiPoly.zero()
-    for i in lattice.nonempty():
-        face = lattice.faces[i]
-        wsp = weighted_sum_poly(P, face, phi)
+    for face, wsp in weighted_sum_poly(P, P.top_face(), phi).items():
         g_dual = dual_g(P, face)
         codim = n - face.dim
         dim_factor = (y + 1) ** face.dim

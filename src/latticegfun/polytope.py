@@ -150,7 +150,13 @@ def build_polytope(points) -> Polytope:
         raise ValueError("polytope not full-dimensional")
 
     halfspaces: set[HalfSpace] = set()
+    # input points on each facet found so far, as bitmasks; an n-subset
+    # inside one of them can only span that facet again
+    facet_masks: list[int] = []
     for subset in combinations(range(len(pts)), n):
+        mask = sum(1 << i for i in subset)
+        if any(mask & fm == mask for fm in facet_masks):
+            continue
         base = pts[subset[0]]
         diffs = [[pts[i][k] - base[k] for k in range(n)] for i in subset[1:]]
         if n > 1:
@@ -169,6 +175,9 @@ def build_polytope(points) -> Polytope:
         elif all(s <= 0 for s in sides):
             neg = tuple(-x for x in u)
             halfspaces.add(HalfSpace(neg, c))
+        else:
+            continue
+        facet_masks.append(sum(1 << i for i, s in enumerate(sides) if s == 0))
 
     facets = sorted(halfspaces, key=lambda h: (h.normal, h.offset))
     vertices = []

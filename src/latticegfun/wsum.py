@@ -1,13 +1,24 @@
 """Weighted lattice-point sums over dilated faces, as exact polynomials.
 
-For a homogeneous weight polynomial phi and a face F, the closed sum adds
-phi over the lattice points of q*F and the open sum over the relative
-interior.  Both are polynomials in q of degree dim F + deg phi, recovered
-by exact interpolation at consecutive integers and guarded by one extra
-validation node.
+For a homogeneous weight polynomial phi and a face G, the closed sum adds
+phi over the lattice points of q*G and the open sum over its relative
+interior.  Both are polynomials in q of degree dim G + deg phi, recovered
+by exact interpolation at consecutive integers.
+
+One scan of each dilate q*F serves F and every face of F.  A polytope is
+the disjoint union of the relative interiors of its nonempty faces, and a
+point in the relative interior of q*G is tight on exactly the facets that
+contain G, so the set of tight facets names the face a point belongs to.
+Each scanned point is put in that face's bucket, where the integer sums of
+phi's monomials accumulate; phi's rational coefficients are applied only
+when a bucket is read.  The open sums of G are its own bucket, the closed
+sums add the buckets of every face of G.  F is scanned at
+q = 1..dim F + deg phi + 1; each face G is interpolated at its first
+dim G + deg phi + 1 nodes and checked at every further node.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,12 +29,15 @@ from .polytope import Face, Polytope, iter_lattice_points
 class WeightPoly:
     """A homogeneous polynomial weight on the ambient space.
 
-    Variables are x1..xn.  The constant weight 1 has degree 0.
+    Variables are x1..xn and exponents are nonnegative integers.  The
+    constant weight 1 has degree 0.
     """
 
     def __init__(self, poly: MultiPoly, nvars: int):
         self.poly = poly
         self.nvars = nvars
+        for exps in poly.terms:
+            _check_exponents(exps)
         if not poly.is_homogeneous():
             raise ValueError("weight polynomial must be homogeneous")
         for v in poly.vars:
@@ -43,16 +57,6 @@ class WeightPoly:
     def at_origin(self) -> Fraction:
         return self.poly.evaluate({v: 0 for v in self.poly.vars})
 
-    def eval_point(self, point) -> Fraction:
-        total = Fraction(0)
-        for exps, coeff in self.poly.terms.items():
-            value = coeff
-            for var, e in zip(self.poly.vars, exps):
-                if e:
-                    value = value * Fraction(point[int(var[1:]) - 1]) ** e
-            total += value
-        return total
-
     def to_json(self) -> dict:
         names = tuple(f"x{i + 1}" for i in range(self.nvars))
         mapped = self.poly._mapped(names)
@@ -62,11 +66,20 @@ class WeightPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> WeightPoly:
-        nvars = int(obj["vars"])
+        if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
+            raise ValueError("a weight needs the keys 'vars' and 'terms'")
+        nvars = obj["vars"]
+        if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 1:
+            raise ValueError("weight 'vars' must be a positive integer")
+        if not isinstance(obj["terms"], list):
+            raise ValueError("weight 'terms' must be a list")
         names = tuple(f"x{i + 1}" for i in range(nvars))
         terms: dict[tuple[int, ...], Fraction] = {}
         for item in obj["terms"]:
-            exps = tuple(int(e) for e in item["exps"])
+            if not isinstance(item, dict) or not isinstance(item.get("exps"), list) \
+                    or not isinstance(item.get("coeff"), str):
+                raise ValueError("each weight term needs an 'exps' list and a 'coeff' string")
+            exps = _check_exponents(tuple(item["exps"]))
             if len(exps) != nvars:
                 raise ValueError("weight exponent width does not match vars")
             coeff = scalar_from_str(item["coeff"])
@@ -75,6 +88,13 @@ class WeightPoly:
 
     def __repr__(self):
         return f"WeightPoly({self.poly})"
+
+
+def _check_exponents(exps: tuple) -> tuple:
+    for e in exps:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise ValueError(f"weight exponents must be nonnegative integers, got {e!r}")
+    return exps
 
 
 @dataclass
@@ -86,44 +106,71 @@ class WeightedSumPoly:
     open: MultiPoly
 
 
-def _dilate_sum(P: Polytope, face: Face, phi: WeightPoly, q: int, interior: bool) -> Fraction:
-    total = Fraction(0)
-    for point in iter_lattice_points(P, face, q, interior):
-        total += phi.eval_point(point)
-    return total
+def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, WeightedSumPoly]:
+    """Closed and open weighted sums of the dilates of F and of every
+    nonempty face of F, keyed by face in face-lattice order.
 
-
-def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> WeightedSumPoly:
-    """Interpolate the closed and open weighted sums of dilates of F.
-
-    Nodes are q = 0..(dim F + deg phi); the q = 0 value is phi(0) for the
-    closed sum and is fixed by reciprocity for the open sum, which keeps
-    both bona fide polynomials.  One extra node validates the degree bound.
+    A face G is interpolated at q = 0..(dim G + deg phi); the q = 0 value is
+    phi(0) for the closed sum and is fixed by reciprocity for the open sum,
+    which keeps both bona fide polynomials.  Every further scanned node
+    validates the degree bound.
     """
     if F.dim < 0:
         raise ValueError("weighted sums need a nonempty face")
-    deg = F.dim + phi.degree
-    sign = (-1) ** (phi.degree + F.dim)
+    faces = [G for G in P.face_lattice.faces
+             if G.dim >= 0 and G.vertex_indices <= F.vertex_indices]
+    key_of = {G: tuple(sorted(G.containing_facets)) for G in faces}
+    subfaces = {G: [key_of[H] for H in faces if H.vertex_indices <= G.vertex_indices]
+                for G in faces}
+    coords = [int(v[1:]) - 1 for v in phi.poly.vars]
+    monomials = [[(k, e) for k, e in zip(coords, exps) if e] for exps in phi.poly.terms]
+    coeffs = list(phi.poly.terms.values())
+    zeros = [0] * len(monomials)
 
-    closed_nodes = [(0, phi.at_origin())]
-    open_nodes = [(0, sign * phi.at_origin())]
-    for q in range(1, deg + 1):
-        closed_nodes.append((q, _dilate_sum(P, F, phi, q, False)))
-        open_nodes.append((q, _dilate_sum(P, F, phi, q, True)))
-    closed = interpolate(closed_nodes, deg)
-    opened = interpolate(open_nodes, deg)
+    last_q = F.dim + phi.degree + 1
+    closed_values = {G: [] for G in faces}
+    open_values = {G: [] for G in faces}
+    for q in range(1, last_q + 1):
+        facets = [(h.normal, q * h.offset) for h in P.halfspaces]
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for point in iter_lattice_points(P, F, q):
+            key = tuple(i for i, (u, c) in enumerate(facets)
+                        if sum(a * x for a, x in zip(u, point)) + c == 0)
+            sums = buckets.get(key)
+            if sums is None:
+                sums = buckets[key] = [0] * len(monomials)
+            for j, mono in enumerate(monomials):
+                sums[j] += math.prod(point[k] ** e for k, e in mono)
+        for G in faces:
+            closed = [sum(col) for col in zip(*(buckets.get(k, zeros) for k in subfaces[G]))]
+            closed_values[G].append(_apply(coeffs, closed))
+            open_values[G].append(_apply(coeffs, buckets.get(key_of[G], zeros)))
 
-    check_q = deg + 1
-    if closed.evaluate({"q": check_q}) != _dilate_sum(P, F, phi, check_q, False):
-        raise RuntimeError("degree assumption violated")
-    if opened.evaluate({"q": check_q}) != _dilate_sum(P, F, phi, check_q, True):
-        raise RuntimeError("degree assumption violated")
-    return WeightedSumPoly(F, closed, opened)
+    origin = phi.at_origin()
+    out = {}
+    for G in faces:
+        deg = G.dim + phi.degree
+        polys = []
+        for at_zero, values in ((origin, closed_values[G]),
+                                ((-1) ** deg * origin, open_values[G])):
+            poly = interpolate([(0, at_zero)] + list(enumerate(values[:deg], start=1)), deg)
+            for q in range(deg + 1, last_q + 1):
+                if poly.evaluate({"q": q}) != values[q - 1]:
+                    raise RuntimeError("degree assumption violated")
+            polys.append(poly)
+        out[G] = WeightedSumPoly(G, *polys)
+    return out
+
+
+def _apply(coeffs, moments) -> Fraction:
+    """phi's value from the integer sums of its monomials."""
+    return sum((c * m for c, m in zip(coeffs, moments)), Fraction(0))
 
 
 def ehrhart_polynomial(P: Polytope) -> WeightedSumPoly:
     """Closed and interior lattice-point counting polynomials of P."""
-    return weighted_sum_poly(P, P.top_face(), WeightPoly.one(P.ambient_dim))
+    top = P.top_face()
+    return weighted_sum_poly(P, top, WeightPoly.one(P.ambient_dim))[top]
 
 
 def check_ehrhart_macdonald(P: Polytope) -> bool:
@@ -134,7 +181,8 @@ def check_ehrhart_macdonald(P: Polytope) -> bool:
 
 def check_weighted_reciprocity(P: Polytope, phi: WeightPoly) -> bool:
     """Closed sum at -q equals the signed open sum at q."""
-    wsp = weighted_sum_poly(P, P.top_face(), phi)
+    top = P.top_face()
+    wsp = weighted_sum_poly(P, top, phi)[top]
     sign = (-1) ** (phi.degree + P.ambient_dim)
     return _negated(wsp.closed) == sign * wsp.open
 

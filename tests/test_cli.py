@@ -129,6 +129,23 @@ def test_exit_1_missing_file(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("weight", [
+    {"vars": 2, "terms": [{"coeff": "1", "exps": [-1, 2]}]},
+    {"vars": 2, "terms": "x"},
+    {"vars": 2, "terms": [{"coeff": "1", "exps": [True, 1]}]},
+    {"vars": 2, "terms": [{"coeff": "1", "exps": [1.5, 0]}]},
+])
+def test_exit_1_bad_weight(capsys, triangle_file, tmp_path, weight):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(weight))
+    code = cli.main(["--format", "json", "gfun", "--polytope", triangle_file,
+                     "--phi", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "error" in json.loads(out)
+    assert "Traceback" not in out + err
+
+
 def test_exit_2_on_forced_mismatch(capsys, triangle_file, monkeypatch):
     # force the verification to disagree to exercise the invariant path
     from latticegfun import MultiPoly

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from latticegfun import (GradedPoset, MultiPoly, build_polytope, check_master_duality,
-                         cube_face_poset, dual_g, fg_polynomials, gessel_cube_g,
-                         h_polynomial)
+                         cross_polytope, cube_face_poset, dual_g, fg_polynomials,
+                         gessel_cube_g, h_polynomial)
 
 F = Fraction
 x = MultiPoly.variable("x")
@@ -106,6 +106,18 @@ def test_dual_g_trivial_for_simple(unit_cube, simplex3, corpus2d):
         lat = P.face_lattice
         for i in lat.nonempty():
             assert dual_g(P, lat.faces[i]) == 1
+
+
+def test_dual_g_matches_reversed_interval(pyramid, corpus2d, corpus3d):
+    # oracle: the full poset computation, which the Boolean-interval
+    # shortcut in dual_g skips
+    for P in [*corpus2d, *corpus3d, pyramid, cross_polytope(3), cross_polytope(4)]:
+        lat = P.face_lattice
+        for i in lat.nonempty():
+            _, expected = fg_polynomials(GradedPoset.reversed_interval(lat, i))
+            got = dual_g(P, lat.faces[i])
+            assert got == expected
+            assert got.vars == expected.vars
 
 
 def test_gessel_closed_form():

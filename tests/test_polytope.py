@@ -1,12 +1,13 @@
 """Polytope construction, face lattice, and lattice point enumeration."""
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from latticegfun import (build_polytope, euler_characteristic, lattice_points,
-                         pulling_triangulation, volume)
-from latticegfun.linalg import mat_rank, solve_exact
+from latticegfun import (build_polytope, cross_polytope, euler_characteristic,
+                         lattice_points, pulling_triangulation, volume)
+from latticegfun.linalg import det, mat_rank, solve_exact
 
 F = Fraction
 
@@ -48,6 +49,42 @@ def test_triangle_hrep(right_triangle):
 
 def test_segment_hrep(segment):
     assert {(h.normal, h.offset) for h in segment.halfspaces} == {((1,), 0), ((-1,), 1)}
+
+
+def test_facets_of_cube4_and_cross4():
+    units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    negs = [tuple(-a for a in u) for u in units]
+    cube = build_polytope(list(product((0, 1), repeat=4)))
+    assert {(h.normal, h.offset) for h in cube.halfspaces} == \
+        {(u, 0) for u in units} | {(u, 1) for u in negs}
+    assert len(cube.vertices) == 16
+    cross = cross_polytope(4)
+    assert {(h.normal, h.offset) for h in cross.halfspaces} == \
+        {(u, 1) for u in product((-1, 1), repeat=4)}
+    assert set(cross.vertices) == set(units + negs)
+
+
+def test_facets_match_supporting_hyperplanes(corpus2d, corpus3d):
+    # oracle: the vertex sets cut out by hyperplanes through n vertices that
+    # leave every vertex on one side, sided by determinant signs
+    box = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    for P in [*corpus2d, *corpus3d, build_polytope(box)]:
+        n = P.ambient_dim
+        V = P.vertices
+        expected = set()
+        for S in combinations(V, n):
+            rows = [[a - b for a, b in zip(s, S[0])] for s in S[1:]]
+            if mat_rank(rows) != n - 1:
+                continue
+            sides = [det(rows + [[a - b for a, b in zip(v, S[0])]]) for v in V]
+            if all(d >= 0 for d in sides) or all(d <= 0 for d in sides):
+                expected.add(frozenset(v for v, d in zip(V, sides) if d == 0))
+        found = [frozenset(v for v in V if h.value(v) == 0) for h in P.halfspaces]
+        assert len(found) == len(set(found)) == len(expected)
+        assert set(found) == expected
+        for h in P.halfspaces:
+            assert all(h.value(v) >= 0 for v in V)
+            assert math.gcd(*h.normal) == 1
 
 
 def test_non_extreme_points_removed():

@@ -23,7 +23,7 @@ def test_segment_linear_weight(segment):
         return sum(m for m in range(qq + 1))
 
     phi = WeightPoly.monomial(1, (1,))
-    wsp = weighted_sum_poly(segment, segment.top_face(), phi)
+    wsp = weighted_sum_poly(segment, segment.top_face(), phi)[segment.top_face()]
     assert wsp.closed == q * (q + 1) / 2
     for qq in (1, 2, 3, 4):
         assert wsp.closed.evaluate({"q": qq}) == brute(qq)
@@ -40,10 +40,10 @@ def test_pyramid_ehrhart(pyramid):
 def test_constant_terms(pyramid, unit_square):
     for P in (pyramid, unit_square):
         phi0 = WeightPoly.one(P.ambient_dim)
-        wsp = weighted_sum_poly(P, P.top_face(), phi0)
+        wsp = weighted_sum_poly(P, P.top_face(), phi0)[P.top_face()]
         assert wsp.closed.evaluate({"q": 0}) == 1
         phi1 = WeightPoly.monomial(P.ambient_dim, (1,) + (0,) * (P.ambient_dim - 1))
-        wsp1 = weighted_sum_poly(P, P.top_face(), phi1)
+        wsp1 = weighted_sum_poly(P, P.top_face(), phi1)[P.top_face()]
         assert wsp1.closed.evaluate({"q": 0}) == 0
 
 
@@ -58,7 +58,7 @@ def test_weighted_reciprocity_segment(segment):
 
 def test_weighted_reciprocity_pyramid_x3(pyramid):
     phi = WeightPoly.monomial(3, (0, 0, 1))
-    wsp = weighted_sum_poly(pyramid, pyramid.top_face(), phi)
+    wsp = weighted_sum_poly(pyramid, pyramid.top_face(), phi)[pyramid.top_face()]
     # brute-force sums of x3 over the dilates, q = 1..5
     for qq in range(1, 6):
         direct = sum(p[2] for p in lattice_points(pyramid, pyramid.top_face(), qq))
@@ -71,11 +71,35 @@ def test_interpolation_matches_direct_counts(corpus2d):
     for P in corpus2d[:5]:
         for exps in monos:
             phi = WeightPoly.monomial(2, exps)
-            wsp = weighted_sum_poly(P, P.top_face(), phi)
+            wsp = weighted_sum_poly(P, P.top_face(), phi)[P.top_face()]
             for qq in range(1, 6):
-                direct = sum(phi.eval_point(p)
+                direct = sum(phi.poly.evaluate({"x1": p[0], "x2": p[1]})
                              for p in lattice_points(P, P.top_face(), qq))
                 assert wsp.closed.evaluate({"q": qq}) == direct
+
+
+def test_shared_scan_matches_per_face_sums(corpus2d, corpus3d):
+    # oracle: a separate closed and open scan of each face and dilate
+    for P in [*corpus2d, *corpus3d]:
+        n = P.ambient_dim
+        names = tuple(f"x{i + 1}" for i in range(n))
+        lat = P.face_lattice
+        facet = lat.faces[lat.faces_of_dim(n - 1)[0]]
+        for exps in [(0,) * n, (1,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2),
+                     (2,) + (0,) * (n - 1)]:
+            phi = WeightPoly.monomial(n, exps)
+            sums = weighted_sum_poly(P, P.top_face(), phi)
+            assert list(sums) == [lat.faces[i] for i in lat.nonempty()]
+            for G, wsp in sums.items():
+                for qq in range(1, G.dim + phi.degree + 2):
+                    for poly, interior in ((wsp.closed, False), (wsp.open, True)):
+                        direct = sum(phi.poly.evaluate(dict(zip(names, p)))
+                                     for p in lattice_points(P, G, qq, interior))
+                        assert poly.evaluate({"q": qq}) == direct, (P.vertices, G, exps, qq)
+            below = weighted_sum_poly(P, facet, phi)
+            assert set(below) == {G for G in sums if G.vertex_indices <= facet.vertex_indices}
+            for G, wsp in below.items():
+                assert (wsp.closed, wsp.open) == (sums[G].closed, sums[G].open)
 
 
 def test_closed_is_sum_of_opens(pyramid, corpus2d):
@@ -84,8 +108,8 @@ def test_closed_is_sum_of_opens(pyramid, corpus2d):
         lat = P.face_lattice
         total = MultiPoly.zero()
         for i in lat.nonempty():
-            total = total + weighted_sum_poly(P, lat.faces[i], phi).open
-        assert total == weighted_sum_poly(P, P.top_face(), phi).closed
+            total = total + weighted_sum_poly(P, lat.faces[i], phi)[lat.faces[i]].open
+        assert total == weighted_sum_poly(P, P.top_face(), phi)[P.top_face()].closed
 
 
 def test_leading_coefficient_is_volume(pyramid, unit_cube, right_triangle, corpus2d):
@@ -100,7 +124,7 @@ def test_vertex_face_sums(pyramid):
     vi = pyramid.vertices.index((1, 1, 1))
     vface = lat.faces[lat.index_of({vi})]
     phi = WeightPoly.monomial(3, (0, 0, 2))
-    wsp = weighted_sum_poly(pyramid, vface, phi)
+    wsp = weighted_sum_poly(pyramid, vface, phi)[vface]
     assert wsp.closed == q ** 2  # phi(q * (1,1,1)) = q^2
     assert wsp.open == wsp.closed
 
