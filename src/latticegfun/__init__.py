@@ -13,10 +13,10 @@ from .cyclotomic import CycloNumber, cyclo_root_of_unity
 from .facepoly import (GradedPoset, check_master_duality, cube_face_poset,
                        dual_g, fg_polynomials, gessel_cube_g, h_polynomial)
 from .gfun import (GFunction, build_gfun, check_reciprocity, cross_polytope,
-                   cross_polytope_gfun, y_coefficient_profile)
+                   cross_polytope_gfun, reciprocity_image, y_coefficient_profile)
 from .polytope import (Face, FaceLattice, HalfSpace, Polytope, build_polytope,
                        euler_characteristic, face_lattice, is_simple,
-                       lattice_points, pulling_triangulation, volume)
+                       iter_lattice_points, pulling_triangulation, volume)
 from .todd import (Cone, GammaSet, NormalFan, SymbolicIntegral, ToddCoeffs,
                    apply_todd, deformed_vertex, dual_basis_at_vertex,
                    gamma_set, h_variable_names, normal_fan, symbolic_integral,
@@ -30,13 +30,14 @@ __all__ = [
     "scalar_from_str", "scalar_to_str",
     "CycloNumber", "cyclo_root_of_unity",
     "Polytope", "HalfSpace", "Face", "FaceLattice", "build_polytope",
-    "face_lattice", "is_simple", "lattice_points", "pulling_triangulation",
+    "face_lattice", "is_simple", "iter_lattice_points", "pulling_triangulation",
     "volume", "euler_characteristic",
     "GradedPoset", "fg_polynomials", "h_polynomial", "dual_g",
     "gessel_cube_g", "cube_face_poset", "check_master_duality",
     "WeightPoly", "WeightedSumPoly", "weighted_sum_poly",
     "ehrhart_polynomial", "check_ehrhart_macdonald", "check_weighted_reciprocity",
-    "GFunction", "build_gfun", "check_reciprocity", "y_coefficient_profile",
+    "GFunction", "build_gfun", "check_reciprocity", "reciprocity_image",
+    "y_coefficient_profile",
     "cross_polytope", "cross_polytope_gfun",
     "Cone", "NormalFan", "GammaSet", "ToddCoeffs", "SymbolicIntegral",
     "normal_fan", "gamma_set", "todd_coeffs", "deformed_vertex",

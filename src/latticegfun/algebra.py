@@ -28,7 +28,10 @@ def var_sort_key(name: str) -> tuple[str, int]:
 
 def scalar_from_str(text: str) -> Fraction:
     """Parse a rational from its serialized form ``"p/q"`` or ``"p"``."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}")
 
 
 def scalar_to_str(value: Fraction) -> str:

@@ -9,26 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import MultiPoly, scalar_to_str
 from .corpus import random_corpus
 from .facepoly import GradedPoset, check_master_duality, dual_g, fg_polynomials, h_polynomial
-from .gfun import build_gfun, check_reciprocity, y_coefficient_profile
+from .gfun import build_gfun, check_reciprocity, reciprocity_image, y_coefficient_profile
 from .polytope import Polytope, build_polytope, volume
 from .todd import apply_todd
 from .wsum import WeightPoly, weighted_sum_poly
-
-
-def _threads_cap() -> int:
-    """Optional cap on internal parallelism; computations are pure, so a
-    sequential run always respects it."""
-    raw = os.environ.get("GFUN_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _load_json(path: str) -> dict:
@@ -44,8 +33,8 @@ def _load_json(path: str) -> dict:
 
 def _load_polytope(path: str) -> Polytope:
     obj = _load_json(path)
-    if "vertices" not in obj:
-        raise ValueError(f"{path!r} is missing the 'vertices' key")
+    if not isinstance(obj, dict) or "vertices" not in obj:
+        raise ValueError(f"{path!r} must be a JSON object with a 'vertices' key")
     return build_polytope(obj["vertices"])
 
 
@@ -136,6 +125,7 @@ def main(argv=None) -> int:
     p_ehr = sub.add_parser("ehrhart", parents=[shared],
                            help="closed and interior counting polynomials")
     p_ehr.add_argument("--polytope", required=True)
+    p_ehr.set_defaults(phi=None, face=None)  # wsum of the polytope with weight 1
 
     p_wsum = sub.add_parser("wsum", parents=[shared], help="weighted sums of one face")
     p_wsum.add_argument("--polytope", required=True)
@@ -167,7 +157,6 @@ def main(argv=None) -> int:
     p_corpus.add_argument("--max-coord", type=int, default=3)
 
     args = parser.parse_args(argv)
-    _threads_cap()
 
     try:
         return _dispatch(args)
@@ -194,19 +183,7 @@ def _dispatch(args) -> int:
         _emit(payload, fmt)
         return 0
 
-    if args.command == "ehrhart":
-        P = _load_polytope(args.polytope)
-        top = P.top_face()
-        wsp = weighted_sum_poly(P, top, WeightPoly.one(P.ambient_dim))[top]
-        payload = {
-            "face": sorted(wsp.face.vertex_indices),
-            "closed": wsp.closed.to_json(),
-            "open": wsp.open.to_json(),
-        }
-        _emit(payload, fmt, pretty_keys=("closed", "open"))
-        return 0
-
-    if args.command == "wsum":
+    if args.command in ("ehrhart", "wsum"):
         P = _load_polytope(args.polytope)
         phi = _load_phi(args.phi, P.ambient_dim)
         face = _face_from_arg(P, args.face)
@@ -229,7 +206,7 @@ def _dispatch(args) -> int:
             ok = check_reciprocity(G)
             payload["reciprocity"] = ok
             if not ok:
-                payload["transformed"] = _reciprocity_image(G).to_json()
+                payload["transformed"] = reciprocity_image(G).to_json()
                 status = 2
         if args.profile:
             payload["profile"] = [layer.to_json() for layer in y_coefficient_profile(G)]
@@ -279,23 +256,6 @@ def _dispatch(args) -> int:
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")
-
-
-def _reciprocity_image(G):
-    from fractions import Fraction
-    total_deg = G.n + G.d
-    out = {}
-    poly = G.poly
-    qi = poly.vars.index("q") if "q" in poly.vars else None
-    yi = poly.vars.index("y") if "y" in poly.vars else None
-    for exps, coeff in poly.terms.items():
-        i = exps[qi] if qi is not None else 0
-        j = exps[yi] if yi is not None else 0
-        key = list(exps)
-        if yi is not None:
-            key[yi] = total_deg - j
-        out[tuple(key)] = out.get(tuple(key), Fraction(0)) + Fraction((-1) ** (i + total_deg)) * coeff
-    return MultiPoly(poly.vars, out)
 
 
 if __name__ == "__main__":

@@ -85,7 +85,8 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _pdivmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+            if rem:
+                raise RuntimeError(f"cyclotomic factor of order {d} does not divide x^{n} - 1")
     return tuple(poly)
 
 
@@ -235,7 +236,8 @@ class CycloNumber:
             r0, r1 = r1, r
             s0, s1 = s1, _psub(s0, _pmul(q, s1))
         # r0 is a nonzero constant: the modulus is irreducible over Q
-        assert len(r0) == 1
+        if len(r0) != 1:
+            raise RuntimeError("gcd with the cyclotomic modulus is not a unit")
         inv_gcd = 1 / r0[0]
         coords = [c * inv_gcd for c in s0]
         if len(coords) >= len(mod):

@@ -29,7 +29,6 @@ class GFunction:
     d: int
     polytope: Polytope
     phi: WeightPoly
-    form_used: str = "closed-face"
 
 
 def _cleared_dual_factor(g_poly: MultiPoly, codim: int) -> MultiPoly:
@@ -79,27 +78,29 @@ def build_gfun(P: Polytope, phi: WeightPoly | None = None) -> GFunction:
     return GFunction(closed_form, n, d, P, phi)
 
 
-def check_reciprocity(G: GFunction) -> bool:
-    """G(q, y) == (-y)^(n+d) G(-q, 1/y) as exact polynomials."""
+def reciprocity_image(G: GFunction) -> MultiPoly:
+    """(-y)^(n+d) G(-q, 1/y), expanded term by term.
+
+    A y-power above n+d leaves a negative exponent in the image, which
+    then cannot equal G.
+    """
     total_deg = G.n + G.d
-    transformed: dict[tuple[int, ...], Fraction] = {}
     poly = G.poly
     qi = poly.vars.index("q") if "q" in poly.vars else None
     yi = poly.vars.index("y") if "y" in poly.vars else None
+    out: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in poly.terms.items():
         i = exps[qi] if qi is not None else 0
-        j = exps[yi] if yi is not None else 0
-        if total_deg - j < 0:
-            return False
         key = list(exps)
-        if qi is not None:
-            key[qi] = i
         if yi is not None:
-            key[yi] = total_deg - j
-        sign = Fraction((-1) ** (i + total_deg))
-        key = tuple(key)
-        transformed[key] = transformed.get(key, Fraction(0)) + sign * coeff
-    return MultiPoly(poly.vars, transformed) == poly
+            key[yi] = total_deg - exps[yi]
+        out[tuple(key)] = Fraction((-1) ** (i + total_deg)) * coeff
+    return MultiPoly(poly.vars, out)
+
+
+def check_reciprocity(G: GFunction) -> bool:
+    """G(q, y) == (-y)^(n+d) G(-q, 1/y) as exact polynomials."""
+    return reciprocity_image(G) == G.poly
 
 
 def y_coefficient_profile(G: GFunction) -> list[MultiPoly]:

@@ -1,4 +1,9 @@
-"""Small exact linear algebra helpers over the rationals."""
+"""Small exact linear algebra helpers over the rationals.
+
+Rank, inverse, linear solves and one-dimensional nullspaces all run the
+same Gauss-Jordan reduction, ``_reduce``; ``det`` uses forward elimination
+so that it can track the sign of row swaps.
+"""
 from __future__ import annotations
 
 import math
@@ -6,25 +11,37 @@ from fractions import Fraction
 from itertools import combinations
 
 
-def mat_rank(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
+def _reduce(m, ncols: int) -> list[int]:
+    """Gauss-Jordan reduce the rows of m in place on its first ncols columns.
+
+    Row r of the result has a 1 in column ``pivots[r]`` and 0 in every other
+    pivot column; rows past the last pivot are zero in the first ncols
+    columns.  Later columns (an augmented part) are carried along.  Stops
+    once every row has a pivot.  Returns the pivot columns.
+    """
+    pivots: list[int] = []
+    nrows = len(m)
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
+        row = m[rank] = [v * inv for v in m[rank]]
+        for r in range(nrows):
             if r != rank and m[r][col]:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+                m[r] = [a - f * b for a, b in zip(m[r], row)]
+        pivots.append(col)
+    return pivots
+
+
+def mat_rank(rows) -> int:
+    m = [[Fraction(x) for x in row] for row in rows]
+    return len(_reduce(m, len(m[0]) if m else 0))
 
 
 def affine_rank(points) -> int:
@@ -64,17 +81,8 @@ def mat_inverse(rows):
     n = len(rows)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    if len(_reduce(m, n)) < n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in m]
 
 
@@ -86,25 +94,10 @@ def solve_exact(rows, rhs):
     """
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(m)):
-        if m[r][ncols]:
-            return None
-    if rank < ncols:
+    pivots = _reduce(m, ncols)
+    if any(m[r][ncols] for r in range(len(pivots), len(m))):
+        return None
+    if len(pivots) < ncols:
         raise ValueError("linear system is underdetermined")
     out = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
@@ -116,22 +109,8 @@ def nullspace_vector(rows):
     """A spanning vector of a one-dimensional nullspace, or None."""
     ncols = len(rows[0])
     m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != ncols - 1:
+    pivots = _reduce(m, ncols)
+    if len(pivots) != ncols - 1:
         return None
     free = next(c for c in range(ncols) if c not in pivots)
     vec = [Fraction(0)] * ncols
@@ -162,7 +141,8 @@ def lattice_index(generators) -> int:
     g = 0
     for cols in combinations(range(len(gens[0])), k):
         minor = det([[row[c] for c in cols] for row in gens])
-        assert minor.denominator == 1
+        if minor.denominator != 1:
+            raise RuntimeError("maximal minor of integer vectors is not integral")
         g = math.gcd(g, abs(int(minor)))
     if g == 0:
         raise ValueError("generators are linearly dependent")

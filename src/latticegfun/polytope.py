@@ -25,8 +25,8 @@ class HalfSpace:
     normal: tuple[int, ...]
     offset: int
 
-    def value(self, point, dilation: int = 1):
-        return sum(a * b for a, b in zip(point, self.normal)) + dilation * self.offset
+    def value(self, point):
+        return sum(a * b for a, b in zip(point, self.normal)) + self.offset
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,6 @@ class Polytope:
         self.halfspaces: tuple[HalfSpace, ...] = tuple(halfspaces)
         self.ambient_dim = len(self.vertices[0])
 
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim
-
     @cached_property
     def face_lattice(self) -> FaceLattice:
         return face_lattice(self)
@@ -133,8 +129,12 @@ def build_polytope(points) -> Polytope:
     n-subset of the input and keeping those with all points on one closed
     side; normals are made primitive and inward.
     """
+    if not isinstance(points, (list, tuple)):
+        raise ValueError("vertices must be a list of coordinate lists")
     pts = []
     for p in points:
+        if not isinstance(p, (list, tuple)) or not p:
+            raise ValueError("each vertex must be a nonempty list of coordinates")
         tp = tuple(p)
         for x in tp:
             if not isinstance(x, int) or isinstance(x, bool):
@@ -289,11 +289,6 @@ def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False)
         point[d] = 0
 
     yield from scan(0, [c for _, c, _ in constraints])
-
-
-def lattice_points(P: Polytope, face: Face, q: int, interior: bool = False):
-    """All m in Z^n lying in the dilate q*face (or its relative interior)."""
-    return list(iter_lattice_points(P, face, q, interior))
 
 
 def pulling_triangulation(P: Polytope, anchor: str = "min"):

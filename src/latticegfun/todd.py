@@ -5,7 +5,7 @@ lattice points of the half-open parallelepipeds of its cones together with
 their root-of-unity data, expand the y-deformed Todd operator coefficients
 exactly, integrate the weight symbolically over the facet-deformed dilate,
 and apply the operator.  The cyclotomic contributions of the individual
-lattice points cancel in the final sum, which is asserted.
+lattice points cancel in the final sum, which is checked.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 symbolic integral lives in the variables (t, h_1..h_m) and t is replaced
@@ -155,17 +155,16 @@ def _inv_scalar(v):
     return 1 / Fraction(v)
 
 
-def todd_coeffs(a, order: int, variant: str = "split") -> ToddCoeffs:
+def todd_coeffs(a, order: int) -> ToddCoeffs:
     """Expand the operator d*(1 + a*y*exp(-d(y+1))) / (1 - a*exp(-d(y+1)))
     as a power series in the derivative symbol d, through the given order.
 
     For a = 1 the quotient reduces to the classical series (y+1)d /
     (1 - exp(-d(y+1))) with Bernoulli coefficients (B_1 = +1/2 flavor),
-    minus y*d.  For a != 1 the denominator is invertible at d = 0 and the
-    truncated series is inverted over the field containing a.  The two
-    variants multiply the inverted denominator by the full numerator
-    ("quotient") or use the split form (y+1)d/(1 - a exp(-d(y+1))) - y*d
-    ("split"); they agree term by term.
+    minus y*d.  For a != 1 the denominator is invertible at d = 0: the
+    truncated series of 1/(1 - a exp(-d(y+1))) is inverted over the field
+    containing a and expanded in the split form
+    (y+1)d/(1 - a exp(-d(y+1))) - y*d.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -197,56 +196,17 @@ def todd_coeffs(a, order: int, variant: str = "split") -> ToddCoeffs:
             acc = acc + dens[j] * inverse[k - j]
         inverse.append(-(acc * inv0))
 
-    if variant == "split":
-        coeffs = [MultiPoly.zero()]
-        for k in range(1, order + 1):
-            coeffs.append(yp1 * inverse[k - 1])
-        if order >= 1:
-            coeffs[1] = coeffs[1] - y
-    elif variant == "quotient":
-        nums = [MultiPoly.zero(), MultiPoly.const(1) + a * y]
-        for k in range(2, order + 1):
-            scalar = Fraction((-1) ** (k - 1), math.factorial(k - 1)) * a
-            nums.append(scalar * y * yp1 ** (k - 1))
-        coeffs = []
-        for k in range(order + 1):
-            acc = MultiPoly.zero()
-            for j in range(1, k + 1):
-                acc = acc + nums[j] * inverse[k - j]
-            coeffs.append(acc)
-    else:
-        raise ValueError("variant must be 'split' or 'quotient'")
+    coeffs = [MultiPoly.zero()]
+    for k in range(1, order + 1):
+        coeffs.append(yp1 * inverse[k - 1])
+    if order >= 1:
+        coeffs[1] = coeffs[1] - y
     return ToddCoeffs(a, coeffs)
 
 
 def h_variable_names(P: Polytope) -> list[str]:
     """Deformation variable names, one per facet of P in facet order."""
     return [f"h{i + 1}" for i in range(len(P.halfspaces))]
-
-
-def deformed_vertex(P: Polytope, vertex_index: int):
-    """Symbolic vertex of the deformed dilate, as polynomials in (t, h).
-
-    The vertex of the t-dilate moves by -h_F along the basis dual to the
-    facet normals through the vertex.
-    """
-    n = P.ambient_dim
-    lattice = P.face_lattice
-    vface = lattice.faces[lattice.index_of({vertex_index})]
-    facets = sorted(vface.containing_facets)
-    if len(facets) != n or mat_rank([P.halfspaces[j].normal for j in facets]) != n:
-        raise ValueError("not simple at vertex")
-    U = [list(P.halfspaces[j].normal) for j in facets]
-    Uinv = mat_inverse(U)  # column j is the dual basis vector of facet j
-    t = MultiPoly.variable("t")
-    v = P.vertices[vertex_index]
-    out = []
-    for k in range(n):
-        comp = t * v[k]
-        for j, fj in enumerate(facets):
-            comp = comp - MultiPoly.variable(f"h{fj + 1}") * Uinv[k][j]
-        out.append(comp)
-    return tuple(out)
 
 
 def dual_basis_at_vertex(P: Polytope, vertex_index: int):
@@ -261,6 +221,23 @@ def dual_basis_at_vertex(P: Polytope, vertex_index: int):
     U = [list(P.halfspaces[j].normal) for j in facets]
     Uinv = mat_inverse(U)
     return {fj: tuple(Uinv[k][j] for k in range(n)) for j, fj in enumerate(facets)}
+
+
+def deformed_vertex(P: Polytope, vertex_index: int):
+    """Symbolic vertex of the deformed dilate, as polynomials in (t, h).
+
+    The vertex of the t-dilate moves by -h_F along the basis dual to the
+    facet normals through the vertex.
+    """
+    t = MultiPoly.variable("t")
+    dual = dual_basis_at_vertex(P, vertex_index)
+    out = []
+    for k, x in enumerate(P.vertices[vertex_index]):
+        comp = t * x
+        for fj, m in dual.items():
+            comp = comp - MultiPoly.variable(f"h{fj + 1}") * m[k]
+        out.append(comp)
+    return tuple(out)
 
 
 @dataclass

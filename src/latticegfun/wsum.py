@@ -175,8 +175,7 @@ def ehrhart_polynomial(P: Polytope) -> WeightedSumPoly:
 
 def check_ehrhart_macdonald(P: Polytope) -> bool:
     """E(-q) == (-1)^n E_interior(q), as exact polynomials."""
-    wsp = ehrhart_polynomial(P)
-    return _negated(wsp.closed) == (-1) ** P.ambient_dim * wsp.open
+    return check_weighted_reciprocity(P, WeightPoly.one(P.ambient_dim))
 
 
 def check_weighted_reciprocity(P: Polytope, phi: WeightPoly) -> bool:

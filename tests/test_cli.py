@@ -134,6 +134,7 @@ def test_exit_1_missing_file(capsys):
     {"vars": 2, "terms": "x"},
     {"vars": 2, "terms": [{"coeff": "1", "exps": [True, 1]}]},
     {"vars": 2, "terms": [{"coeff": "1", "exps": [1.5, 0]}]},
+    {"vars": 2, "terms": [{"coeff": "1/0", "exps": [1, 0]}]},
 ])
 def test_exit_1_bad_weight(capsys, triangle_file, tmp_path, weight):
     path = tmp_path / "phi.json"
@@ -144,6 +145,46 @@ def test_exit_1_bad_weight(capsys, triangle_file, tmp_path, weight):
     assert code == 1
     assert "error" in json.loads(out)
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("polytope", [
+    5,
+    {"vertices": 5},
+    {"vertices": [0, 1]},
+    {"vertices": [[]]},
+])
+def test_exit_1_bad_polytope(capsys, tmp_path, polytope):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(polytope))
+    code = cli.main(["--format", "json", "info", "--polytope", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "error" in json.loads(out)
+    assert "Traceback" not in out + err
+
+
+def test_ehrhart_is_wsum_of_the_polytope(capsys, tmp_path):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"vertices": [[a, b, c] for a in (0, 1)
+                                             for b in (0, 1) for c in (0, 1)]}))
+    code1, ehrhart = run_cli(capsys, "--format", "json", "ehrhart", "--polytope", str(path))
+    code2, wsum = run_cli(capsys, "--format", "json", "wsum", "--polytope", str(path))
+    assert code1 == code2 == 0
+    assert ehrhart == wsum
+    assert json.loads(ehrhart)["face"] == list(range(8))
+
+
+def test_exit_2_on_reciprocity_failure(capsys, triangle_file, monkeypatch):
+    from latticegfun import GFunction, MultiPoly, WeightPoly, build_polytope, reciprocity_image
+    q, y = MultiPoly.variable("q"), MultiPoly.variable("y")
+    broken = GFunction(q * y, 2, 0, build_polytope(TRIANGLE["vertices"]), WeightPoly.one(2))
+    monkeypatch.setattr(cli, "build_gfun", lambda P, phi: broken)
+    code, out = run_cli(capsys, "--format", "json", "gfun", "--polytope",
+                        triangle_file, "--check-reciprocity")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["reciprocity"] is False
+    assert payload["transformed"] == reciprocity_image(broken).to_json()
 
 
 def test_exit_2_on_forced_mismatch(capsys, triangle_file, monkeypatch):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from latticegfun import (MultiPoly, WeightPoly, build_gfun, check_reciprocity,
-                         cross_polytope_gfun, dual_g, gessel_cube_g,
-                         h_polynomial, lattice_points, y_coefficient_profile)
+from latticegfun import (GFunction, MultiPoly, WeightPoly, build_gfun, check_reciprocity,
+                         cross_polytope_gfun, dual_g, gessel_cube_g, h_polynomial,
+                         iter_lattice_points, reciprocity_image, y_coefficient_profile)
 
 F = Fraction
 q = MultiPoly.variable("q")
@@ -20,6 +20,17 @@ def test_pyramid_constant_weight(pyramid):
                 + (F(4, 3) * q ** 3 + 4 * q ** 2 + F(11, 3) * q + 1))
     assert G.poly == expected
     assert check_reciprocity(G)
+
+
+def test_reciprocity_image(pyramid, segment):
+    G = build_gfun(pyramid)
+    assert reciprocity_image(G) == G.poly
+    # n + d = 1: q y -> (-1)^(1+1) q y^0
+    G1 = GFunction(q * y, 1, 0, segment, WeightPoly.one(1))
+    assert reciprocity_image(G1) == q
+    # a y-power above n + d has no polynomial image
+    high = GFunction(G.poly + y ** (G.n + G.d + 1), G.n, G.d, G.polytope, G.phi)
+    assert not check_reciprocity(high)
 
 
 def test_triangle_constant_weight(right_triangle):
@@ -55,7 +66,7 @@ def test_forms_agree_by_construction(pyramid, right_triangle, octahedron):
     for P in (pyramid, right_triangle, octahedron):
         G = build_gfun(P)
         count_q1 = G.poly.substitute({"y": 0, "q": 1}).constant_value()
-        assert count_q1 == len(lattice_points(P, P.top_face(), 1))
+        assert count_q1 == len(list(iter_lattice_points(P, P.top_face(), 1)))
 
 
 def test_constant_and_leading_terms_are_ehrhart(pyramid):

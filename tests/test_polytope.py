@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from latticegfun import (build_polytope, cross_polytope, euler_characteristic,
-                         lattice_points, pulling_triangulation, volume)
+                         iter_lattice_points, pulling_triangulation, volume)
 from latticegfun.linalg import det, mat_rank, solve_exact
 
 F = Fraction
@@ -158,8 +158,8 @@ def test_hrep_vrep_round_trip(pyramid, unit_cube, octahedron, corpus2d):
 
 def test_unit_square_counts(unit_square):
     top = unit_square.top_face()
-    assert len(lattice_points(unit_square, top, 2)) == 9
-    assert len(lattice_points(unit_square, top, 2, interior=True)) == 1
+    assert len(list(iter_lattice_points(unit_square, top, 2))) == 9
+    assert len(list(iter_lattice_points(unit_square, top, 2, interior=True))) == 1
 
 
 def test_pyramid_counts_vs_oracle(pyramid):
@@ -168,18 +168,18 @@ def test_pyramid_counts_vs_oracle(pyramid):
     top = pyramid.top_face()
     for q in (1, 2, 3):
         expected = brute_points_in(pred, ([-1, -1, 0], [1, 1, 1]), q)
-        assert sorted(lattice_points(pyramid, top, q)) == sorted(expected)
-    assert len(lattice_points(pyramid, top, 1)) == 10
+        assert sorted(iter_lattice_points(pyramid, top, q)) == sorted(expected)
+    assert len(list(iter_lattice_points(pyramid, top, 1))) == 10
 
 
 def test_face_dilate_counts(unit_square):
     lat = unit_square.face_lattice
     edge = lat.faces[lat.faces_of_dim(1)[0]]
-    assert len(lattice_points(unit_square, edge, 3)) == 4
-    assert len(lattice_points(unit_square, edge, 3, interior=True)) == 2
+    assert len(list(iter_lattice_points(unit_square, edge, 3))) == 4
+    assert len(list(iter_lattice_points(unit_square, edge, 3, interior=True))) == 2
     vertex = lat.faces[lat.faces_of_dim(0)[0]]
-    assert lattice_points(unit_square, vertex, 5) == \
-        lattice_points(unit_square, vertex, 5, interior=True)
+    assert list(iter_lattice_points(unit_square, vertex, 5)) == \
+        list(iter_lattice_points(unit_square, vertex, 5, interior=True))
 
 
 def test_closed_equals_sum_of_open_over_subfaces(right_triangle, corpus2d):
@@ -187,15 +187,15 @@ def test_closed_equals_sum_of_open_over_subfaces(right_triangle, corpus2d):
         lat = P.face_lattice
         top = P.top_face()
         for q in (1, 2, 3):
-            closed = len(lattice_points(P, top, q))
-            opened = sum(len(lattice_points(P, lat.faces[i], q, interior=True))
+            closed = len(list(iter_lattice_points(P, top, q)))
+            opened = sum(len(list(iter_lattice_points(P, lat.faces[i], q, interior=True)))
                          for i in lat.nonempty())
             assert closed == opened
 
 
 def test_dilation_must_be_positive(unit_square):
     with pytest.raises(ValueError, match="dilation must be positive"):
-        lattice_points(unit_square, unit_square.top_face(), 0)
+        list(iter_lattice_points(unit_square, unit_square.top_face(), 0))
 
 
 def test_triangulation_and_volume(pyramid, unit_cube, right_triangle, octahedron):

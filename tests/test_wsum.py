@@ -5,7 +5,7 @@ import pytest
 
 from latticegfun import (MultiPoly, WeightPoly, check_ehrhart_macdonald,
                          check_weighted_reciprocity, ehrhart_polynomial,
-                         lattice_points, volume, weighted_sum_poly)
+                         iter_lattice_points, volume, weighted_sum_poly)
 
 F = Fraction
 q = MultiPoly.variable("q")
@@ -61,7 +61,7 @@ def test_weighted_reciprocity_pyramid_x3(pyramid):
     wsp = weighted_sum_poly(pyramid, pyramid.top_face(), phi)[pyramid.top_face()]
     # brute-force sums of x3 over the dilates, q = 1..5
     for qq in range(1, 6):
-        direct = sum(p[2] for p in lattice_points(pyramid, pyramid.top_face(), qq))
+        direct = sum(p[2] for p in iter_lattice_points(pyramid, pyramid.top_face(), qq))
         assert wsp.closed.evaluate({"q": qq}) == direct
     assert check_weighted_reciprocity(pyramid, phi)
 
@@ -74,7 +74,7 @@ def test_interpolation_matches_direct_counts(corpus2d):
             wsp = weighted_sum_poly(P, P.top_face(), phi)[P.top_face()]
             for qq in range(1, 6):
                 direct = sum(phi.poly.evaluate({"x1": p[0], "x2": p[1]})
-                             for p in lattice_points(P, P.top_face(), qq))
+                             for p in iter_lattice_points(P, P.top_face(), qq))
                 assert wsp.closed.evaluate({"q": qq}) == direct
 
 
@@ -94,7 +94,7 @@ def test_shared_scan_matches_per_face_sums(corpus2d, corpus3d):
                 for qq in range(1, G.dim + phi.degree + 2):
                     for poly, interior in ((wsp.closed, False), (wsp.open, True)):
                         direct = sum(phi.poly.evaluate(dict(zip(names, p)))
-                                     for p in lattice_points(P, G, qq, interior))
+                                     for p in iter_lattice_points(P, G, qq, interior))
                         assert poly.evaluate({"q": qq}) == direct, (P.vertices, G, exps, qq)
             below = weighted_sum_poly(P, facet, phi)
             assert set(below) == {G for G in sums if G.vertex_indices <= facet.vertex_indices}
