@@ -109,9 +109,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     def constant_value(self):
         """The value of a constant polynomial (zero term included)."""
         for exps, coeff in self.terms.items():

@@ -251,7 +251,7 @@ def _dispatch(args) -> int:
 
     if args.command == "corpus":
         polys = random_corpus(args.seed, args.count, args.dim, args.max_coord)
-        payload = {"polytopes": [{"vertices": [list(v) for v in P.vertices]} for P in polys]}
+        payload = {"polytopes": [P.to_json() for P in polys]}
         _emit(payload, fmt)
         return 0
 

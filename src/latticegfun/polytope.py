@@ -113,10 +113,6 @@ class Polytope:
     def to_json(self) -> dict:
         return {"vertices": [list(v) for v in self.vertices]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> Polytope:
-        return build_polytope(obj["vertices"])
-
     def __repr__(self):
         return f"Polytope(dim={self.ambient_dim}, vertices={len(self.vertices)}, facets={len(self.halfspaces)})"
 
@@ -224,32 +220,15 @@ def is_simple(P: Polytope) -> bool:
     return all(len(lat.faces[i].containing_facets) == n for i in lat.faces_of_dim(0))
 
 
-def _box_for_face(P: Polytope, face: Face, q: int):
-    verts = [P.vertices[i] for i in face.vertex_indices]
-    lo = [q * min(v[k] for v in verts) for k in range(P.ambient_dim)]
-    hi = [q * max(v[k] for v in verts) for k in range(P.ambient_dim)]
-    return lo, hi
-
-
-def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False):
-    """Yield the lattice points of the dilate q*face.
-
-    Closed mode: equality on the facets containing the face, >= 0 on the
-    rest.  Interior mode (relative interior): equality on containing
-    facets, strict inequality on all others.  The scan walks an integer
-    bounding box with per-coordinate interval pruning.
+def scan_box(lo, hi, constraints):
+    """Yield the integer points of the box lo <= x <= hi, in lexicographic
+    order, that meet every constraint ``(normal, offset, mode)`` with
+    integer normal and offset: <normal, x> + offset is = 0, >= 0 or > 0
+    for mode "eq", "ge" or "gt".  A partial point is dropped as soon as
+    the box range of the remaining coordinates cannot meet a constraint.
+    Face dilates and cone parallelepipeds are both enumerated here.
     """
-    if not isinstance(q, int) or q <= 0:
-        raise ValueError("dilation must be positive")
-    if face.dim < 0:
-        raise ValueError("the empty face has no dilates")
-    n = P.ambient_dim
-    lo, hi = _box_for_face(P, face, q)
-    constraints = []
-    for idx, h in enumerate(P.halfspaces):
-        mode = "eq" if idx in face.containing_facets else ("gt" if interior else "ge")
-        constraints.append((h.normal, q * h.offset, mode))
-
+    n = len(lo)
     # extreme possible contribution of coordinates d..n-1 to each normal
     suffix_min = [[0] * (n + 1) for _ in constraints]
     suffix_max = [[0] * (n + 1) for _ in constraints]
@@ -288,7 +267,30 @@ def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False)
                 yield from scan(d + 1, nxt)
         point[d] = 0
 
-    yield from scan(0, [c for _, c, _ in constraints])
+    return scan(0, [c for _, c, _ in constraints])
+
+
+def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False):
+    """Iterate over the lattice points of the dilate q*face.
+
+    Closed mode: equality on the facets containing the face, >= 0 on the
+    rest.  Interior mode (relative interior): equality on containing
+    facets, strict inequality on all others.  The points come from
+    ``scan_box`` over the bounding box of q*face; bad arguments raise
+    ``ValueError`` at the call, before any point is produced.
+    """
+    if not isinstance(q, int) or q <= 0:
+        raise ValueError("dilation must be positive")
+    if face.dim < 0:
+        raise ValueError("the empty face has no dilates")
+    verts = [P.vertices[i] for i in face.vertex_indices]
+    lo = [q * min(v[k] for v in verts) for k in range(P.ambient_dim)]
+    hi = [q * max(v[k] for v in verts) for k in range(P.ambient_dim)]
+    constraints = []
+    for idx, h in enumerate(P.halfspaces):
+        mode = "eq" if idx in face.containing_facets else ("gt" if interior else "ge")
+        constraints.append((h.normal, q * h.offset, mode))
+    return scan_box(lo, hi, constraints)
 
 
 def pulling_triangulation(P: Polytope, anchor: str = "min"):

@@ -1,7 +1,7 @@
 """Euler-Maclaurin summation for simple lattice polytopes via Todd operators.
 
 The pipeline: build the normal fan of a simple polytope, collect the
-lattice points of the half-open parallelepipeds of its cones together with
+lattice points of the half-open parallelepipeds of its vertex cones with
 their root-of-unity data, expand the y-deformed Todd operator coefficients
 exactly, integrate the weight symbolically over the facet-deformed dilate,
 and apply the operator.  The cyclotomic contributions of the individual
@@ -21,7 +21,7 @@ from .algebra import MultiPoly, bernoulli
 from .cyclotomic import CycloNumber, cyclo_root_of_unity
 from .gfun import build_gfun
 from .linalg import lattice_index, mat_inverse, mat_rank, solve_exact
-from .polytope import Polytope, pulling_triangulation
+from .polytope import Polytope, pulling_triangulation, scan_box
 from .wsum import WeightPoly
 
 
@@ -56,7 +56,6 @@ class GammaSet:
     """Lattice points of the half-open cone parallelepipeds, with the
     root-of-unity value of every facet's support function at each point."""
 
-    fan: NormalFan
     points: tuple[tuple[int, ...], ...]
     a_values: tuple[tuple[object, ...], ...]  # Fraction | CycloNumber per facet
 
@@ -85,48 +84,45 @@ def _simplify_root(num: int, den: int):
 
 
 def gamma_set(fan: NormalFan) -> GammaSet:
-    """Union over all cones of the lattice points of Q(cone).
+    """Union over the vertex cones of the lattice points of Q(cone), the
+    half-open parallelepiped {sum rho_i u_i : 0 <= rho_i < 1} of the
+    generators u_i.
 
-    Q(cone) is the half-open parallelepiped of the generators.  Each point
-    g found in a cone has exact rational barycentric coordinates rho in
-    [0,1); the support function of a facet evaluates to the corresponding
-    rho on its own generator and to 0 on the others, giving the root of
-    unity exp(2*pi*i*rho).  Points on cone boundaries recur in several
-    cones with identical values, which the union deduplicates.
+    Every cone of a simple polytope's normal fan is a face of each vertex
+    cone containing it, and its Q is theirs cut by rho = 0 off its own
+    generators, so the vertex cones hold every point.  Each is scanned by
+    ``scan_box`` under 0 <= rho_i < 1, rho_i being an integer-scaled row of
+    the inverse generator matrix; ``solve_exact`` recomputes rho for each
+    kept point as a cross-check.  A facet's support function gives the
+    root of unity exp(2*pi*i*rho) on its own generator and 1 elsewhere;
+    points shared by several cones must agree.
     """
     P = fan.polytope
     n = P.ambient_dim
-    m = len(P.halfspaces)
-    one = Fraction(1)
     found: dict[tuple[int, ...], tuple] = {}
 
-    for cone in fan.cones:
+    for cone in fan.maximal_cones():
         gens = cone.generators
-        if not gens:
-            values = tuple(one for _ in range(m))
-            _record(found, (0,) * n, values)
-            continue
         rows = [[g[k] for g in gens] for k in range(n)]  # columns are generators
+        constraints = []
+        for inv_row in mat_inverse(rows):
+            scale = math.lcm(*(r.denominator for r in inv_row))
+            w = tuple(int(r * scale) for r in inv_row)
+            constraints += [(w, 0, "ge"), (tuple(-x for x in w), scale, "gt")]
         lo = [sum(min(0, g[k]) for g in gens) for k in range(n)]
         hi = [sum(max(0, g[k]) for g in gens) for k in range(n)]
-
-        def scan(k, point):
-            if k == n:
-                rho = solve_exact(rows, point)
-                if rho is None or any(r < 0 or r >= 1 for r in rho):
-                    return
-                values = [one] * m
-                for fi, r in zip(cone.facet_indices, rho):
-                    values[fi] = _simplify_root(r.numerator, r.denominator)
-                _record(found, tuple(point), tuple(values))
-                return
-            for x in range(lo[k], hi[k] + 1):
-                scan(k + 1, point + [x])
-
-        scan(0, [])
+        for point in scan_box(lo, hi, constraints):
+            rho = solve_exact(rows, point)
+            if rho is None or any(r < 0 or r >= 1 for r in rho):
+                raise RuntimeError(f"scanned point {point} is outside the parallelepiped "
+                                   f"of the cone on facets {cone.facet_indices}")
+            values = [Fraction(1)] * len(P.halfspaces)
+            for fi, r in zip(cone.facet_indices, rho):
+                values[fi] = _simplify_root(r.numerator, r.denominator)
+            _record(found, point, tuple(values))
 
     points = sorted(found)
-    return GammaSet(fan, tuple(points), tuple(found[p] for p in points))
+    return GammaSet(tuple(points), tuple(found[p] for p in points))
 
 
 def _record(found: dict, point: tuple[int, ...], values: tuple) -> None:
@@ -144,9 +140,6 @@ class ToddCoeffs:
 
     a: object
     coeffs: list[MultiPoly]  # index k -> polynomial in y
-
-    def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _inv_scalar(v):

@@ -210,7 +210,6 @@ def test_triangulation_and_volume(pyramid, unit_cube, right_triangle, octahedron
 
 
 def test_json_round_trip(pyramid):
-    from latticegfun import Polytope
-    clone = Polytope.from_json(pyramid.to_json())
+    clone = build_polytope(pyramid.to_json()["vertices"])
     assert clone.vertices == pyramid.vertices
     assert clone.halfspaces == pyramid.halfspaces

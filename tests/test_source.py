@@ -1,8 +1,11 @@
 """Source-level rules for the package."""
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "latticegfun"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "latticegfun"
 
 
 def test_no_assert_statements():
@@ -15,3 +18,17 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_tracer_sites_resolve():
+    # the benchmark's tracer rebinds these module-level names; a renamed or
+    # dropped site would otherwise surface only in a traced benchmark run
+    layers = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["LAYERS"]
+    assert layers
+    missing = []
+    for layer, (where, _, _) in layers.items():
+        for module, attr in where:
+            target = getattr(importlib.import_module(f"latticegfun.{module}"), attr, None)
+            if not callable(target):
+                missing.append(f"{layer}: latticegfun.{module}.{attr}")
+    assert not missing, missing

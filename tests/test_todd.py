@@ -2,6 +2,7 @@
 integration, and the end-to-end operator identity."""
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from latticegfun import (MultiPoly, WeightPoly, apply_todd, bernoulli,
                          dual_basis_at_vertex, gamma_set, h_variable_names,
                          normal_fan, symbolic_integral, todd_coeffs,
                          verify_todd_formula)
+from latticegfun.linalg import solve_exact
 from latticegfun.todd import _inv_scalar
 
 F = Fraction
@@ -85,32 +87,53 @@ def test_square_gamma_trivial(unit_square):
     assert all(v == 1 for v in gam.a_values[0])
 
 
+def box_scan(cone, n):
+    """Points g of Q(cone) with their rho, by solving for every point of
+    the bounding box of the closed parallelepiped."""
+    gens = cone.generators
+    rows = [[g[k] for g in gens] for k in range(n)]
+    ranges = [range(sum(min(0, g[k]) for g in gens), sum(max(0, g[k]) for g in gens) + 1)
+              for k in range(n)]
+    out = []
+    for pt in product(*ranges):
+        rho = solve_exact(rows, pt) if gens else []
+        if rho is not None and all(0 <= r < 1 for r in rho):
+            out.append((pt, rho))
+    return out
+
+
 def test_parallelepiped_count_equals_index(corpus2d, simplex3):
     # the number of lattice points of Q(cone) must equal the cone index,
     # for maximal and lower-dimensional cones alike
-    from latticegfun.linalg import solve_exact
     for P in [simplex3, *[Q for Q in corpus2d if Q.simple][:5]]:
         fan = normal_fan(P)
-        n = P.ambient_dim
         for cone in fan.cones:
-            if not cone.generators:
-                continue
-            gens = cone.generators
-            rows = [[g[k] for g in gens] for k in range(n)]
-            lo = [sum(min(0, g[k]) for g in gens) for k in range(n)]
-            hi = [sum(max(0, g[k]) for g in gens) for k in range(n)]
-            count = 0
-            def rec(k, pt):
-                nonlocal count
-                if k == n:
-                    rho = solve_exact(rows, pt)
-                    if rho is not None and all(0 <= r < 1 for r in rho):
-                        count += 1
-                    return
-                for xx in range(lo[k], hi[k] + 1):
-                    rec(k + 1, pt + [xx])
-            rec(0, [])
-            assert count == cone.index
+            assert len(box_scan(cone, P.ambient_dim)) == cone.index
+
+
+def test_gamma_set_matches_box_scan(right_triangle, simplex3, corpus2d, corpus3d):
+    # oracle: the union over every cone of the fan, the zero cone and the
+    # lower cones included, of the box-scanned parallelepiped points
+    from latticegfun import build_polytope
+    shapes = [right_triangle, build_polytope([(0, 0), (6, 0), (0, 5)]), simplex3,
+              build_polytope([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1)]),
+              next(P for P in corpus2d if P.simple), next(P for P in corpus3d if P.simple)]
+    for P in shapes:
+        fan = normal_fan(P)
+        expected = {}
+        for cone in fan.cones:
+            for pt, rho in box_scan(cone, P.ambient_dim):
+                values = [F(1)] * len(P.halfspaces)
+                for fi, r in zip(cone.facet_indices, rho):
+                    root = cyclo_root_of_unity(r.numerator, r.denominator)
+                    values[fi] = root if root.as_rational() is None else root.as_rational()
+                assert expected.setdefault(pt, values) == values
+        gam = gamma_set(fan)
+        points = sorted(expected)
+        assert gam.points == tuple(points)
+        assert gam.a_values == tuple(tuple(expected[pt]) for pt in points)
+        assert [[type(v) for v in vals] for vals in gam.a_values] == \
+            [[type(v) for v in expected[pt]] for pt in points]
 
 
 def test_gamma_nontrivial_iff_singular(corpus2d):
