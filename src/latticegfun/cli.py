@@ -24,8 +24,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"cannot read {path!r}: file not found")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON in {path!r}: {exc.msg} at line {exc.lineno} column {exc.colno}")

@@ -9,7 +9,7 @@ lattice points cancel in the final sum, which is checked.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 symbolic integral lives in the variables (t, h_1..h_m) and t is replaced
-by q(y+1) once, after all differentiation.
+by q(y+1) once, after the operator is applied.
 """
 from __future__ import annotations
 
@@ -138,7 +138,6 @@ class ToddCoeffs:
     """Power-series coefficients of the y-deformed Todd operator in one
     derivative, for a fixed root of unity a."""
 
-    a: object
     coeffs: list[MultiPoly]  # index k -> polynomial in y
 
 
@@ -152,12 +151,12 @@ def todd_coeffs(a, order: int) -> ToddCoeffs:
     """Expand the operator d*(1 + a*y*exp(-d(y+1))) / (1 - a*exp(-d(y+1)))
     as a power series in the derivative symbol d, through the given order.
 
-    For a = 1 the quotient reduces to the classical series (y+1)d /
-    (1 - exp(-d(y+1))) with Bernoulli coefficients (B_1 = +1/2 flavor),
-    minus y*d.  For a != 1 the denominator is invertible at d = 0: the
-    truncated series of 1/(1 - a exp(-d(y+1))) is inverted over the field
-    containing a and expanded in the split form
-    (y+1)d/(1 - a exp(-d(y+1))) - y*d.
+    In the split form (y+1)d / (1 - a exp(-d(y+1))) - y*d every coefficient
+    is a scalar s_k times (y+1)^k, except that y is subtracted at k = 1.
+    For a = 1, s_k = B_k/k! (the B_1 = +1/2 flavor).  For a != 1 the
+    denominator is invertible at d = 0, and s_k is the (k-1)-th coefficient
+    of the inverse of 1 - a*exp(-u) in u = d(y+1), inverted over the field
+    containing a.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -165,36 +164,27 @@ def todd_coeffs(a, order: int) -> ToddCoeffs:
         raise ValueError("a must be a rational or cyclotomic number")
     if a == 0:
         raise ValueError("a must be a nonzero root of unity")
-    y = MultiPoly.variable("y")
-    yp1 = y + 1
 
     if a == 1:
-        coeffs = [MultiPoly.const(1)]
-        if order >= 1:
-            coeffs.append(bernoulli(1) * yp1 - y)
-        for k in range(2, order + 1):
-            coeffs.append((bernoulli(k) / math.factorial(k)) * yp1 ** k)
-        return ToddCoeffs(a, coeffs[: order + 1])
+        scalars = [bernoulli(k) / math.factorial(k) for k in range(order + 1)]
+    else:
+        # 1 - a*exp(-u) = (1 - a) + sum_{j>=1} (-1)^(j+1) a/j! u^j
+        dens = {j: Fraction((-1) ** (j + 1), math.factorial(j)) * a for j in range(1, order + 1)}
+        inv0 = _inv_scalar(1 - a)
+        inverse = [inv0]
+        for k in range(1, order + 1):
+            inverse.append(-sum((dens[j] * inverse[k - j] for j in range(1, k + 1)),
+                                Fraction(0)) * inv0)
+        scalars = ([0] + inverse)[: order + 1]
 
-    # denominator series of 1 - a*exp(-d(y+1))
-    dens = [MultiPoly.const(1) - MultiPoly.const(a)]
-    for j in range(1, order + 1):
-        scalar = Fraction((-1) ** (j + 1), math.factorial(j)) * a
-        dens.append(scalar * yp1 ** j)
-    inv0 = MultiPoly.const(_inv_scalar(1 - a))
-    inverse = [inv0]
-    for k in range(1, order + 1):
-        acc = MultiPoly.zero()
-        for j in range(1, k + 1):
-            acc = acc + dens[j] * inverse[k - j]
-        inverse.append(-(acc * inv0))
-
-    coeffs = [MultiPoly.zero()]
-    for k in range(1, order + 1):
-        coeffs.append(yp1 * inverse[k - 1])
+    y = MultiPoly.variable("y")
+    coeffs, power = [], MultiPoly.const(1)
+    for s in scalars:
+        coeffs.append(s * power)
+        power = power * (y + 1)
     if order >= 1:
         coeffs[1] = coeffs[1] - y
-    return ToddCoeffs(a, coeffs)
+    return ToddCoeffs(coeffs)
 
 
 def h_variable_names(P: Polytope) -> list[str]:
@@ -239,8 +229,6 @@ class SymbolicIntegral:
     polynomial in (t, h_1..h_m), valid in the chamber of P near h = 0."""
 
     poly: MultiPoly
-    polytope: Polytope
-    phi: WeightPoly
 
 
 def _symbolic_det(rows):
@@ -307,64 +295,57 @@ def symbolic_integral(P: Polytope, phi: WeightPoly, anchor: str = "min") -> Symb
         inner = MultiPoly(rest_vars, moments)
         total = total + sign * det_poly * inner
 
-    return SymbolicIntegral(total, P, phi)
+    return SymbolicIntegral(total)
 
 
 def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
-    """Apply the summed Todd operator to the symbolic integral.
+    """Apply the Todd operator summed over the parallelepiped points to the
+    symbolic integral, set h = 0, and replace t by q(y+1).
 
-    Differentiation is truncated at the total degree of the integrand in
-    the h variables; higher derivatives annihilate it.  The result must be
-    rational after the sum over all parallelepiped points; t is then
-    replaced by q(y+1).
+    On a monomial h^alpha, prod_F Todd(a_F, d/dh_F) followed by h = 0 keeps
+    only the d^alpha term, which gives alpha!.  So each term
+    c * t^e * h^alpha of the integral becomes c * t^e * W_alpha(y) with
+    W_alpha = alpha! * sum over points of prod_F coeffs(a_F)[alpha_F].  The
+    integral is homogeneous of degree n + deg phi, so no alpha_F exceeds
+    the coefficient tables, and each alpha occurs in one term only.  The
+    result must be rational after the sum over all points.
     """
     if phi is None:
         phi = WeightPoly.one(P.ambient_dim)
-    fan = normal_fan(P)
-    gam = gamma_set(fan)
-    integral = symbolic_integral(P, phi)
-    order = P.ambient_dim + phi.degree
+    gam = gamma_set(normal_fan(P))
+    integral = symbolic_integral(P, phi).poly
+    order = integral.degree()
     h_names = h_variable_names(P)
-
-    coeff_cache: dict[object, ToddCoeffs] = {}
-
-    def coeffs_for(a) -> ToddCoeffs:
-        if a not in coeff_cache:
-            coeff_cache[a] = todd_coeffs(a, order)
-        return coeff_cache[a]
+    tables: dict[object, list[MultiPoly]] = {}
 
     total = MultiPoly.zero()
-    for values in gam.a_values:
-        work = integral.poly
-        for fi, name in enumerate(h_names):
-            if work.is_zero():
-                break
-            cs = coeffs_for(values[fi]).coeffs
-            kmax = min(order, work.degree_in(name))
-            new = MultiPoly.zero()
-            derivative = work
-            for k in range(kmax + 1):
-                if k:
-                    derivative = derivative.derivative(name)
-                slice_k = derivative.substitute({name: 0})
-                if not slice_k.is_zero() and not cs[k].is_zero():
-                    new = new + cs[k] * slice_k
-            work = new
-        total = total + work
+    for exps, coeff in integral.terms.items():
+        named = dict(zip(integral.vars, exps))
+        power = named.pop("t", 0)
+        alpha = [named.get(name, 0) for name in h_names]
+        weight = MultiPoly.zero()
+        for values in gam.a_values:
+            product = MultiPoly.const(1)
+            for a, k in zip(values, alpha):
+                if a not in tables:
+                    tables[a] = todd_coeffs(a, order).coeffs
+                product = product * tables[a][k]
+                if product.is_zero():
+                    break
+            weight = weight + product
+        scale = coeff * math.prod(math.factorial(k) for k in alpha)
+        total = total + MultiPoly.monomial(("t",), (power,), scale) * weight
 
-    rational_terms = {}
+    rational = {}
     for exps, coeff in total.terms.items():
-        if isinstance(coeff, CycloNumber):
-            value = coeff.as_rational()
-            if value is None:
-                raise RuntimeError("cyclotomic parts failed to cancel in the Todd sum")
-            coeff = value
-        rational_terms[exps] = coeff
-    total = MultiPoly(total.vars, rational_terms)
+        rational[exps] = coeff.as_rational() if isinstance(coeff, CycloNumber) else coeff
+        if rational[exps] is None:
+            raise RuntimeError("cyclotomic parts failed to cancel in the Todd sum")
 
-    q = MultiPoly.variable("q")
-    y = MultiPoly.variable("y")
-    return total.substitute({"t": q * (y + 1)})
+    q, y = MultiPoly.variable("q"), MultiPoly.variable("y")
+    # adding the zero polynomial over (q, y) fixes the variables, also when
+    # the weight is zero and nothing else names them
+    return MultiPoly(("q", "y")) + MultiPoly(total.vars, rational).substitute({"t": q * (y + 1)})
 
 
 def verify_todd_formula(P: Polytope, phi: WeightPoly | None = None) -> bool:

@@ -40,8 +40,9 @@ class WeightPoly:
             _check_exponents(exps)
         if not poly.is_homogeneous():
             raise ValueError("weight polynomial must be homogeneous")
+        names = {f"x{i + 1}" for i in range(nvars)}
         for v in poly.vars:
-            if v not in {f"x{i + 1}" for i in range(nvars)}:
+            if v not in names:
                 raise ValueError(f"unexpected weight variable {v!r}")
         self.degree = max(poly.degree(), 0)
 

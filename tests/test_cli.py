@@ -10,6 +10,14 @@ from latticegfun import cli
 
 PYRAMID = {"vertices": [[0, 0, 0], [1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]]}
 TRIANGLE = {"vertices": [[0, 0], [2, 0], [0, 1]]}
+DIRECTORY = object()  # stands for an input path that names a directory
+
+
+def write_input(path, content):
+    if content is DIRECTORY:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(content))
 
 
 @pytest.fixture
@@ -135,10 +143,12 @@ def test_exit_1_missing_file(capsys):
     {"vars": 2, "terms": [{"coeff": "1", "exps": [True, 1]}]},
     {"vars": 2, "terms": [{"coeff": "1", "exps": [1.5, 0]}]},
     {"vars": 2, "terms": [{"coeff": "1/0", "exps": [1, 0]}]},
+    {"vars": 1000000, "terms": []},
+    DIRECTORY,
 ])
 def test_exit_1_bad_weight(capsys, triangle_file, tmp_path, weight):
     path = tmp_path / "phi.json"
-    path.write_text(json.dumps(weight))
+    write_input(path, weight)
     code = cli.main(["--format", "json", "gfun", "--polytope", triangle_file,
                      "--phi", str(path)])
     out, err = capsys.readouterr()
@@ -152,15 +162,27 @@ def test_exit_1_bad_weight(capsys, triangle_file, tmp_path, weight):
     {"vertices": 5},
     {"vertices": [0, 1]},
     {"vertices": [[]]},
+    DIRECTORY,
 ])
 def test_exit_1_bad_polytope(capsys, tmp_path, polytope):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(polytope))
+    write_input(path, polytope)
     code = cli.main(["--format", "json", "info", "--polytope", str(path)])
     out, err = capsys.readouterr()
     assert code == 1
     assert "error" in json.loads(out)
     assert "Traceback" not in out + err
+
+
+def test_todd_zero_weight_has_gfun_variables(capsys, tmp_path):
+    segment, phi = tmp_path / "segment.json", tmp_path / "zero.json"
+    segment.write_text(json.dumps({"vertices": [[0], [3]]}))
+    phi.write_text(json.dumps({"vars": 1, "terms": [{"coeff": "0", "exps": [1]}]}))
+    code, out = run_cli(capsys, "--format", "json", "todd", "--polytope", str(segment),
+                        "--phi", str(phi), "--verify")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["todd"] == payload["gfun"] == {"vars": ["q", "y"], "terms": []}
 
 
 def test_ehrhart_is_wsum_of_the_polytope(capsys, tmp_path):

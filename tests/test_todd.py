@@ -1,17 +1,18 @@
 """Normal fans, parallelepiped points, Todd coefficients, symbolic
 integration, and the end-to-end operator identity."""
+import json
 import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from latticegfun import (MultiPoly, WeightPoly, apply_todd, bernoulli,
-                         build_gfun, cyclo_root_of_unity, deformed_vertex,
-                         dual_basis_at_vertex, gamma_set, h_variable_names,
-                         normal_fan, symbolic_integral, todd_coeffs,
-                         verify_todd_formula)
-from latticegfun.linalg import solve_exact
+from latticegfun import (CycloNumber, GammaSet, MultiPoly, WeightPoly, apply_todd,
+                         bernoulli, build_gfun, build_polytope, cli,
+                         cyclo_root_of_unity, deformed_vertex, dual_basis_at_vertex,
+                         gamma_set, h_variable_names, normal_fan, symbolic_integral,
+                         todd, todd_coeffs, verify_todd_formula)
+from latticegfun.linalg import det, solve_exact
 from latticegfun.todd import _inv_scalar
 
 F = Fraction
@@ -425,3 +426,48 @@ def test_verify_translated_and_negative_shapes():
     assert all(c.index == 9 for c in fan.maximal_cones())
     assert verify_todd_formula(simp)
     assert verify_todd_formula(simp, WeightPoly.monomial(3, (0, 0, 1)))
+
+
+def test_uncancelled_cyclotomic_part_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
+    # the index-3 cone of this triangle gives zeta_3 values; without one of
+    # the two points that carry them the Todd sum is not rational
+    vertices = [[0, 0], [3, 0], [0, 1]]
+    full = todd.gamma_set
+
+    def dropped(fan):
+        gam = full(fan)
+        i = next(i for i, vals in enumerate(gam.a_values)
+                 if any(isinstance(v, CycloNumber) for v in vals))
+        return GammaSet(gam.points[:i] + gam.points[i + 1:],
+                        gam.a_values[:i] + gam.a_values[i + 1:])
+
+    assert verify_todd_formula(build_polytope(vertices))
+    monkeypatch.setattr(todd, "gamma_set", dropped)
+    with pytest.raises(RuntimeError, match="failed to cancel"):
+        apply_todd(build_polytope(vertices))
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    assert cli.main(["--format", "json", "todd", "--polytope", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "invariant-violation"
+    assert "failed to cancel" in payload["error"]
+
+
+# a fixed unimodular matrix and integer translation per dimension
+UNIMODULAR = {2: (((2, 1), (1, 1)), (3, -2)),
+              3: (((1, 1, 0), (0, 1, 1), (1, 1, 1)), (-1, 2, 1))}
+
+
+def test_unimodular_image_keeps_gfun_and_todd(corpus2d, corpus3d):
+    # G for weight 1 counts lattice points of faces, which an affine
+    # automorphism of Z^n preserves; the Todd route must agree on the image
+    shapes = [P for P in (*corpus2d, *corpus3d) if P.simple]
+    shapes.append(build_polytope([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1)]))
+    for M, b in UNIMODULAR.values():
+        assert abs(det([list(row) for row in M])) == 1
+    for P in shapes:
+        M, b = UNIMODULAR[P.ambient_dim]
+        image = build_polytope([tuple(sum(m * x for m, x in zip(row, v)) + c
+                                      for row, c in zip(M, b)) for v in P.vertices])
+        assert build_gfun(image).poly == build_gfun(P).poly, P.vertices
+        assert verify_todd_formula(image), P.vertices
