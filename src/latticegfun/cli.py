@@ -41,10 +41,7 @@ def _load_polytope(path: str) -> Polytope:
 def _load_phi(path: str | None, nvars: int) -> WeightPoly:
     if path is None:
         return WeightPoly.one(nvars)
-    phi = WeightPoly.from_json(_load_json(path))
-    if phi.nvars != nvars:
-        raise ValueError("weight polynomial dimension does not match polytope")
-    return phi
+    return WeightPoly.from_json(_load_json(path), nvars)
 
 
 def _poly_pretty(poly: MultiPoly) -> str:

@@ -4,7 +4,8 @@ An element of the field obtained by adjoining a primitive N-th root of
 unity is stored as a coordinate vector over the power basis
 ``1, z, ..., z^(phi(N)-1)``, reduced modulo the N-th cyclotomic polynomial.
 Elements of different orders are merged by embedding both into the field of
-order ``lcm`` before any mixed arithmetic.
+order ``lcm`` before any mixed arithmetic.  The trace down to Q is read off
+the power-basis coordinates through Ramanujan sums.
 """
 from __future__ import annotations
 
@@ -331,3 +332,63 @@ def cyclo_root_of_unity(num: int, den: int) -> CycloNumber:
     order = den // g
     table = _power_table(order)
     return CycloNumber(order, table[num % order])
+
+
+@lru_cache(maxsize=None)
+def _power_index(n: int) -> dict[tuple[Fraction, ...], int]:
+    """Exponent e of z^e keyed by its coordinates modulo the n-th
+    cyclotomic polynomial."""
+    return {row: e for e, row in enumerate(_power_table(n))}
+
+
+def root_exponent(value) -> Fraction:
+    """The r in [0, 1) with value = exp(2*pi*i*r), for a root of unity
+    given as 1, -1 or a CycloNumber; the inverse of ``cyclo_root_of_unity``."""
+    if not isinstance(value, CycloNumber):
+        if value == 1:
+            return Fraction(0)
+        if value == -1:
+            return Fraction(1, 2)
+    else:
+        e = _power_index(value.order).get(value.coords)
+        if e is not None:
+            return Fraction(e, value.order)
+    raise ValueError(f"{value!r} is not a root of unity")
+
+
+def _mobius(n: int) -> int:
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(n: int) -> tuple[int, ...]:
+    """c_n(e), the sum of the e-th powers of the primitive n-th roots of
+    unity, for e < phi(n): mu(n/g) * phi(n)/phi(n/g) with g = gcd(e, n)."""
+    out = []
+    for e in range(euler_phi(n)):
+        d = n // math.gcd(e, n)
+        out.append(_mobius(d) * (euler_phi(n) // euler_phi(d)))
+    return tuple(out)
+
+
+def trace(x, order: int) -> Fraction:
+    """The trace of x from the cyclotomic field of the given order down to Q.
+
+    On the power basis the trace of z_d^e is the Ramanujan sum c_d(e).  An
+    x stored at an order d dividing ``order`` lies in a subfield, and the
+    trace over the full field is phi(order)/phi(d) times its own.
+    """
+    if not isinstance(x, CycloNumber):
+        return euler_phi(order) * Fraction(x)
+    if order % x.order:
+        raise ValueError("the element's order must divide the field order")
+    own = sum((c * s for c, s in zip(x.coords, _ramanujan_sums(x.order)) if c), Fraction(0))
+    return own * (euler_phi(order) // euler_phi(x.order))

@@ -4,8 +4,10 @@ The pipeline: build the normal fan of a simple polytope, collect the
 lattice points of the half-open parallelepipeds of its vertex cones with
 their root-of-unity data, expand the y-deformed Todd operator coefficients
 exactly, integrate the weight symbolically over the facet-deformed dilate,
-and apply the operator.  The cyclotomic contributions of the individual
-lattice points cancel in the final sum, which is checked.
+and apply the operator.  The parallelepiped points fall into Galois orbits,
+and the operator sums each orbit as the rational trace of one
+representative's term, computed in the cyclotomic field of that point's
+own order; that every orbit is complete is checked.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 symbolic integral lives in the variables (t, h_1..h_m) and t is replaced
@@ -15,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import MultiPoly, bernoulli
-from .cyclotomic import CycloNumber, cyclo_root_of_unity
+from .cyclotomic import CycloNumber, cyclo_root_of_unity, euler_phi, root_exponent, trace
 from .gfun import build_gfun
 from .linalg import lattice_index, mat_inverse, mat_rank, solve_exact
 from .polytope import Polytope, pulling_triangulation, scan_box
@@ -136,9 +139,22 @@ def _record(found: dict, point: tuple[int, ...], values: tuple) -> None:
 @dataclass
 class ToddCoeffs:
     """Power-series coefficients of the y-deformed Todd operator in one
-    derivative, for a fixed root of unity a."""
+    derivative, for a fixed root of unity a: the k-th is s_k * (y+1)^k,
+    except that y is subtracted at k = 1."""
 
-    coeffs: list[MultiPoly]  # index k -> polynomial in y
+    scalars: list  # index k -> s_k, rational or in the field of a
+
+    @cached_property
+    def coeffs(self) -> list[MultiPoly]:
+        """The coefficients as polynomials in y, index k -> k-th."""
+        y = MultiPoly.variable("y")
+        out, power = [], MultiPoly.const(1)
+        for s in self.scalars:
+            out.append(s * power)
+            power = power * (y + 1)
+        if len(out) > 1:
+            out[1] = out[1] - y
+        return out
 
 
 def _inv_scalar(v):
@@ -176,15 +192,7 @@ def todd_coeffs(a, order: int) -> ToddCoeffs:
             inverse.append(-sum((dens[j] * inverse[k - j] for j in range(1, k + 1)),
                                 Fraction(0)) * inv0)
         scalars = ([0] + inverse)[: order + 1]
-
-    y = MultiPoly.variable("y")
-    coeffs, power = [], MultiPoly.const(1)
-    for s in scalars:
-        coeffs.append(s * power)
-        power = power * (y + 1)
-    if order >= 1:
-        coeffs[1] = coeffs[1] - y
-    return ToddCoeffs(coeffs)
+    return ToddCoeffs(scalars)
 
 
 def h_variable_names(P: Polytope) -> list[str]:
@@ -298,6 +306,39 @@ def symbolic_integral(P: Polytope, phi: WeightPoly, anchor: str = "min") -> Symb
     return SymbolicIntegral(total)
 
 
+def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
+    """Split the gamma set into Galois orbits, as (values, m) pairs of a
+    representative and the order m of its field.
+
+    With the exponents r_F of a point's values and m the lcm of their
+    denominators, the orbit is {k*r mod 1 : gcd(k, m) = 1}, of phi(m)
+    distinct members.  The gamma set must hold every member of each orbit
+    it meets, and nothing besides these orbits.
+    """
+    exponents = [tuple(root_exponent(a) for a in values) for values in gam.a_values]
+    present = set(exponents)
+    placed: set[tuple] = set()
+    orbits = []
+    for i, r in enumerate(exponents):
+        if r in placed:
+            continue
+        m = math.lcm(*(x.denominator for x in r))
+        members = [tuple(k * x % 1 for x in r) for k in range(1, m + 1) if math.gcd(k, m) == 1]
+        missing = next((member for member in members if member not in present), None)
+        if missing is not None:
+            raise RuntimeError(
+                f"cyclotomic parts failed to cancel in the Todd sum: the Galois orbit of "
+                f"point {gam.points[i]} (order {m}) lacks the member with facet exponents "
+                f"({', '.join(map(str, missing))})")
+        placed.update(members)
+        orbits.append((gam.a_values[i], m))
+    covered = sum(euler_phi(m) for _, m in orbits)
+    if covered != len(gam.points):
+        raise RuntimeError(f"cyclotomic parts failed to cancel in the Todd sum: the Galois "
+                           f"orbits hold {covered} points, the gamma set {len(gam.points)}")
+    return orbits
+
+
 def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     """Apply the Todd operator summed over the parallelepiped points to the
     symbolic integral, set h = 0, and replace t by q(y+1).
@@ -307,45 +348,61 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     c * t^e * h^alpha of the integral becomes c * t^e * W_alpha(y) with
     W_alpha = alpha! * sum over points of prod_F coeffs(a_F)[alpha_F].  The
     integral is homogeneous of degree n + deg phi, so no alpha_F exceeds
-    the coefficient tables, and each alpha occurs in one term only.  The
-    result must be rational after the sum over all points.
+    the coefficient tables, and each alpha occurs in one term only.
+
+    The sum over points runs over Galois orbits.  The Galois automorphism
+    z -> z^k of the field of order m maps a point's values to those of
+    another point of its orbit, and the Todd scalars s_k(a) are rational
+    functions of a, so an orbit contributes the trace down to Q of its
+    representative's product.  That product is
+    (y+1)^(sum of alpha_F != 1) times prod_{alpha_F != 1} s_{alpha_F}(a_F)
+    * prod_{alpha_F = 1} (s_1 + (s_1 - 1) y), and only its second factor,
+    a polynomial in y of degree #{F : alpha_F = 1}, is traced.
     """
     if phi is None:
         phi = WeightPoly.one(P.ambient_dim)
-    gam = gamma_set(normal_fan(P))
+    orbits = _galois_orbits(gamma_set(normal_fan(P)))
     integral = symbolic_integral(P, phi).poly
+    if integral.is_zero():  # a zero weight: nothing needs a coefficient table
+        return MultiPoly(("q", "y"))
     order = integral.degree()
     h_names = h_variable_names(P)
-    tables: dict[object, list[MultiPoly]] = {}
+    scalars: dict[object, list] = {}
+    for values, _ in orbits:
+        for a in values:
+            if a not in scalars:
+                scalars[a] = todd_coeffs(a, order).scalars
 
-    total = MultiPoly.zero()
+    out: dict[tuple[int, int], Fraction] = {}
     for exps, coeff in integral.terms.items():
         named = dict(zip(integral.vars, exps))
         power = named.pop("t", 0)
         alpha = [named.get(name, 0) for name in h_names]
-        weight = MultiPoly.zero()
-        for values in gam.a_values:
-            product = MultiPoly.const(1)
+        traced = [Fraction(0)] * (alpha.count(1) + 1)
+        for values, m in orbits:
+            poly = [Fraction(1)]
             for a, k in zip(values, alpha):
-                if a not in tables:
-                    tables[a] = todd_coeffs(a, order).coeffs
-                product = product * tables[a][k]
-                if product.is_zero():
+                s = scalars[a][k]
+                if k == 1:  # times s + (s - 1) y
+                    lower = [c * s for c in poly] + [Fraction(0)]
+                    upper = [Fraction(0)] + [c * (s - 1) for c in poly]
+                    poly = [u + v for u, v in zip(lower, upper)]
+                elif s:
+                    poly = [c * s for c in poly]
+                else:
                     break
-            weight = weight + product
+            else:
+                for j, c in enumerate(poly):
+                    traced[j] += trace(c, m)
+        # t^e = q^e (y+1)^e joins the (y+1) power of the alpha_F != 1 factors
+        shift = power + sum(k for k in alpha if k != 1)
         scale = coeff * math.prod(math.factorial(k) for k in alpha)
-        total = total + MultiPoly.monomial(("t",), (power,), scale) * weight
-
-    rational = {}
-    for exps, coeff in total.terms.items():
-        rational[exps] = coeff.as_rational() if isinstance(coeff, CycloNumber) else coeff
-        if rational[exps] is None:
-            raise RuntimeError("cyclotomic parts failed to cancel in the Todd sum")
-
-    q, y = MultiPoly.variable("q"), MultiPoly.variable("y")
-    # adding the zero polynomial over (q, y) fixes the variables, also when
-    # the weight is zero and nothing else names them
-    return MultiPoly(("q", "y")) + MultiPoly(total.vars, rational).substitute({"t": q * (y + 1)})
+        for j, w in enumerate(traced):
+            if w:
+                for i in range(shift + 1):
+                    key = (power, i + j)
+                    out[key] = out.get(key, Fraction(0)) + scale * w * math.comb(shift, i)
+    return MultiPoly(("q", "y"), out)
 
 
 def verify_todd_formula(P: Polytope, phi: WeightPoly | None = None) -> bool:

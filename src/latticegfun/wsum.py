@@ -66,12 +66,17 @@ class WeightPoly:
         return {"vars": self.nvars, "terms": terms}
 
     @classmethod
-    def from_json(cls, obj: dict) -> WeightPoly:
+    def from_json(cls, obj: dict, expected_vars: int | None = None) -> WeightPoly:
+        """Parse ``{"vars": n, "terms": [...]}``.  A well-formed ``vars``
+        other than ``expected_vars`` is rejected before any variable is
+        built, so its size costs nothing."""
         if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
             raise ValueError("a weight needs the keys 'vars' and 'terms'")
         nvars = obj["vars"]
         if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 1:
             raise ValueError("weight 'vars' must be a positive integer")
+        if expected_vars is not None and nvars != expected_vars:
+            raise ValueError("weight polynomial dimension does not match polytope")
         if not isinstance(obj["terms"], list):
             raise ValueError("weight 'terms' must be a list")
         names = tuple(f"x{i + 1}" for i in range(nvars))

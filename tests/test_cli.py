@@ -157,6 +157,41 @@ def test_exit_1_bad_weight(capsys, triangle_file, tmp_path, weight):
     assert "Traceback" not in out + err
 
 
+def test_weight_vars_checked_against_dimension_first(capsys, triangle_file, tmp_path):
+    # the term's width is wrong too, but the declared vars is compared with
+    # the polytope's dimension before any term is read or name is built
+    path = tmp_path / "phi.json"
+    write_input(path, {"vars": 10 ** 6, "terms": [{"coeff": "1", "exps": [0]}]})
+    code = cli.main(["--format", "json", "gfun", "--polytope", triangle_file,
+                     "--phi", str(path)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == \
+        {"error": "weight polynomial dimension does not match polytope"}
+
+
+@pytest.mark.parametrize("vars_value", [0, -3, True, "2", 2.0])
+def test_malformed_weight_vars_keep_their_error(capsys, triangle_file, tmp_path, vars_value):
+    path = tmp_path / "phi.json"
+    write_input(path, {"vars": vars_value, "terms": []})
+    code = cli.main(["--format", "json", "gfun", "--polytope", triangle_file,
+                     "--phi", str(path)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == \
+        {"error": "weight 'vars' must be a positive integer"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "1", "--count", "-1", "--dim", "2"],
+    ["--seed", "1", "--count", "30", "--dim", "2", "--max-coord", "1"],
+])
+def test_corpus_bad_count_exits_1(capsys, argv):
+    code = cli.main(["--format", "json", "corpus", *argv])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "error" in json.loads(out)
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("polytope", [
     5,
     {"vertices": 5},

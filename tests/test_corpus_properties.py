@@ -1,5 +1,10 @@
 """Randomized property checks over the seeded corpus (small slices; the
 full sweeps run in the acceptance suite)."""
+import hashlib
+import json
+
+import pytest
+
 from latticegfun import (GradedPoset, WeightPoly, build_gfun, check_ehrhart_macdonald,
                          check_master_duality, check_reciprocity,
                          check_weighted_reciprocity, euler_characteristic,
@@ -12,6 +17,32 @@ def test_corpus_determinism():
     assert [P.vertices for P in a] == [P.vertices for P in b]
     c = random_corpus(2, 10, 2, 3)
     assert [P.vertices for P in a] != [P.vertices for P in c]
+
+
+# sha256 of the JSON list of the 2-D (15, max_coord 3) and 3-D (10,
+# max_coord 2) corpora at each seed pair, as the property suites and the
+# benchmark draw them
+CORPUS_DIGESTS = {
+    (11, 7): "ec3860fbaf843bb0a1a1e6b5214747d6c8e8907b59cb20c709136d6a9b52c211",
+    (103, 105): "f186f9a002edbbb0e98f7661c011c2b21a034a744c4dd71939f3acb9fc1d2efc",
+}
+
+
+@pytest.mark.parametrize("seeds", sorted(CORPUS_DIGESTS))
+def test_corpus_is_stable(seeds):
+    s2, s3 = seeds
+    text = json.dumps([P.to_json() for P in random_corpus(s2, 15, 2, 3) + random_corpus(s3, 10, 3, 2)])
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGESTS[seeds]
+
+
+def test_corpus_rejects_negative_count_and_exhausted_box():
+    assert random_corpus(1, 0, 2, 3) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_corpus(1, -1, 2, 3)
+    # [0, 1]^2 holds five lattice polygons: the square and four triangles
+    with pytest.raises(ValueError, match="found only 5 distinct polytopes"):
+        random_corpus(1, 30, 2, 1)
+    assert len(random_corpus(1, 5, 2, 1)) == 5
 
 
 def test_corpus_is_full_dimensional(corpus2d, corpus3d):

@@ -1,4 +1,5 @@
 """Cyclotomic field arithmetic against a floating-point shadow."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticegfun import CycloNumber, cyclo_root_of_unity
-from latticegfun.cyclotomic import cyclotomic_polynomial, euler_phi
+from latticegfun.cyclotomic import cyclotomic_polynomial, euler_phi, root_exponent, trace
 
 F = Fraction
 
@@ -85,3 +86,42 @@ def test_sum_matches_float_shadow(r1, r2):
     b = cyclo_root_of_unity(*r2)
     assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) < 1e-9
     assert abs((a * b).to_complex() - (a.to_complex() * b.to_complex())) < 1e-9
+
+
+def test_root_exponent_inverts_root_of_unity():
+    for den in range(1, 13):
+        for num in range(den):
+            root = cyclo_root_of_unity(num, den)
+            assert root_exponent(root) == F(num, den)
+            if root.as_rational() is not None:
+                assert root_exponent(root.as_rational()) == F(num, den)
+    for value in (F(2), F(1, 2), 1 + cyclo_root_of_unity(1, 5)):
+        with pytest.raises(ValueError):
+            root_exponent(value)
+
+
+def conjugate(x, k):
+    """sigma_k(x): z -> z^k applied to the power-basis coordinates of x."""
+    return sum((c * cyclo_root_of_unity(k * e, x.order) for e, c in enumerate(x.coords)),
+               CycloNumber.from_rational(0, x.order))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 12, 15])
+def test_trace_is_the_sum_of_conjugates(order):
+    # elements of the full field, of every subfield Q(zeta_d) stored at
+    # order d, of a subfield stored at the full order, and rationals
+    elements = [F(-7, 3)]
+    for d in range(1, order + 1):
+        if order % d == 0:
+            elements.append(CycloNumber(d, [F((-1) ** e * (e + 2), e + 1)
+                                            for e in range(euler_phi(d))]))
+            elements.append(cyclo_root_of_unity(1, d).promote(order) * F(3, 4) + 1)
+    for x in elements:
+        field = x.promote(order) if isinstance(x, CycloNumber) else \
+            CycloNumber.from_rational(x, order)
+        units = [k for k in range(1, order + 1) if math.gcd(k, order) == 1]
+        total = sum((conjugate(field, k) for k in units), CycloNumber.from_rational(0, order))
+        assert total.as_rational() is not None
+        assert trace(x, order) == total.as_rational(), (order, x)
+    with pytest.raises(ValueError):
+        trace(cyclo_root_of_unity(1, 5), 12)

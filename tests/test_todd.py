@@ -12,6 +12,7 @@ from latticegfun import (CycloNumber, GammaSet, MultiPoly, WeightPoly, apply_tod
                          cyclo_root_of_unity, deformed_vertex, dual_basis_at_vertex,
                          gamma_set, h_variable_names, normal_fan, symbolic_integral,
                          todd, todd_coeffs, verify_todd_formula)
+from latticegfun.cyclotomic import euler_phi
 from latticegfun.linalg import det, solve_exact
 from latticegfun.todd import _inv_scalar
 
@@ -471,3 +472,71 @@ def test_unimodular_image_keeps_gfun_and_todd(corpus2d, corpus3d):
                                       for row, c in zip(M, b)) for v in P.vertices])
         assert build_gfun(image).poly == build_gfun(P).poly, P.vertices
         assert verify_todd_formula(image), P.vertices
+
+
+# --- Galois orbits of the parallelepiped points -------------------------
+
+
+def root_order(value):
+    if isinstance(value, CycloNumber):
+        return value.order
+    return 1 if value == 1 else 2
+
+
+def test_gamma_set_splits_into_complete_galois_orbits(corpus2d, corpus3d):
+    # sigma_k maps each value a to a^k; for k coprime to the lcm m of a
+    # point's orders the conjugate tuple must be another point's values,
+    # with phi(m) distinct conjugates in all
+    shapes = [P for P in (*corpus2d, *corpus3d) if P.simple]
+    shapes += [build_polytope([(0, 0), (30, 0), (0, 17)]),
+               build_polytope([(0, 0, 0), (4, 0, 0), (0, 5, 0), (0, 0, 3)])]
+    for P in shapes:
+        gam = gamma_set(normal_fan(P))
+        values = set(gam.a_values)
+        assert len(values) == len(gam.points)
+        for vals in gam.a_values:
+            m = math.lcm(*(root_order(a) for a in vals))
+            conjugates = {tuple(a ** k for a in vals)
+                          for k in range(1, m + 1) if math.gcd(k, m) == 1}
+            assert len(conjugates) == euler_phi(m)
+            assert conjugates <= values, P.vertices
+        orbits = todd._galois_orbits(gam)
+        assert all(m == math.lcm(*(root_order(a) for a in vals)) for vals, m in orbits)
+        assert sum(euler_phi(m) for _, m in orbits) == len(gam.points)
+
+
+def test_incomplete_orbit_names_point_order_and_member():
+    # the (3,1) triangle's zeta_3 points (0, -2) and (0, -1) form one orbit
+    gam = gamma_set(normal_fan(build_polytope([(0, 0), (3, 0), (0, 1)])))
+    assert gam.points == ((0, -2), (0, -1), (0, 0))
+    with pytest.raises(RuntimeError, match=r"failed to cancel.*point \(0, -1\) \(order 3\).*"
+                                           r"\(2/3, 0, 2/3\)"):
+        todd._galois_orbits(GammaSet(gam.points[1:], gam.a_values[1:]))
+    with pytest.raises(RuntimeError, match="failed to cancel.*orbits hold 3 points, the gamma set 4"):
+        todd._galois_orbits(GammaSet(gam.points + gam.points[:1],
+                                     gam.a_values + gam.a_values[:1]))
+
+
+def test_apply_todd_reaches_todd_coeffs_through_the_module_global(monkeypatch):
+    # the benchmark's tracer times the todd_coeffs layer by rebinding this
+    # global; apply_todd must keep resolving it there
+    P = build_polytope([(0, 0), (5, 2), (2, 5)])
+    expected = apply_todd(P)
+    roots = []
+    original = todd.todd_coeffs
+
+    def counted(a, order):
+        roots.append(a)
+        return original(a, order)
+
+    monkeypatch.setattr(todd, "todd_coeffs", counted)
+    assert apply_todd(P) == expected
+    assert roots and any(isinstance(a, CycloNumber) for a in roots)
+
+
+@pytest.mark.parametrize("vertices", [[(0, 0), (60, 0), (0, 37)],
+                                      [(0, 0, 0), (5, 0, 0), (0, 7, 0), (0, 0, 3)]])
+def test_verify_high_index_cases(vertices):
+    # vertex-cone indices 37 and 60, and 15, 21 and 35: thirteen and seven
+    # Galois orbits, in fields of degree up to 36
+    assert verify_todd_formula(build_polytope(vertices))
