@@ -1,8 +1,10 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Small exact linear algebra helpers over the integers.
 
-Rank, inverse, linear solves and one-dimensional nullspaces all run the
-same Gauss-Jordan reduction, ``_reduce``; ``det`` uses forward elimination
-so that it can track the sign of row swaps.
+Every matrix the package reduces has integer entries.  Rank, determinant,
+inverse, linear solves and one-dimensional nullspaces all run the same
+fraction-free Gauss-Jordan reduction, ``_reduce`` (Bareiss, Math. Comp. 22,
+1968; Cohen, A Course in Computational Algebraic Number Theory, 2.2), in
+which every entry stays an integer minor of the input.
 """
 from __future__ import annotations
 
@@ -11,16 +13,23 @@ from fractions import Fraction
 from itertools import combinations
 
 
-def _reduce(m, ncols: int) -> list[int]:
-    """Gauss-Jordan reduce the rows of m in place on its first ncols columns.
+def _reduce(m, ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan reduce the integer rows of m in place on
+    their first ncols columns.
 
-    Row r of the result has a 1 in column ``pivots[r]`` and 0 in every other
-    pivot column; rows past the last pivot are zero in the first ncols
-    columns.  Later columns (an augmented part) are carried along.  Stops
-    once every row has a pivot.  Returns the pivot columns.
+    Returns ``(pivots, d, sign)``.  Row r of the result has the last pivot
+    ``d`` in column ``pivots[r]`` and 0 in every other pivot column; rows
+    past the last pivot are zero in the first ncols columns.  Later columns
+    (an augmented part) are carried along, so row r states
+    ``d * x[pivots[r]] + (free columns) = (augmented part)``.  ``d`` is the
+    leading minor on the pivot rows and columns, 1 when there is no pivot,
+    and ``sign`` is the parity of the row swaps.  Stops once every row has
+    a pivot.  Each division by the previous pivot is exact by Sylvester's
+    identity; one that is not raises ``RuntimeError``.
     """
     pivots: list[int] = []
     nrows = len(m)
+    d, sign = 1, 1
     for col in range(ncols):
         rank = len(pivots)
         if rank == nrows:
@@ -28,20 +37,30 @@ def _reduce(m, ncols: int) -> list[int]:
         pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        row = m[rank] = [v * inv for v in m[rank]]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        row = m[rank]
+        p = row[col]
         for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], row)]
+            if r == rank:
+                continue
+            f = m[r][col]
+            vals = [p * a - f * b for a, b in zip(m[r], row)]
+            if d != 1:
+                if any(v % d for v in vals):
+                    raise RuntimeError(f"fraction-free elimination: division by the "
+                                       f"pivot {d} is not exact in row {vals}")
+                vals = [v // d for v in vals]
+            m[r] = vals
+        d = p
         pivots.append(col)
-    return pivots
+    return pivots, d, sign
 
 
 def mat_rank(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    return len(_reduce(m, len(m[0]) if m else 0))
+    m = [list(row) for row in rows]
+    return len(_reduce(m, len(m[0]) if m else 0)[0])
 
 
 def affine_rank(points) -> int:
@@ -56,79 +75,55 @@ def affine_rank(points) -> int:
     return mat_rank(diffs)
 
 
-def det(rows) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return sign * result
+def det(rows) -> int:
+    m = [list(row) for row in rows]
+    pivots, d, sign = _reduce(m, len(m))
+    return sign * d if len(pivots) == len(m) else 0
 
 
-def mat_inverse(rows):
+def mat_inverse(rows) -> tuple[list[list[int]], int]:
+    """The inverse of a nonsingular integer matrix as ``(rows, d)`` with
+    ``d > 0``: the inverse is rows / d."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    if len(_reduce(m, n)) < n:
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, d, _ = _reduce(m, n)
+    if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
+    s = 1 if d > 0 else -1
+    return [[s * v for v in row[n:]] for row in m], s * d
 
 
 def solve_exact(rows, rhs):
-    """Solve A x = b for the unique solution.
+    """Solve A x = b for the unique solution, as Fractions.
 
     Returns None when the system is inconsistent; raises if the solution
     is not unique (column rank deficiency).
     """
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
     ncols = len(rows[0])
-    pivots = _reduce(m, ncols)
+    pivots, d, _ = _reduce(m, ncols)
     if any(m[r][ncols] for r in range(len(pivots), len(m))):
         return None
     if len(pivots) < ncols:
         raise ValueError("linear system is underdetermined")
-    out = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        out[col] = m[r][ncols]
-    return out
+    return [Fraction(m[r][ncols], d) for r in range(ncols)]
 
 
 def nullspace_vector(rows):
-    """A spanning vector of a one-dimensional nullspace, or None."""
+    """The primitive integer vector spanning a one-dimensional nullspace,
+    with its free coordinate positive, or None."""
     ncols = len(rows[0])
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = _reduce(m, ncols)
+    m = [list(row) for row in rows]
+    pivots, d, _ = _reduce(m, ncols)
     if len(pivots) != ncols - 1:
         return None
     free = next(c for c in range(ncols) if c not in pivots)
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
+    vec = [0] * ncols
+    vec[free] = d
     for r, col in enumerate(pivots):
         vec[col] = -m[r][free]
-    return vec
-
-
-def primitive_integer(vec) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    vec = [Fraction(v) for v in vec]
-    denom = math.lcm(*(v.denominator for v in vec)) if vec else 1
-    ints = [int(v * denom) for v in vec]
-    g = math.gcd(*ints) if any(ints) else 1
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(v // g for v in ints)
+    g = math.gcd(*vec) if d > 0 else -math.gcd(*vec)
+    return tuple(v // g for v in vec)
 
 
 def lattice_index(generators) -> int:
@@ -140,10 +135,7 @@ def lattice_index(generators) -> int:
     k = len(gens)
     g = 0
     for cols in combinations(range(len(gens[0])), k):
-        minor = det([[row[c] for c in cols] for row in gens])
-        if minor.denominator != 1:
-            raise RuntimeError("maximal minor of integer vectors is not integral")
-        g = math.gcd(g, abs(int(minor)))
+        g = math.gcd(g, det([[row[c] for c in cols] for row in gens]))
     if g == 0:
         raise ValueError("generators are linearly dependent")
     return g

@@ -14,8 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import (affine_rank, det, mat_rank, nullspace_vector,
-                     primitive_integer)
+from .linalg import affine_rank, det, mat_rank, nullspace_vector
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,9 @@ def build_polytope(points) -> Polytope:
     Duplicates and non-extreme points are dropped.  The H-representation is
     found by scanning every hyperplane spanned by an affinely independent
     n-subset of the input and keeping those with all points on one closed
-    side; normals are made primitive and inward.
+    side.  Its normal is the primitive integer nullspace vector of the
+    subset's difference rows (None when they have rank below n - 1), turned
+    inward.
     """
     if not isinstance(points, (list, tuple)):
         raise ValueError("vertices must be a list of coordinate lists")
@@ -154,16 +155,11 @@ def build_polytope(points) -> Polytope:
         if any(mask & fm == mask for fm in facet_masks):
             continue
         base = pts[subset[0]]
-        diffs = [[pts[i][k] - base[k] for k in range(n)] for i in subset[1:]]
-        if n > 1:
-            if mat_rank(diffs) != n - 1:
-                continue
-            normal = nullspace_vector(diffs)
-            if normal is None:
-                continue
-        else:
-            normal = [Fraction(1)]
-        u = primitive_integer(normal)
+        # the base's own zero row keeps the matrix nonempty when n = 1
+        diffs = [[pts[i][k] - base[k] for k in range(n)] for i in subset]
+        u = nullspace_vector(diffs)
+        if u is None:
+            continue
         c = sum(a * b for a, b in zip(base, u))
         sides = [sum(a * b for a, b in zip(p, u)) - c for p in pts]
         if all(s >= 0 for s in sides):

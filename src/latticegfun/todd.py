@@ -94,8 +94,9 @@ def gamma_set(fan: NormalFan) -> GammaSet:
     Every cone of a simple polytope's normal fan is a face of each vertex
     cone containing it, and its Q is theirs cut by rho = 0 off its own
     generators, so the vertex cones hold every point.  Each is scanned by
-    ``scan_box`` under 0 <= rho_i < 1, rho_i being an integer-scaled row of
-    the inverse generator matrix; ``solve_exact`` recomputes rho for each
+    ``scan_box`` under 0 <= w_i . x < d, where rho_i = w_i . x / d and
+    w_i / d is row i of the inverse generator matrix, w_i an integer row
+    and d its positive denominator; ``solve_exact`` recomputes rho for each
     kept point as a cross-check.  A facet's support function gives the
     root of unity exp(2*pi*i*rho) on its own generator and 1 elsewhere;
     points shared by several cones must agree.
@@ -107,11 +108,10 @@ def gamma_set(fan: NormalFan) -> GammaSet:
     for cone in fan.maximal_cones():
         gens = cone.generators
         rows = [[g[k] for g in gens] for k in range(n)]  # columns are generators
+        inverse, d = mat_inverse(rows)
         constraints = []
-        for inv_row in mat_inverse(rows):
-            scale = math.lcm(*(r.denominator for r in inv_row))
-            w = tuple(int(r * scale) for r in inv_row)
-            constraints += [(w, 0, "ge"), (tuple(-x for x in w), scale, "gt")]
+        for w in inverse:
+            constraints += [(tuple(w), 0, "ge"), (tuple(-x for x in w), d, "gt")]
         lo = [sum(min(0, g[k]) for g in gens) for k in range(n)]
         hi = [sum(max(0, g[k]) for g in gens) for k in range(n)]
         for point in scan_box(lo, hi, constraints):
@@ -210,8 +210,8 @@ def dual_basis_at_vertex(P: Polytope, vertex_index: int):
     if len(facets) != n:
         raise ValueError("not simple at vertex")
     U = [list(P.halfspaces[j].normal) for j in facets]
-    Uinv = mat_inverse(U)
-    return {fj: tuple(Uinv[k][j] for k in range(n)) for j, fj in enumerate(facets)}
+    Uinv, d = mat_inverse(U)
+    return {fj: tuple(Fraction(Uinv[k][j], d) for k in range(n)) for j, fj in enumerate(facets)}
 
 
 def deformed_vertex(P: Polytope, vertex_index: int):

@@ -7,7 +7,8 @@ import pytest
 
 from latticegfun import (build_polytope, cross_polytope, euler_characteristic,
                          iter_lattice_points, pulling_triangulation, volume)
-from latticegfun.linalg import det, mat_rank, solve_exact
+
+from linalg_reference import leibniz_det, rank, solve
 
 F = Fraction
 
@@ -74,9 +75,9 @@ def test_facets_match_supporting_hyperplanes(corpus2d, corpus3d):
         expected = set()
         for S in combinations(V, n):
             rows = [[a - b for a, b in zip(s, S[0])] for s in S[1:]]
-            if mat_rank(rows) != n - 1:
+            if rank(rows) != n - 1:
                 continue
-            sides = [det(rows + [[a - b for a, b in zip(v, S[0])]]) for v in V]
+            sides = [leibniz_det(rows + [[a - b for a, b in zip(v, S[0])]]) for v in V]
             if all(d >= 0 for d in sides) or all(d <= 0 for d in sides):
                 expected.add(frozenset(v for v, d in zip(V, sides) if d == 0))
         found = [frozenset(v for v in V if h.value(v) == 0) for h in P.halfspaces]
@@ -145,9 +146,9 @@ def test_hrep_vrep_round_trip(pyramid, unit_cube, octahedron, corpus2d):
         recovered = set()
         for subset in combinations(P.halfspaces, n):
             rows = [list(h.normal) for h in subset]
-            if mat_rank(rows) < n:
+            if rank(rows) < n:
                 continue
-            sol = solve_exact(rows, [-h.offset for h in subset])
+            sol = solve(rows, [-h.offset for h in subset])
             if sol is None:
                 continue
             if all(h.value(sol) >= 0 for h in P.halfspaces):

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +33,23 @@ def test_tracer_sites_resolve():
             if not callable(target):
                 missing.append(f"{layer}: latticegfun.{module}.{attr}")
     assert not missing, missing
+
+
+def test_stdlib_only():
+    # the package has no runtime dependencies: every absolute import names
+    # a standard-library module
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not found, found

@@ -13,8 +13,10 @@ from latticegfun import (CycloNumber, GammaSet, MultiPoly, WeightPoly, apply_tod
                          gamma_set, h_variable_names, normal_fan, symbolic_integral,
                          todd, todd_coeffs, verify_todd_formula)
 from latticegfun.cyclotomic import euler_phi
-from latticegfun.linalg import det, solve_exact
+from latticegfun.linalg import det
 from latticegfun.todd import _inv_scalar
+
+from linalg_reference import solve
 
 F = Fraction
 y = MultiPoly.variable("y")
@@ -98,7 +100,7 @@ def box_scan(cone, n):
               for k in range(n)]
     out = []
     for pt in product(*ranges):
-        rho = solve_exact(rows, pt) if gens else []
+        rho = solve(rows, pt) if gens else []
         if rho is not None and all(0 <= r < 1 for r in rho):
             out.append((pt, rho))
     return out
