@@ -236,23 +236,7 @@ class MultiPoly:
 
     __hash__ = None
 
-    # -- calculus and substitution -------------------------------------
-
-    def derivative(self, var: str) -> MultiPoly:
-        if var not in self.vars:
-            return MultiPoly(self.vars, {})
-        i = self.vars.index(var)
-        out = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1:]
-                total = out.get(key, 0) + coeff * e
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return MultiPoly(self.vars, out)
+    # -- substitution and coefficients ---------------------------------
 
     def substitute(self, mapping: dict) -> MultiPoly:
         """Replace some variables by polynomials or scalars; others remain."""

@@ -104,11 +104,11 @@ def check_reciprocity(G: GFunction) -> bool:
 
 
 def y_coefficient_profile(G: GFunction) -> list[MultiPoly]:
-    """Coefficient polynomials L_0..L_n of powers of y, for weight 1.
+    """Coefficient polynomials L_0..L_n of powers of y, for a constant weight.
 
-    Asserts that the leading q-coefficient of L_p is binom(n, p) times the
-    Lebesgue volume, with the volume computed independently from a
-    triangulation.
+    Checks that the leading q-coefficient of L_p is binom(n, p) times the
+    weight's constant value times the Lebesgue volume, with the volume
+    computed independently from a triangulation.
     """
     if G.d != 0:
         raise ValueError("the y-profile is defined for the constant weight")
@@ -119,7 +119,7 @@ def y_coefficient_profile(G: GFunction) -> list[MultiPoly]:
     for p in range(n + 1):
         layer = layers.get(p, MultiPoly.zero())
         lead = layer.coefficient("q", n).constant_value()
-        if lead != math.comb(n, p) * vol:
+        if lead != math.comb(n, p) * G.phi.at_origin() * vol:
             raise RuntimeError("leading coefficient does not match the volume profile")
         out.append(layer)
     return out

@@ -218,62 +218,50 @@ def is_simple(P: Polytope) -> bool:
 
 def scan_box(lo, hi, constraints):
     """Yield the integer points of the box lo <= x <= hi, in lexicographic
-    order, that meet every constraint ``(normal, offset, mode)`` with
-    integer normal and offset: <normal, x> + offset is = 0, >= 0 or > 0
-    for mode "eq", "ge" or "gt".  A partial point is dropped as soon as
-    the box range of the remaining coordinates cannot meet a constraint.
-    Face dilates and cone parallelepipeds are both enumerated here.
+    order, that meet every constraint ``(normal, offset)``, an integer pair
+    meaning <normal, x> + offset >= 0.  Each coordinate is solved as an
+    interval: the constraints bound it given the coordinates before it and
+    the most the box lets the ones after it add, so no value is tried that
+    has no extension.  Face dilates and cone parallelepipeds are both
+    enumerated here.
     """
     n = len(lo)
-    # extreme possible contribution of coordinates d..n-1 to each normal
-    suffix_min = [[0] * (n + 1) for _ in constraints]
-    suffix_max = [[0] * (n + 1) for _ in constraints]
-    for ci, (u, _, _) in enumerate(constraints):
-        for d in range(n - 1, -1, -1):
-            a, b = u[d] * lo[d], u[d] * hi[d]
-            suffix_min[ci][d] = suffix_min[ci][d + 1] + min(a, b)
-            suffix_max[ci][d] = suffix_max[ci][d + 1] + max(a, b)
-
+    columns = [[u[d] for u, _ in constraints] for d in range(n)]
+    # reach[d][ci]: the largest value coordinates d..n-1 can add to normal ci
+    reach = [[0] * len(constraints) for _ in range(n + 1)]
+    for d in range(n - 1, -1, -1):
+        reach[d] = [r + max(a * lo[d], a * hi[d]) for r, a in zip(reach[d + 1], columns[d])]
     point = [0] * n
 
     def scan(d, partial):
         if d == n:
             yield tuple(point)
             return
-        for x in range(lo[d], hi[d] + 1):
-            nxt = [p + u[d] * x for p, (u, _, _) in zip(partial, constraints)]
-            feasible = True
-            for ci, (_, _, mode) in enumerate(constraints):
-                low = nxt[ci] + suffix_min[ci][d + 1]
-                high = nxt[ci] + suffix_max[ci][d + 1]
-                if mode == "eq":
-                    if low > 0 or high < 0:
-                        feasible = False
-                        break
-                elif mode == "ge":
-                    if high < 0:
-                        feasible = False
-                        break
-                else:
-                    if high <= 0:
-                        feasible = False
-                        break
-            if feasible:
-                point[d] = x
-                yield from scan(d + 1, nxt)
-        point[d] = 0
+        column = columns[d]
+        first, last = lo[d], hi[d]
+        for a, p, r in zip(column, partial, reach[d + 1]):
+            need = -(p + r)  # a * x must reach this
+            if a > 0:
+                first = max(first, -(-need // a))
+            elif a < 0:
+                last = min(last, need // a)
+            elif need > 0:
+                return
+        for x in range(first, last + 1):
+            point[d] = x
+            yield from scan(d + 1, [p + a * x for p, a in zip(partial, column)])
 
-    return scan(0, [c for _, c, _ in constraints])
+    return scan(0, [c for _, c in constraints])
 
 
 def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False):
     """Iterate over the lattice points of the dilate q*face.
 
-    Closed mode: equality on the facets containing the face, >= 0 on the
-    rest.  Interior mode (relative interior): equality on containing
-    facets, strict inequality on all others.  The points come from
-    ``scan_box`` over the bounding box of q*face; bad arguments raise
-    ``ValueError`` at the call, before any point is produced.
+    A facet containing the face gives <u, x> + q*c >= 0 and its negation;
+    every other facet gives <u, x> + q*c >= 0 closed, or <u, x> + q*c - 1
+    >= 0 for the relative interior.  The points come from ``scan_box``
+    over the bounding box of q*face; bad arguments raise ``ValueError`` at
+    the call, before any point is produced.
     """
     if not isinstance(q, int) or q <= 0:
         raise ValueError("dilation must be positive")
@@ -284,8 +272,11 @@ def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False)
     hi = [q * max(v[k] for v in verts) for k in range(P.ambient_dim)]
     constraints = []
     for idx, h in enumerate(P.halfspaces):
-        mode = "eq" if idx in face.containing_facets else ("gt" if interior else "ge")
-        constraints.append((h.normal, q * h.offset, mode))
+        qc = q * h.offset
+        if idx in face.containing_facets:
+            constraints += [(h.normal, qc), (tuple(-a for a in h.normal), -qc)]
+        else:
+            constraints.append((h.normal, qc - 1 if interior else qc))
     return scan_box(lo, hi, constraints)
 
 

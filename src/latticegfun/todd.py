@@ -94,12 +94,13 @@ def gamma_set(fan: NormalFan) -> GammaSet:
     Every cone of a simple polytope's normal fan is a face of each vertex
     cone containing it, and its Q is theirs cut by rho = 0 off its own
     generators, so the vertex cones hold every point.  Each is scanned by
-    ``scan_box`` under 0 <= w_i . x < d, where rho_i = w_i . x / d and
-    w_i / d is row i of the inverse generator matrix, w_i an integer row
-    and d its positive denominator; ``solve_exact`` recomputes rho for each
-    kept point as a cross-check.  A facet's support function gives the
-    root of unity exp(2*pi*i*rho) on its own generator and 1 elsewhere;
-    points shared by several cones must agree.
+    ``scan_box`` under w_i . x >= 0 and d - 1 - w_i . x >= 0, where
+    rho_i = w_i . x / d and w_i / d is row i of the inverse generator
+    matrix, w_i an integer row and d its positive denominator;
+    ``solve_exact`` recomputes rho for each kept point as a cross-check.
+    A facet's support function gives the root of unity exp(2*pi*i*rho) on
+    its own generator and 1 elsewhere; points shared by several cones must
+    agree.
     """
     P = fan.polytope
     n = P.ambient_dim
@@ -111,7 +112,7 @@ def gamma_set(fan: NormalFan) -> GammaSet:
         inverse, d = mat_inverse(rows)
         constraints = []
         for w in inverse:
-            constraints += [(tuple(w), 0, "ge"), (tuple(-x for x in w), d, "gt")]
+            constraints += [(w, 0), ([-x for x in w], d - 1)]
         lo = [sum(min(0, g[k]) for g in gens) for k in range(n)]
         hi = [sum(max(0, g[k]) for g in gens) for k in range(n)]
         for point in scan_box(lo, hi, constraints):

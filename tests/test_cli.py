@@ -111,6 +111,20 @@ def test_gfun_profile(capsys, triangle_file):
     assert len(payload["profile"]) == 3
 
 
+@pytest.mark.parametrize("terms", [
+    [{"coeff": "2", "exps": [0, 0]}],
+    [{"coeff": "-1/3", "exps": [0, 0]}],
+    [{"coeff": "3/2", "exps": [0, 0]}, {"coeff": "-3/2", "exps": [0, 0]}],
+])
+def test_gfun_profile_constant_weight(capsys, triangle_file, tmp_path, terms):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"vars": 2, "terms": terms}))
+    code, out = run_cli(capsys, "gfun", "--polytope", triangle_file, "--phi", str(phi),
+                        "--profile", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["profile"]) == 3
+
+
 def test_corpus_deterministic_output(capsys):
     code1, out1 = run_cli(capsys, "--format", "json", "corpus", "--seed", "5",
                           "--count", "4", "--dim", "2", "--max-coord", "3")

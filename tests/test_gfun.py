@@ -97,6 +97,18 @@ def test_y_profile_pyramid(pyramid):
     assert leads == [F(4, 3), 4, 4, F(4, 3)]
 
 
+@pytest.mark.parametrize("terms", [
+    [{"coeff": "2", "exps": [0, 0]}],
+    [{"coeff": "-1/3", "exps": [0, 0]}],
+    [{"coeff": "3/2", "exps": [0, 0]}, {"coeff": "-3/2", "exps": [0, 0]}],
+])
+def test_y_profile_scales_with_constant_weight(unit_square, terms):
+    phi = WeightPoly.from_json({"vars": 2, "terms": terms})
+    prof = y_coefficient_profile(build_gfun(unit_square, phi))
+    c = phi.at_origin()
+    assert prof == [c * (q + 1) ** 2, c * (2 * q ** 2 - 2), c * (q - 1) ** 2]
+
+
 def test_y_profile_rejects_nonconstant_weight(pyramid):
     G = build_gfun(pyramid, WeightPoly.monomial(3, (0, 0, 1)))
     with pytest.raises(ValueError):

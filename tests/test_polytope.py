@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticegfun import (build_polytope, cross_polytope, euler_characteristic,
                          iter_lattice_points, pulling_triangulation, volume)
+from latticegfun.polytope import scan_box
 
 from linalg_reference import leibniz_det, rank, solve
 
@@ -155,6 +158,26 @@ def test_hrep_vrep_round_trip(pyramid, unit_cube, octahedron, corpus2d):
                 assert all(x.denominator == 1 for x in sol)
                 recovered.add(tuple(int(x) for x in sol))
         assert recovered == set(P.vertices)
+
+
+@st.composite
+def boxes_and_constraints(draw):
+    n = draw(st.integers(1, 3))
+    lo = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
+    hi = [a + draw(st.integers(0, 5)) for a in lo]
+    constraint = st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           st.integers(-6, 6))
+    return lo, hi, draw(st.lists(constraint, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes_and_constraints())
+def test_scan_box_matches_filtered_product(case):
+    lo, hi, constraints = case
+    box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    expected = [x for x in box
+                if all(sum(a * b for a, b in zip(u, x)) + c >= 0 for u, c in constraints)]
+    assert list(scan_box(lo, hi, constraints)) == expected
 
 
 def test_unit_square_counts(unit_square):
