@@ -1,21 +1,29 @@
 """Exact arithmetic in cyclotomic fields.
 
 An element of the field obtained by adjoining a primitive N-th root of
-unity is stored as a coordinate vector over the power basis
-``1, z, ..., z^(phi(N)-1)``, reduced modulo the N-th cyclotomic polynomial.
-Elements of different orders are merged by embedding both into the field of
-order ``lcm`` before any mixed arithmetic.  The trace down to Q is read off
-the power-basis coordinates through Ramanujan sums.
+unity z is stored as integer numerators over one positive denominator, on
+the power basis ``1, z, ..., z^(phi(N)-1)``, in lowest terms: the gcd of
+the denominator and all numerators is 1.  That form is canonical, so
+equality and hashing are tuple compares.
+
+The N-th cyclotomic polynomial is built over the integers from the Moebius
+product of the ``1 - x^d``, ``d | N``, as power series truncated at degree
+phi(N).  A polynomial in z is brought into the power basis by folding it
+modulo ``x^N - 1`` and then dividing by the monic ``Phi_N`` from the top,
+touching only ``Phi_N``'s nonzero terms; no table of the powers of z is
+kept.  Elements of different orders are merged by embedding both into the
+field of order ``lcm`` before any mixed arithmetic.  The trace down to Q
+is read off the numerators through Ramanujan sums.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over Fraction (ascending coefficient lists)
+# dense univariate helpers over Fraction (ascending coefficient lists), for
+# the extended Euclid of ``CycloNumber.inverse``
 # ---------------------------------------------------------------------------
 
 
@@ -59,118 +67,181 @@ def _pdivmod(a, b):
     return _ptrim(out), _ptrim(a[: len(b) - 1])
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+# ---------------------------------------------------------------------------
+# arithmetic functions and the cyclotomic modulus
+# ---------------------------------------------------------------------------
+
+
+def _primes(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending order."""
+def euler_phi(n: int) -> int:
+    result = n
+    for p in _primes(n):
+        result -= result // p
+    return result
+
+
+def _mobius(n: int) -> int:
+    primes = _primes(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
+
+    For n > 1 it is the product over d | n of (1 - x^d)^mu(n/d); the signs
+    of the factors x^d - 1 cancel because the mu(n/d) sum to zero.  Only
+    squarefree n/d count, and each factor is applied as an integer power
+    series truncated at degree phi(n), so k distinct primes cost
+    2^k * phi(n) steps.
+    """
     if n < 1:
         raise ValueError("cyclotomic order must be positive")
     if n == 1:
-        return (Fraction(-1), Fraction(1))
-    # (x^n - 1) divided by the product of all lower cyclotomic factors
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _pdivmod(poly, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise RuntimeError(f"cyclotomic factor of order {d} does not divide x^{n} - 1")
+        return (-1, 1)
+    deg = euler_phi(n)
+    poly = [1] + [0] * deg
+    divisors = [(1, 1)]  # squarefree e | n with mu(e)
+    for p in _primes(n):
+        divisors += [(e * p, -mu) for e, mu in divisors]
+    for e, mu in divisors:
+        d = n // e
+        if mu > 0:  # times 1 - x^d
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+        else:  # times 1/(1 - x^d) = 1 + x^d + x^2d + ...
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Coordinates of z^e modulo the n-th cyclotomic polynomial, e < n."""
-    mod = list(cyclotomic_polynomial(n))
-    deg = len(mod) - 1
-    rows = []
-    current = [Fraction(1)]
-    for _ in range(n):
-        rows.append(tuple(current) + (Fraction(0),) * (deg - len(current)))
-        current = [Fraction(0)] + current
-        if len(current) > deg:
-            _, current = _pdivmod(current, mod)
-            current = list(current)
-    return tuple(rows)
+def _modulus(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the nonzero (j, c_j) of Phi_n below its leading term."""
+    poly = cyclotomic_polynomial(n)
+    return len(poly) - 1, tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
 
 
-def _zeros(k):
-    return [Fraction(0)] * k
+def _reduce(r: list[int], n: int) -> list[int]:
+    """The power-basis numerators of sum r[e] z^e, z a primitive n-th root
+    of unity: r is folded modulo x^n - 1 and then divided by the monic
+    Phi_n from the top.  r is consumed."""
+    deg, terms = _modulus(n)
+    if len(r) > n:
+        for e in range(n, len(r)):
+            if r[e]:
+                r[e % n] += r[e]
+        del r[n:]
+    for i in range(len(r) - 1, deg - 1, -1):
+        c = r[i]
+        if c:
+            base = i - deg
+            for j, p in terms:
+                r[base + j] -= c * p
+    del r[deg:]
+    r += [0] * (deg - len(r))
+    return r
+
+
+# ---------------------------------------------------------------------------
+# field elements
+# ---------------------------------------------------------------------------
+
+
+_set = object.__setattr__  # CycloNumber.__setattr__ refuses every write
+
+
+def _fill(x: CycloNumber, order: int, nums, den: int) -> CycloNumber:
+    """Set x to sum nums[i] z^i / den in lowest terms; den > 0 and
+    len(nums) == phi(order)."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    _set(x, "order", order)
+    _set(x, "nums", tuple(nums))
+    _set(x, "den", den)
+    return x
+
+
+def _make(order: int, nums, den: int) -> CycloNumber:
+    return _fill(object.__new__(CycloNumber), order, nums, den)
 
 
 class CycloNumber:
     """An element of the cyclotomic field of the given order.
 
-    Arithmetic is exact.  Mixed operations with ints and Fractions promote
-    the scalar into the field; mixed operations between different orders
-    promote both sides into the field of order lcm.
+    ``nums`` are the integer numerators on the power basis and ``den`` is
+    their common positive denominator, in lowest terms.  Arithmetic is
+    exact.  Mixed operations with ints and Fractions promote the scalar
+    into the field; mixed operations between different orders promote both
+    sides into the field of order lcm.
     """
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coords) -> None:
+        """The element with the given power-basis coordinates, each an int
+        or a Fraction; missing trailing coordinates are zero."""
         if order < 1:
             raise ValueError("cyclotomic order must be positive")
         deg = euler_phi(order)
-        coords = [Fraction(c) for c in coords]
+        coords = list(coords)
         if len(coords) > deg:
             raise ValueError("coordinate vector too long for this order")
-        coords += _zeros(deg - len(coords))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", tuple(coords))
+        for c in coords:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"cyclotomic coordinates must be int or Fraction, "
+                                f"not {type(c).__name__}")
+        den = math.lcm(1, *(c.denominator for c in coords))
+        nums = [c.numerator * (den // c.denominator) for c in coords]
+        _fill(self, order, nums + [0] * (deg - len(nums)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNumber is immutable")
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> CycloNumber:
-        coords = _zeros(euler_phi(order))
-        coords[0] = Fraction(value)
-        return cls(order, coords)
+        return cls(order, [value])
 
     # -- order management ----------------------------------------------
 
     def promote(self, order: int) -> CycloNumber:
-        """Embed into the field of a multiple order."""
+        """Embed into the field of a multiple order: z_own^i = z^(i*step)."""
         if order == self.order:
             return self
         if order % self.order:
             raise ValueError("can only promote into a multiple order")
-        table = _power_table(order)
         step = order // self.order
-        deg = euler_phi(order)
-        out = _zeros(deg)
-        for i, c in enumerate(self.coords):
-            if c:
-                row = table[(i * step) % order]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
-        return CycloNumber(order, out)
+        spread = [0] * ((len(self.nums) - 1) * step + 1)
+        spread[::step] = self.nums
+        return _make(order, _reduce(spread, order), self.den)
 
     def _common(self, other: CycloNumber):
-        order = self.order * other.order // math.gcd(self.order, other.order)
+        order = math.lcm(self.order, other.order)
         return self.promote(order), other.promote(order), order
 
-    @staticmethod
-    def _lift(value):
+    def _lift(self, value):
+        """value as a CycloNumber; an int or Fraction goes into self's field."""
         if isinstance(value, CycloNumber):
             return value
         if isinstance(value, (int, Fraction)):
-            return CycloNumber.from_rational(value)
+            return _make(self.order, [value.numerator] + [0] * (len(self.nums) - 1),
+                         value.denominator)
         return None
 
     # -- ring operations -----------------------------------------------
@@ -180,12 +251,14 @@ class CycloNumber:
         if other is None:
             return NotImplemented
         a, b, order = self._common(other)
-        return CycloNumber(order, [x + y for x, y in zip(a.coords, b.coords)])
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _make(order, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.order, [-c for c in self.coords])
+        return _make(self.order, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -198,29 +271,18 @@ class CycloNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloNumber(self.order, [c * other for c in self.coords])
+            return _make(self.order, [c * other.numerator for c in self.nums],
+                         self.den * other.denominator)
         if not isinstance(other, CycloNumber):
             return NotImplemented
         a, b, order = self._common(other)
-        table = _power_table(order)
-        deg = len(a.coords)
-        conv = [Fraction(0)] * (2 * deg - 1) if deg else []
-        for i, ca in enumerate(a.coords):
+        conv = [0] * (2 * len(a.nums) - 1)
+        right = [(j, cb) for j, cb in enumerate(b.nums) if cb]
+        for i, ca in enumerate(a.nums):
             if ca:
-                for j, cb in enumerate(b.coords):
-                    if cb:
-                        conv[i + j] += ca * cb
-        out = _zeros(deg)
-        for e, c in enumerate(conv):
-            if c:
-                if e < deg:
-                    out[e] += c
-                else:
-                    row = table[e % order]
-                    for j, r in enumerate(row):
-                        if r:
-                            out[j] += c * r
-        return CycloNumber(order, out)
+                for j, cb in right:
+                    conv[i + j] += ca * cb
+        return _make(order, _reduce(conv, order), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -228,9 +290,9 @@ class CycloNumber:
         """Multiplicative inverse via extended gcd against the modulus."""
         if not self:
             raise ZeroDivisionError("cyclotomic element is zero")
-        mod = list(cyclotomic_polynomial(self.order))
-        # extended Euclid in Q[x]: maintain s with s*self = r (mod modulus)
-        r0, r1 = _ptrim(list(self.coords)), mod
+        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
+        # extended Euclid in Q[x]: maintain s with s*nums = r (mod modulus)
+        r0, r1 = _ptrim([Fraction(c) for c in self.nums]), mod
         s0, s1 = [Fraction(1)], []
         while r1:
             q, r = _pdivmod(r0, r1)
@@ -239,8 +301,8 @@ class CycloNumber:
         # r0 is a nonzero constant: the modulus is irreducible over Q
         if len(r0) != 1:
             raise RuntimeError("gcd with the cyclotomic modulus is not a unit")
-        inv_gcd = 1 / r0[0]
-        coords = [c * inv_gcd for c in s0]
+        scale = self.den / r0[0]
+        coords = [c * scale for c in s0]
         if len(coords) >= len(mod):
             _, coords = _pdivmod(coords, mod)
         return CycloNumber(self.order, coords)
@@ -273,28 +335,28 @@ class CycloNumber:
     # -- predicates ------------------------------------------------------
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.nums)
 
     def __eq__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
         a, b, _ = self._common(other)
-        return a.coords == b.coords
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         r = self.as_rational()
         if r is not None:
             return hash(r)
-        return hash((self.order, self.coords))
+        return hash((self.order, self.nums, self.den))
 
     def is_rational(self) -> bool:
         """True when all coordinates beyond the constant vanish."""
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction | None:
         if self.is_rational():
-            return self.coords[0]
+            return Fraction(self.nums[0], self.den)
         return None
 
     def rational_value(self) -> Fraction:
@@ -303,20 +365,12 @@ class CycloNumber:
             raise ValueError("cyclotomic element is not rational")
         return r
 
-    def to_complex(self) -> complex:
-        """Floating-point shadow evaluation at exp(2*pi*i/order)."""
-        z = cmath.exp(2j * cmath.pi / self.order)
-        total = 0j
-        for i, c in enumerate(self.coords):
-            if c:
-                total += float(c) * z**i
-        return total
-
     def __repr__(self):
         r = self.as_rational()
         if r is not None:
             return f"CycloNumber({r})"
-        body = " + ".join(f"{c}*z{self.order}^{i}" for i, c in enumerate(self.coords) if c)
+        body = " + ".join(f"{Fraction(c, self.den)}*z{self.order}^{i}"
+                          for i, c in enumerate(self.nums) if c)
         return f"CycloNumber[{self.order}]({body})"
 
 
@@ -330,42 +384,30 @@ def cyclo_root_of_unity(num: int, den: int) -> CycloNumber:
     g = math.gcd(num, den)
     num //= g
     order = den // g
-    table = _power_table(order)
-    return CycloNumber(order, table[num % order])
-
-
-@lru_cache(maxsize=None)
-def _power_index(n: int) -> dict[tuple[Fraction, ...], int]:
-    """Exponent e of z^e keyed by its coordinates modulo the n-th
-    cyclotomic polynomial."""
-    return {row: e for e, row in enumerate(_power_table(n))}
+    return _make(order, _reduce([0] * num + [1], order), 1)
 
 
 def root_exponent(value) -> Fraction:
     """The r in [0, 1) with value = exp(2*pi*i*r), for a root of unity
-    given as 1, -1 or a CycloNumber; the inverse of ``cyclo_root_of_unity``."""
+    given as 1, -1 or a CycloNumber; the inverse of ``cyclo_root_of_unity``.
+
+    A power z^e of the field's generator with e < phi(n) is a lone
+    numerator 1 at index e.  Multiplying by z^(k*phi(n)) for k = 0, 1, ...
+    moves any exponent into that window within n/phi(n) + 1 steps, since
+    each step advances it by the window's width.
+    """
     if not isinstance(value, CycloNumber):
         if value == 1:
             return Fraction(0)
         if value == -1:
             return Fraction(1, 2)
-    else:
-        e = _power_index(value.order).get(value.coords)
-        if e is not None:
-            return Fraction(e, value.order)
+    elif value.den == 1:
+        n, deg = value.order, len(value.nums)
+        for shift in range(0, n + deg, deg):
+            nums = _reduce([0] * shift + list(value.nums), n) if shift else value.nums
+            if nums.count(0) == deg - 1 and 1 in nums:
+                return Fraction((nums.index(1) - shift) % n, n)
     raise ValueError(f"{value!r} is not a root of unity")
-
-
-def _mobius(n: int) -> int:
-    result, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if n > 1 else result
 
 
 @lru_cache(maxsize=None)
@@ -390,5 +432,5 @@ def trace(x, order: int) -> Fraction:
         return euler_phi(order) * Fraction(x)
     if order % x.order:
         raise ValueError("the element's order must divide the field order")
-    own = sum((c * s for c, s in zip(x.coords, _ramanujan_sums(x.order)) if c), Fraction(0))
-    return own * (euler_phi(order) // euler_phi(x.order))
+    own = sum(c * s for c, s in zip(x.nums, _ramanujan_sums(x.order)) if c)
+    return Fraction(own * (euler_phi(order) // euler_phi(x.order)), x.den)

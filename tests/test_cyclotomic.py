@@ -1,15 +1,27 @@
 """Cyclotomic field arithmetic against a floating-point shadow."""
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclotomic_reference import cyclotomic_by_division
 from latticegfun import CycloNumber, cyclo_root_of_unity
 from latticegfun.cyclotomic import cyclotomic_polynomial, euler_phi, root_exponent, trace
 
 F = Fraction
+
+
+def to_complex(x):
+    """Floating-point shadow evaluation of x at exp(2*pi*i/order)."""
+    z = cmath.exp(2j * cmath.pi / x.order)
+    total = 0j
+    for i, c in enumerate(x.nums):
+        if c:
+            total += float(F(c, x.den)) * z**i
+    return total
 
 
 def test_root_of_unity_basics():
@@ -32,6 +44,36 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == x(1, -1, 1)
     assert cyclotomic_polynomial(12) == x(1, 0, -1, 0, 1)
     assert len(cyclotomic_polynomial(20)) == euler_phi(20) + 1
+
+
+def test_cyclotomic_polynomials_match_long_division():
+    for n in range(1, 151):
+        poly = cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in poly), n
+        assert poly == cyclotomic_by_division(n), n
+    assert -2 in cyclotomic_polynomial(105)
+
+
+def test_order_27720_without_a_power_table():
+    # 27720 = 2^3 3^2 5 7 11, of degree 5760: Phi_27720(x) = Phi_2310(x^12)
+    big, small = cyclotomic_polynomial(27720), cyclotomic_polynomial(2310)
+    assert big[::12] == small and not any(big[i] for i in range(len(big)) if i % 12)
+    # exponents below and above the degree, all prime to the order
+    for e in (1, 5767, 13859, 27719):
+        root = cyclo_root_of_unity(e, 27720)
+        assert root.order == 27720
+        assert root_exponent(root) == F(e, 27720)
+    assert cyclo_root_of_unity(1, 27720) * cyclo_root_of_unity(27719, 27720) == 1
+
+
+def test_float_coordinates_are_rejected():
+    with pytest.raises(TypeError):
+        CycloNumber(3, [0.1, 0.5])
+    with pytest.raises(TypeError):
+        CycloNumber.from_rational(0.5, 4)
+    with pytest.raises(TypeError):
+        CycloNumber(4, [1, 1j])
+    assert CycloNumber(3, [F(1, 2), 3]) == F(1, 2) + 3 * cyclo_root_of_unity(1, 3)
 
 
 def test_mixed_order_arithmetic():
@@ -69,14 +111,17 @@ scaled_root = st.tuples(small_roots, st.fractions(min_value=-3, max_value=3, max
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(scaled_root, min_size=5, max_size=5))
+# denominators 5, 7, 8, 9 and 11: the product lives in order 27720
+@example([((1, 5), F(1)), ((3, 7), F(-2, 3)), ((3, 8), F(1, 2)), ((2, 9), F(3, 4)),
+          ((5, 11), F(-1))])
 def test_products_match_float_shadow(factors):
     exact = CycloNumber.from_rational(1)
     shadow = complex(1)
     for (num, den), scale in factors:
         root = cyclo_root_of_unity(num, den)
         exact = exact * (scale * root + 1)
-        shadow = shadow * (float(scale) * root.to_complex() + 1)
-    assert abs(exact.to_complex() - shadow) < 1e-9
+        shadow = shadow * (float(scale) * to_complex(root) + 1)
+    assert abs(to_complex(exact) - shadow) < 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,8 +129,8 @@ def test_products_match_float_shadow(factors):
 def test_sum_matches_float_shadow(r1, r2):
     a = cyclo_root_of_unity(*r1)
     b = cyclo_root_of_unity(*r2)
-    assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) < 1e-9
-    assert abs((a * b).to_complex() - (a.to_complex() * b.to_complex())) < 1e-9
+    assert abs(to_complex(a + b) - (to_complex(a) + to_complex(b))) < 1e-9
+    assert abs(to_complex(a * b) - (to_complex(a) * to_complex(b))) < 1e-9
 
 
 def test_root_exponent_inverts_root_of_unity():
@@ -102,7 +147,7 @@ def test_root_exponent_inverts_root_of_unity():
 
 def conjugate(x, k):
     """sigma_k(x): z -> z^k applied to the power-basis coordinates of x."""
-    return sum((c * cyclo_root_of_unity(k * e, x.order) for e, c in enumerate(x.coords)),
+    return sum((F(c, x.den) * cyclo_root_of_unity(k * e, x.order) for e, c in enumerate(x.nums)),
                CycloNumber.from_rational(0, x.order))
 
 

@@ -53,3 +53,28 @@ def test_stdlib_only():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, found
+
+
+def test_no_floats_in_src():
+    # floats never enter a result: no float or complex literal, no float()
+    # or complex() call and no cmath anywhere in the package
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                what = f"literal {node.value!r}"
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "complex")):
+                what = f"{node.func.id}() call"
+            elif isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "cmath" for alias in node.names):
+                what = "cmath import"
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cmath":
+                what = "cmath import"
+            else:
+                continue
+            found.append(f"{path.name}:{node.lineno}: {what}")
+    assert not found, found

@@ -542,3 +542,21 @@ def test_verify_high_index_cases(vertices):
     # vertex-cone indices 37 and 60, and 15, 21 and 35: thirteen and seven
     # Galois orbits, in fields of degree up to 36
     assert verify_todd_formula(build_polytope(vertices))
+
+
+def test_apply_todd_large_prime_index_triangle():
+    # vertex-cone indices 1, 997 and 1000: 1,996 parallelepiped points in 17
+    # Galois orbits, one of them in the field of order 997 and degree 996.
+    # The face sums are out of reach here, so the y^0 part is checked
+    # against Pick's Ehrhart polynomial: area 498500, 1998 boundary points
+    G = apply_todd(build_polytope([(0, 0), (1000, 0), (0, 997)]))
+    ehrhart = {exps: c for exps, c in G.terms.items() if exps[G.vars.index("y")] == 0}
+    assert MultiPoly(G.vars, ehrhart) == 498500 * q ** 2 + 999 * q + 1
+
+
+def test_verify_index_1849_simplex():
+    # every vertex cone has index 1849 = 43^2: 7,141 parallelepiped points in
+    # 171 Galois orbits, all but one in the field of order 43
+    P = build_polytope([(0, 1, 3), (1, 0, -1), (2, -2, 2), (3, 3, -1)])
+    assert all(c.index == 1849 for c in normal_fan(P).maximal_cones())
+    assert verify_todd_formula(P)
