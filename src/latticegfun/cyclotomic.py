@@ -4,7 +4,8 @@ An element of the field obtained by adjoining a primitive N-th root of
 unity z is stored as integer numerators over one positive denominator, on
 the power basis ``1, z, ..., z^(phi(N)-1)``, in lowest terms: the gcd of
 the denominator and all numerators is 1.  That form is canonical, so
-equality and hashing are tuple compares.
+equality within one order is a tuple compare; the hash is the normalised
+trace, which embedding into a larger field keeps.
 
 The N-th cyclotomic polynomial is built over the integers from the Moebius
 product of the ``1 - x^d``, ``d | N``, as power series truncated at degree
@@ -345,10 +346,15 @@ class CycloNumber:
         return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
+        """Equal elements of different orders hash alike: a rational one as
+        its Fraction, any other as Tr(x)/phi(order), the trace normalised
+        by the field degree, which promotion leaves unchanged."""
         r = self.as_rational()
         if r is not None:
             return hash(r)
-        return hash((self.order, self.nums, self.den))
+        own, den = _trace_numerator(self), self.den * len(self.nums)
+        g = math.gcd(own, den)
+        return hash((own // g, den // g))
 
     def is_rational(self) -> bool:
         """True when all coordinates beyond the constant vanish."""
@@ -387,29 +393,6 @@ def cyclo_root_of_unity(num: int, den: int) -> CycloNumber:
     return _make(order, _reduce([0] * num + [1], order), 1)
 
 
-def root_exponent(value) -> Fraction:
-    """The r in [0, 1) with value = exp(2*pi*i*r), for a root of unity
-    given as 1, -1 or a CycloNumber; the inverse of ``cyclo_root_of_unity``.
-
-    A power z^e of the field's generator with e < phi(n) is a lone
-    numerator 1 at index e.  Multiplying by z^(k*phi(n)) for k = 0, 1, ...
-    moves any exponent into that window within n/phi(n) + 1 steps, since
-    each step advances it by the window's width.
-    """
-    if not isinstance(value, CycloNumber):
-        if value == 1:
-            return Fraction(0)
-        if value == -1:
-            return Fraction(1, 2)
-    elif value.den == 1:
-        n, deg = value.order, len(value.nums)
-        for shift in range(0, n + deg, deg):
-            nums = _reduce([0] * shift + list(value.nums), n) if shift else value.nums
-            if nums.count(0) == deg - 1 and 1 in nums:
-                return Fraction((nums.index(1) - shift) % n, n)
-    raise ValueError(f"{value!r} is not a root of unity")
-
-
 @lru_cache(maxsize=None)
 def _ramanujan_sums(n: int) -> tuple[int, ...]:
     """c_n(e), the sum of the e-th powers of the primitive n-th roots of
@@ -421,6 +404,11 @@ def _ramanujan_sums(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _trace_numerator(x: CycloNumber) -> int:
+    """x.den times the trace of x over its own field."""
+    return sum(c * s for c, s in zip(x.nums, _ramanujan_sums(x.order)) if c)
+
+
 def trace(x, order: int) -> Fraction:
     """The trace of x from the cyclotomic field of the given order down to Q.
 
@@ -428,9 +416,10 @@ def trace(x, order: int) -> Fraction:
     x stored at an order d dividing ``order`` lies in a subfield, and the
     trace over the full field is phi(order)/phi(d) times its own.
     """
-    if not isinstance(x, CycloNumber):
+    if isinstance(x, (int, Fraction)):
         return euler_phi(order) * Fraction(x)
+    if not isinstance(x, CycloNumber):
+        raise TypeError(f"cannot take the trace of {type(x).__name__}")
     if order % x.order:
         raise ValueError("the element's order must divide the field order")
-    own = sum(c * s for c, s in zip(x.nums, _ramanujan_sums(x.order)) if c)
-    return Fraction(own * (euler_phi(order) // euler_phi(x.order)), x.den)
+    return Fraction(_trace_numerator(x) * (euler_phi(order) // euler_phi(x.order)), x.den)

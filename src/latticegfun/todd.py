@@ -2,12 +2,14 @@
 
 The pipeline: build the normal fan of a simple polytope, collect the
 lattice points of the half-open parallelepipeds of its vertex cones with
-their root-of-unity data, expand the y-deformed Todd operator coefficients
-exactly, integrate the weight symbolically over the facet-deformed dilate,
-and apply the operator.  The parallelepiped points fall into Galois orbits,
-and the operator sums each orbit as the rational trace of one
-representative's term, computed in the cyclotomic field of that point's
-own order; that every orbit is complete is checked.
+one exponent rho_F in [0, 1) per facet, expand the y-deformed Todd
+operator coefficients exactly, integrate the weight symbolically over the
+facet-deformed dilate, and apply the operator.  The parallelepiped points
+fall into Galois orbits of their exponent tuples, and the operator sums
+each orbit as the rational trace of one representative's term, computed in
+the cyclotomic field of that point's own order on the roots of unity
+exp(2*pi*i*rho_F); only representatives are turned into roots, and that
+every orbit is complete is checked.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 symbolic integral lives in the variables (t, h_1..h_m) and t is replaced
@@ -21,7 +23,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .algebra import MultiPoly, bernoulli
-from .cyclotomic import CycloNumber, cyclo_root_of_unity, euler_phi, root_exponent, trace
+from .cyclotomic import CycloNumber, cyclo_root_of_unity, euler_phi, trace
 from .gfun import build_gfun
 from .linalg import lattice_index, mat_inverse, mat_rank, solve_exact
 from .polytope import Polytope, pulling_triangulation, scan_box
@@ -56,11 +58,19 @@ class NormalFan:
 
 @dataclass
 class GammaSet:
-    """Lattice points of the half-open cone parallelepipeds, with the
-    root-of-unity value of every facet's support function at each point."""
+    """Lattice points of the half-open cone parallelepipeds, with every
+    facet's exponent at each point: the support function of facet F takes
+    the root of unity exp(2*pi*i*rho_F) there, and rho_F is 0 for a facet
+    off the point's cone."""
 
     points: tuple[tuple[int, ...], ...]
-    a_values: tuple[tuple[object, ...], ...]  # Fraction | CycloNumber per facet
+    exponents: tuple[tuple[Fraction, ...], ...]  # rho_F in [0, 1) per facet
+
+    @property
+    def a_values(self) -> tuple[tuple[object, ...], ...]:
+        """The roots exp(2*pi*i*rho_F), each a Fraction when real, else a
+        CycloNumber."""
+        return tuple(tuple(_simplify_root(r) for r in rho) for rho in self.exponents)
 
 
 def normal_fan(P: Polytope) -> NormalFan:
@@ -79,9 +89,9 @@ def normal_fan(P: Polytope) -> NormalFan:
     return NormalFan(P, tuple(cones))
 
 
-def _simplify_root(num: int, den: int):
-    """exp(2*pi*i*num/den) as a Fraction when real, else a CycloNumber."""
-    root = cyclo_root_of_unity(num, den)
+def _simplify_root(r: Fraction):
+    """exp(2*pi*i*r) as a Fraction when real, else a CycloNumber."""
+    root = cyclo_root_of_unity(r.numerator, r.denominator)
     rational = root.as_rational()
     return rational if rational is not None else root
 
@@ -98,9 +108,9 @@ def gamma_set(fan: NormalFan) -> GammaSet:
     rho_i = w_i . x / d and w_i / d is row i of the inverse generator
     matrix, w_i an integer row and d its positive denominator;
     ``solve_exact`` recomputes rho for each kept point as a cross-check.
-    A facet's support function gives the root of unity exp(2*pi*i*rho) on
-    its own generator and 1 elsewhere; points shared by several cones must
-    agree.
+    Each facet's exponent is the rho of its own generator, and 0 for a
+    facet off the cone; points shared by several cones must agree.  No
+    root of unity is built here.
     """
     P = fan.polytope
     n = P.ambient_dim
@@ -120,21 +130,21 @@ def gamma_set(fan: NormalFan) -> GammaSet:
             if rho is None or any(r < 0 or r >= 1 for r in rho):
                 raise RuntimeError(f"scanned point {point} is outside the parallelepiped "
                                    f"of the cone on facets {cone.facet_indices}")
-            values = [Fraction(1)] * len(P.halfspaces)
+            exponents = [Fraction(0)] * len(P.halfspaces)
             for fi, r in zip(cone.facet_indices, rho):
-                values[fi] = _simplify_root(r.numerator, r.denominator)
-            _record(found, point, tuple(values))
+                exponents[fi] = r
+            _record(found, point, tuple(exponents))
 
     points = sorted(found)
     return GammaSet(tuple(points), tuple(found[p] for p in points))
 
 
-def _record(found: dict, point: tuple[int, ...], values: tuple) -> None:
+def _record(found: dict, point: tuple[int, ...], exponents: tuple) -> None:
     if point in found:
-        if found[point] != values:
+        if found[point] != exponents:
             raise RuntimeError("support function disagrees between cones")
     else:
-        found[point] = values
+        found[point] = exponents
 
 
 @dataclass
@@ -309,18 +319,17 @@ def symbolic_integral(P: Polytope, phi: WeightPoly, anchor: str = "min") -> Symb
 
 def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
     """Split the gamma set into Galois orbits, as (values, m) pairs of a
-    representative and the order m of its field.
+    representative's roots exp(2*pi*i*r_F) and the order m of its field.
 
-    With the exponents r_F of a point's values and m the lcm of their
-    denominators, the orbit is {k*r mod 1 : gcd(k, m) = 1}, of phi(m)
-    distinct members.  The gamma set must hold every member of each orbit
-    it meets, and nothing besides these orbits.
+    With a point's exponents r_F and m the lcm of their denominators, the
+    orbit is {k*r mod 1 : gcd(k, m) = 1}, of phi(m) distinct members.  The
+    gamma set must hold every member of each orbit it meets, and nothing
+    besides these orbits.  Roots are built for the representatives only.
     """
-    exponents = [tuple(root_exponent(a) for a in values) for values in gam.a_values]
-    present = set(exponents)
+    present = set(gam.exponents)
     placed: set[tuple] = set()
     orbits = []
-    for i, r in enumerate(exponents):
+    for i, r in enumerate(gam.exponents):
         if r in placed:
             continue
         m = math.lcm(*(x.denominator for x in r))
@@ -332,7 +341,7 @@ def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
                 f"point {gam.points[i]} (order {m}) lacks the member with facet exponents "
                 f"({', '.join(map(str, missing))})")
         placed.update(members)
-        orbits.append((gam.a_values[i], m))
+        orbits.append((tuple(_simplify_root(x) for x in r), m))
     covered = sum(euler_phi(m) for _, m in orbits)
     if covered != len(gam.points):
         raise RuntimeError(f"cyclotomic parts failed to cancel in the Todd sum: the Galois "
@@ -373,6 +382,7 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
         for a in values:
             if a not in scalars:
                 scalars[a] = todd_coeffs(a, order).scalars
+    tables = [([scalars[a] for a in values], m) for values, m in orbits]
 
     out: dict[tuple[int, int], Fraction] = {}
     for exps, coeff in integral.terms.items():
@@ -380,10 +390,10 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
         power = named.pop("t", 0)
         alpha = [named.get(name, 0) for name in h_names]
         traced = [Fraction(0)] * (alpha.count(1) + 1)
-        for values, m in orbits:
+        for orbit_scalars, m in tables:
             poly = [Fraction(1)]
-            for a, k in zip(values, alpha):
-                s = scalars[a][k]
+            for table, k in zip(orbit_scalars, alpha):
+                s = table[k]
                 if k == 1:  # times s + (s - 1) y
                     lower = [c * s for c in poly] + [Fraction(0)]
                     upper = [Fraction(0)] + [c * (s - 1) for c in poly]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cyclotomic_reference import cyclotomic_by_division
 from latticegfun import CycloNumber, cyclo_root_of_unity
-from latticegfun.cyclotomic import cyclotomic_polynomial, euler_phi, root_exponent, trace
+from latticegfun.cyclotomic import cyclotomic_polynomial, euler_phi, trace
 
 F = Fraction
 
@@ -62,7 +62,7 @@ def test_order_27720_without_a_power_table():
     for e in (1, 5767, 13859, 27719):
         root = cyclo_root_of_unity(e, 27720)
         assert root.order == 27720
-        assert root_exponent(root) == F(e, 27720)
+        assert root * cyclo_root_of_unity(27720 - e, 27720) == 1
     assert cyclo_root_of_unity(1, 27720) * cyclo_root_of_unity(27719, 27720) == 1
 
 
@@ -133,16 +133,16 @@ def test_sum_matches_float_shadow(r1, r2):
     assert abs(to_complex(a * b) - (to_complex(a) * to_complex(b))) < 1e-9
 
 
-def test_root_exponent_inverts_root_of_unity():
-    for den in range(1, 13):
-        for num in range(den):
-            root = cyclo_root_of_unity(num, den)
-            assert root_exponent(root) == F(num, den)
-            if root.as_rational() is not None:
-                assert root_exponent(root.as_rational()) == F(num, den)
-    for value in (F(2), F(1, 2), 1 + cyclo_root_of_unity(1, 5)):
-        with pytest.raises(ValueError):
-            root_exponent(value)
+def test_equal_elements_of_different_orders_hash_alike():
+    # equality promotes across orders, so the hash must not see the order
+    elements = [cyclo_root_of_unity(num, den) for num, den in ((1, 3), (2, 3), (1, 4), (0, 1),
+                                                               (1, 2), (3, 5))]
+    elements.append(1 + F(3, 4) * cyclo_root_of_unity(1, 5))
+    for x in elements:
+        promoted = [x.promote(k * x.order) for k in (2, 3, 4)]
+        assert all(y == x for y in promoted)
+        assert len({x, *promoted}) == 1, x
+    assert hash(cyclo_root_of_unity(1, 2)) == hash(F(-1)) == hash(-1)
 
 
 def conjugate(x, k):
@@ -170,3 +170,10 @@ def test_trace_is_the_sum_of_conjugates(order):
         assert trace(x, order) == total.as_rational(), (order, x)
     with pytest.raises(ValueError):
         trace(cyclo_root_of_unity(1, 5), 12)
+
+
+def test_trace_rejects_floats():
+    assert trace(3, 4) == 6 and trace(F(1, 2), 5) == 2
+    for x in (0.1, 1.0, complex(1), "1"):
+        with pytest.raises(TypeError):
+            trace(x, 3)

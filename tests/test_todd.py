@@ -125,19 +125,39 @@ def test_gamma_set_matches_box_scan(right_triangle, simplex3, corpus2d, corpus3d
     for P in shapes:
         fan = normal_fan(P)
         expected = {}
+        exponents = {}
         for cone in fan.cones:
             for pt, rho in box_scan(cone, P.ambient_dim):
                 values = [F(1)] * len(P.halfspaces)
+                placed = [0] * len(P.halfspaces)
                 for fi, r in zip(cone.facet_indices, rho):
                     root = cyclo_root_of_unity(r.numerator, r.denominator)
                     values[fi] = root if root.as_rational() is None else root.as_rational()
+                    placed[fi] = r
                 assert expected.setdefault(pt, values) == values
+                exponents.setdefault(pt, placed)
         gam = gamma_set(fan)
         points = sorted(expected)
         assert gam.points == tuple(points)
+        assert gam.exponents == tuple(tuple(exponents[pt]) for pt in points)
         assert gam.a_values == tuple(tuple(expected[pt]) for pt in points)
         assert [[type(v) for v in vals] for vals in gam.a_values] == \
             [[type(v) for v in expected[pt]] for pt in points]
+
+
+def test_gamma_set_builds_no_root_of_unity(monkeypatch):
+    # the exponents are the stored form; roots are made only on demand
+    shapes = [build_polytope([(0, 0), (60, 0), (0, 37)]),
+              build_polytope([(0, 0, 0), (5, 0, 0), (0, 7, 0), (0, 0, 3)])]
+    expected = [gamma_set(normal_fan(P)) for P in shapes]
+
+    def refuse(num, den):
+        raise AssertionError(f"gamma_set built the root exp(2 pi i {num}/{den})")
+
+    monkeypatch.setattr(todd, "cyclo_root_of_unity", refuse)
+    for P, want in zip(shapes, expected):
+        gam = gamma_set(normal_fan(P))
+        assert (gam.points, gam.exponents) == (want.points, want.exponents)
 
 
 def test_gamma_nontrivial_iff_singular(corpus2d):
@@ -442,7 +462,7 @@ def test_uncancelled_cyclotomic_part_is_an_invariant_violation(tmp_path, capsys,
         i = next(i for i, vals in enumerate(gam.a_values)
                  if any(isinstance(v, CycloNumber) for v in vals))
         return GammaSet(gam.points[:i] + gam.points[i + 1:],
-                        gam.a_values[:i] + gam.a_values[i + 1:])
+                        gam.exponents[:i] + gam.exponents[i + 1:])
 
     assert verify_todd_formula(build_polytope(vertices))
     monkeypatch.setattr(todd, "gamma_set", dropped)
@@ -513,10 +533,10 @@ def test_incomplete_orbit_names_point_order_and_member():
     assert gam.points == ((0, -2), (0, -1), (0, 0))
     with pytest.raises(RuntimeError, match=r"failed to cancel.*point \(0, -1\) \(order 3\).*"
                                            r"\(2/3, 0, 2/3\)"):
-        todd._galois_orbits(GammaSet(gam.points[1:], gam.a_values[1:]))
+        todd._galois_orbits(GammaSet(gam.points[1:], gam.exponents[1:]))
     with pytest.raises(RuntimeError, match="failed to cancel.*orbits hold 3 points, the gamma set 4"):
         todd._galois_orbits(GammaSet(gam.points + gam.points[:1],
-                                     gam.a_values + gam.a_values[:1]))
+                                     gam.exponents + gam.exponents[:1]))
 
 
 def test_apply_todd_reaches_todd_coeffs_through_the_module_global(monkeypatch):
