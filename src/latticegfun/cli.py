@@ -2,8 +2,8 @@
 
 Subcommands: info, ehrhart, wsum, gfun, todd, gpoly, corpus.  Input files
 are JSON ({"vertices": [...]} for polytopes, {"vars": n, "terms": [...]}
-for weights).  Exit codes: 0 success, 1 validation failure with a
-structured error, 2 invariant violation with both sides printed.
+for weights).  Exit codes: 0 success, 1 validation failure or usage error
+with a structured error, 2 invariant violation with both sides printed.
 """
 from __future__ import annotations
 
@@ -104,13 +104,18 @@ def _face_from_arg(P: Polytope, arg: str | None):
         raise ValueError(f"no face has vertex indices {sorted(indices)}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 with a JSON error, not 2
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticegfun",
         description="Exact lattice-point generating functions and Todd-operator summation")
     parser.add_argument("--format", choices=("json", "pretty"), default="pretty")
     # also accepted after the subcommand
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = _Parser(add_help=False)
     shared.add_argument("--format", choices=("json", "pretty"),
                         default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -153,10 +158,8 @@ def main(argv=None) -> int:
     p_corpus.add_argument("--dim", type=int, required=True)
     p_corpus.add_argument("--max-coord", type=int, default=3)
 
-    args = parser.parse_args(argv)
-
     try:
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}))
         return 1

@@ -388,9 +388,13 @@ def cyclo_root_of_unity(num: int, den: int) -> CycloNumber:
         num, den = -num, -den
     num %= den
     g = math.gcd(num, den)
-    num //= g
-    order = den // g
-    return _make(order, _reduce([0] * num + [1], order), 1)
+    return cyclo_from_powers(den // g, [0] * (num // g) + [1])
+
+
+def cyclo_from_powers(order: int, coeffs) -> CycloNumber:
+    """sum coeffs[e] z^e for integers coeffs[e] and z = exp(2*pi*i/order),
+    with any exponents e >= 0."""
+    return _make(order, _reduce(list(coeffs), order), 1)
 
 
 @lru_cache(maxsize=None)

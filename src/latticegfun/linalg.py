@@ -83,7 +83,7 @@ def det(rows) -> int:
 
 def mat_inverse(rows) -> tuple[list[list[int]], int]:
     """The inverse of a nonsingular integer matrix as ``(rows, d)`` with
-    ``d > 0``: the inverse is rows / d."""
+    ``d = |det|``, the last pivot: the inverse is rows / d."""
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     pivots, d, _ = _reduce(m, n)

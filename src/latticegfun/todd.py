@@ -3,30 +3,31 @@
 The pipeline: build the normal fan of a simple polytope, collect the
 lattice points of the half-open parallelepipeds of its vertex cones with
 one exponent rho_F in [0, 1) per facet, expand the y-deformed Todd
-operator coefficients exactly, integrate the weight symbolically over the
-facet-deformed dilate, and apply the operator.  The parallelepiped points
-fall into Galois orbits of their exponent tuples, and the operator sums
-each orbit as the rational trace of one representative's term, computed in
-the cyclotomic field of that point's own order on the roots of unity
-exp(2*pi*i*rho_F); only representatives are turned into roots, and that
-every orbit is complete is checked.
+operator coefficients exactly, integrate the weight over the
+facet-deformed dilate by Brion's vertex formula, and apply the operator.
+The points fall into Galois orbits of their exponent tuples; each orbit
+adds the rational trace of one representative's term, computed in the
+cyclotomic field of that point's own order on the roots exp(2*pi*i*rho_F),
+and that every orbit is complete is checked.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
-symbolic integral lives in the variables (t, h_1..h_m) and t is replaced
-by q(y+1) once, after the operator is applied.
+integral lives in the variables (t, h_1..h_m) and t is replaced by q(y+1)
+once, after the operator is applied.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import count, product
 
 from .algebra import MultiPoly, bernoulli
-from .cyclotomic import CycloNumber, cyclo_root_of_unity, euler_phi, trace
+from .cyclotomic import CycloNumber, cyclo_from_powers, cyclo_root_of_unity, euler_phi, trace
 from .gfun import build_gfun
 from .linalg import lattice_index, mat_inverse, mat_rank, solve_exact
-from .polytope import Polytope, pulling_triangulation, scan_box
+from .polytope import Polytope, scan_box
 from .wsum import WeightPoly
 
 
@@ -41,8 +42,6 @@ class Cone:
     @property
     def index(self) -> int:
         """Lattice index of the generator span; 1 means unimodular."""
-        if not self.generators:
-            return 1
         return lattice_index(self.generators)
 
 
@@ -52,8 +51,7 @@ class NormalFan:
     cones: tuple[Cone, ...]
 
     def maximal_cones(self):
-        n = self.polytope.ambient_dim
-        return [c for c in self.cones if len(c.generators) == n]
+        return [c for c in self.cones if len(c.generators) == self.polytope.ambient_dim]
 
 
 @dataclass
@@ -92,25 +90,21 @@ def normal_fan(P: Polytope) -> NormalFan:
 def _simplify_root(r: Fraction):
     """exp(2*pi*i*r) as a Fraction when real, else a CycloNumber."""
     root = cyclo_root_of_unity(r.numerator, r.denominator)
-    rational = root.as_rational()
-    return rational if rational is not None else root
+    return root.as_rational() if root.is_rational() else root
 
 
 def gamma_set(fan: NormalFan) -> GammaSet:
     """Union over the vertex cones of the lattice points of Q(cone), the
     half-open parallelepiped {sum rho_i u_i : 0 <= rho_i < 1} of the
-    generators u_i.
+    generators u_i, with each facet's exponent (README, "How the Todd route
+    finds its parallelepiped points").
 
-    Every cone of a simple polytope's normal fan is a face of each vertex
-    cone containing it, and its Q is theirs cut by rho = 0 off its own
-    generators, so the vertex cones hold every point.  Each is scanned by
-    ``scan_box`` under w_i . x >= 0 and d - 1 - w_i . x >= 0, where
-    rho_i = w_i . x / d and w_i / d is row i of the inverse generator
-    matrix, w_i an integer row and d its positive denominator;
-    ``solve_exact`` recomputes rho for each kept point as a cross-check.
-    Each facet's exponent is the rho of its own generator, and 0 for a
-    facet off the cone; points shared by several cones must agree.  No
-    root of unity is built here.
+    Every cone of the fan is a face of the vertex cones containing it, so
+    they hold every point.  Each is scanned by ``scan_box`` under
+    0 <= w_i . x <= d - 1, where rho_i = w_i . x / d and W / d is the inverse
+    generator matrix; ``solve_exact`` recomputes rho as a cross-check.  A
+    facet off the cone has exponent 0, cones sharing a point must agree,
+    and no root of unity is built.
     """
     P = fan.polytope
     n = P.ambient_dim
@@ -120,9 +114,7 @@ def gamma_set(fan: NormalFan) -> GammaSet:
         gens = cone.generators
         rows = [[g[k] for g in gens] for k in range(n)]  # columns are generators
         inverse, d = mat_inverse(rows)
-        constraints = []
-        for w in inverse:
-            constraints += [(w, 0), ([-x for x in w], d - 1)]
+        constraints = [c for w in inverse for c in ((w, 0), ([-x for x in w], d - 1))]
         lo = [sum(min(0, g[k]) for g in gens) for k in range(n)]
         hi = [sum(max(0, g[k]) for g in gens) for k in range(n)]
         for point in scan_box(lo, hi, constraints):
@@ -130,21 +122,13 @@ def gamma_set(fan: NormalFan) -> GammaSet:
             if rho is None or any(r < 0 or r >= 1 for r in rho):
                 raise RuntimeError(f"scanned point {point} is outside the parallelepiped "
                                    f"of the cone on facets {cone.facet_indices}")
-            exponents = [Fraction(0)] * len(P.halfspaces)
-            for fi, r in zip(cone.facet_indices, rho):
-                exponents[fi] = r
-            _record(found, point, tuple(exponents))
+            placed = dict(zip(cone.facet_indices, rho))
+            exponents = tuple(placed.get(f, Fraction(0)) for f in range(len(P.halfspaces)))
+            if found.setdefault(point, exponents) != exponents:
+                raise RuntimeError("support function disagrees between cones")
 
     points = sorted(found)
     return GammaSet(tuple(points), tuple(found[p] for p in points))
-
-
-def _record(found: dict, point: tuple[int, ...], exponents: tuple) -> None:
-    if point in found:
-        if found[point] != exponents:
-            raise RuntimeError("support function disagrees between cones")
-    else:
-        found[point] = exponents
 
 
 @dataclass
@@ -159,10 +143,7 @@ class ToddCoeffs:
     def coeffs(self) -> list[MultiPoly]:
         """The coefficients as polynomials in y, index k -> k-th."""
         y = MultiPoly.variable("y")
-        out, power = [], MultiPoly.const(1)
-        for s in self.scalars:
-            out.append(s * power)
-            power = power * (y + 1)
+        out = [s * (y + 1) ** k for k, s in enumerate(self.scalars)]
         if len(out) > 1:
             out[1] = out[1] - y
         return out
@@ -172,6 +153,22 @@ def _inv_scalar(v):
     if isinstance(v, CycloNumber):
         return v.inverse()
     return 1 / Fraction(v)
+
+
+def _inv_one_minus(a):
+    """1/(1 - a).  A root a = z^e stored as one power of the generator z of
+    its field, of order m, has 1/(1 - a) = -(1/m) sum_{j<m} j z^(e*j mod m),
+    confirmed by one product; anything else goes through ``_inv_scalar``."""
+    if isinstance(a, CycloNumber) and a.den == 1 and \
+            sorted(a.nums) == [0] * (len(a.nums) - 1) + [1]:
+        m, e = a.order, a.nums.index(1)
+        powers = [0] * m
+        for j in range(1, m):
+            powers[e * j % m] += j
+        inv = cyclo_from_powers(m, powers) * Fraction(-1, m)
+        if (1 - a) * inv == 1:
+            return inv
+    return _inv_scalar(1 - a)
 
 
 def todd_coeffs(a, order: int) -> ToddCoeffs:
@@ -197,7 +194,7 @@ def todd_coeffs(a, order: int) -> ToddCoeffs:
     else:
         # 1 - a*exp(-u) = (1 - a) + sum_{j>=1} (-1)^(j+1) a/j! u^j
         dens = {j: Fraction((-1) ** (j + 1), math.factorial(j)) * a for j in range(1, order + 1)}
-        inv0 = _inv_scalar(1 - a)
+        inv0 = _inv_one_minus(a)
         inverse = [inv0]
         for k in range(1, order + 1):
             inverse.append(-sum((dens[j] * inverse[k - j] for j in range(1, k + 1)),
@@ -214,15 +211,12 @@ def h_variable_names(P: Polytope) -> list[str]:
 def dual_basis_at_vertex(P: Polytope, vertex_index: int):
     """The rational vectors m_v^F dual to the facet normals through v,
     keyed by facet index."""
-    n = P.ambient_dim
     lattice = P.face_lattice
-    vface = lattice.faces[lattice.index_of({vertex_index})]
-    facets = sorted(vface.containing_facets)
-    if len(facets) != n:
+    facets = sorted(lattice.faces[lattice.index_of({vertex_index})].containing_facets)
+    if len(facets) != P.ambient_dim:
         raise ValueError("not simple at vertex")
-    U = [list(P.halfspaces[j].normal) for j in facets]
-    Uinv, d = mat_inverse(U)
-    return {fj: tuple(Fraction(Uinv[k][j], d) for k in range(n)) for j, fj in enumerate(facets)}
+    W, d = mat_inverse([P.halfspaces[j].normal for j in facets])
+    return {fj: tuple(Fraction(row[j], d) for row in W) for j, fj in enumerate(facets)}
 
 
 def deformed_vertex(P: Polytope, vertex_index: int):
@@ -233,13 +227,8 @@ def deformed_vertex(P: Polytope, vertex_index: int):
     """
     t = MultiPoly.variable("t")
     dual = dual_basis_at_vertex(P, vertex_index)
-    out = []
-    for k, x in enumerate(P.vertices[vertex_index]):
-        comp = t * x
-        for fj, m in dual.items():
-            comp = comp - MultiPoly.variable(f"h{fj + 1}") * m[k]
-        out.append(comp)
-    return tuple(out)
+    return tuple(sum((MultiPoly.variable(f"h{fj + 1}") * -m[k] for fj, m in dual.items()), t * x)
+                 for k, x in enumerate(P.vertices[vertex_index]))
 
 
 @dataclass
@@ -250,81 +239,90 @@ class SymbolicIntegral:
     poly: MultiPoly
 
 
-def _symbolic_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = MultiPoly.zero()
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = rows[0][j] * _symbolic_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+@lru_cache(maxsize=None)
+def _multinomials(power: int, width: int) -> tuple:
+    """Each exponent vector e of the given width and sum, with power!/e!."""
+    if width == 1:
+        return (((power,), 1),)
+    return tuple(((k, *rest), c * math.comb(power, k)) for k in range(power + 1)
+                 for rest, c in _multinomials(power - k, width - 1))
 
 
-def symbolic_integral(P: Polytope, phi: WeightPoly, anchor: str = "min") -> SymbolicIntegral:
-    """Integrate phi exactly over the deformed dilate of a simple polytope.
+def _power_forms(phi: WeightPoly) -> dict:
+    """w_b with phi = sum_b w_b <b + c, x>^d / d! for any shift c: for |a| = d,
+    x^a = sum_{b <= a} (-1)^|a-b| prod_i C(a_i, b_i) <b + c, x>^d / d!."""
+    weights: dict = {}
+    for a, coeff in phi.poly._mapped(tuple(f"x{i + 1}" for i in range(phi.nvars))).items():
+        for b in product(*(range(k + 1) for k in a)):
+            sign = (-1) ** (phi.degree - sum(b))
+            weights[b] = weights.get(b, 0) + sign * coeff * math.prod(map(math.comb, a, b))
+    return {b: w for b, w in weights.items() if w}
 
-    Uses the pulling triangulation (combinatorial, hence simultaneously
-    valid for all small h) with symbolically deformed vertices.  On each
-    simplex the barycentric substitution reduces the integral to the
-    Dirichlet moments of the standard simplex; orientation signs are read
-    off at t = 1, h = 0.
+
+def _vertex_terms(forms, cones, shift, degree):
+    """(weight, [A, B_F...], keys) per form b + shift and vertex, or None if
+    some <b + shift, m_v^F> is 0."""
+    terms = []
+    for b, w in forms.items():
+        form = [x + c for x, c in zip(b, shift)]
+        for vertex, columns, d, keys in cones:
+            B = [-sum(map(operator.mul, form, col)) for col in columns]
+            if not all(B):
+                return None
+            A = d * sum(map(operator.mul, form, vertex))
+            terms.append((w / (d ** (degree + 1) * math.prod(B)), [A, *B], keys))
+    return terms
+
+
+def symbolic_integral(P: Polytope, phi: WeightPoly) -> SymbolicIntegral:
+    """Integrate phi exactly over the deformed dilate of a simple polytope by
+    Brion's formula, as a sum over vertices: for a regular linear form l,
+        int <l,x>^d = d!/(d+n)! sum_v <l, v(t,h)>^(d+n) / (|det U_v| prod_F -<l, m_v^F>),
+    v(t,h) the ``deformed_vertex``.  phi's forms l = b + (1, k, k^2, ...) are
+    taken at the first k >= 2 that makes each regular.  With U_v^-1 = W/d,
+    each term is a weight times (A t + sum_F B_F h_F)^(d+n) for the integers
+    A = d<l,v> and B_F = -<l, W e_F>, summed in integers over one denominator.
     """
     if not P.simple:
         raise ValueError("normal fan machinery requires a simple polytope")
     if phi.nvars != P.ambient_dim:
         raise ValueError("weight polynomial dimension does not match polytope")
-    n = P.ambient_dim
-    deformed = {i: deformed_vertex(P, i) for i in range(len(P.vertices))}
-    tau = [f"tau{j + 1}" for j in range(n)]
-    base_at = {"t": Fraction(1)}
-    for name in h_variable_names(P):
-        base_at[name] = Fraction(0)
+    n, power, lattice = P.ambient_dim, phi.degree + P.ambient_dim, P.face_lattice
+    names = (*h_variable_names(P), "t")
+    table = _multinomials(power, n + 1)  # exponents of t and the h_F of v's facets
+    cones = []
+    for i, vertex in enumerate(P.vertices):
+        facets = sorted(lattice.faces[lattice.index_of({i})].containing_facets)
+        W, d = mat_inverse([P.halfspaces[j].normal for j in facets])
+        slot = {f: j + 1 for j, f in enumerate(facets)}
+        keys = [tuple(e[slot[f]] if f in slot else 0 for f in range(len(names) - 1)) + e[:1]
+                for e, _ in table]
+        cones.append((vertex, list(zip(*W)), d, keys))
+    forms = _power_forms(phi)
+    for k in count(2):  # each <l, m_v^F> is a nonzero polynomial in k of degree < n
+        terms = _vertex_terms(forms, cones, [k ** i for i in range(n)], phi.degree)
+        if terms is not None:
+            break
 
-    total = MultiPoly.zero()
-    for simplex in pulling_triangulation(P, anchor=anchor):
-        w0 = deformed[simplex[0]]
-        edges = [[deformed[i][k] - w0[k] for k in range(n)] for i in simplex[1:]]
-        det_poly = _symbolic_det(edges)
-        det_at_base = det_poly.evaluate(base_at)
-        if not det_at_base:
-            raise RuntimeError("degenerate simplex in pulling triangulation")
-        sign = 1 if det_at_base > 0 else -1
-
-        substitution = {}
-        for k in range(n):
-            expr = w0[k]
-            for j in range(n):
-                expr = expr + MultiPoly.variable(tau[j]) * edges[j][k]
-            substitution[f"x{k + 1}"] = expr
-        integrand = phi.poly.substitute(substitution)
-
-        moments: dict[tuple, object] = {}
-        variables = integrand.vars
-        tau_pos = [variables.index(name) if name in variables else None for name in tau]
-        for exps, coeff in integrand.terms.items():
-            beta = [exps[p] if p is not None else 0 for p in tau_pos]
-            rest = tuple(e for i, e in enumerate(exps) if i not in
-                         {p for p in tau_pos if p is not None})
-            weight = Fraction(math.prod(math.factorial(b) for b in beta),
-                              math.factorial(n + sum(beta)))
-            moments[rest] = moments.get(rest, Fraction(0)) + coeff * weight
-        rest_vars = tuple(v for v in variables if v not in tau)
-        inner = MultiPoly(rest_vars, moments)
-        total = total + sign * det_poly * inner
-
-    return SymbolicIntegral(total)
+    L = math.lcm(*(w.denominator for w, _, _ in terms))
+    acc: dict[tuple[int, ...], int] = {}
+    for w, coeffs, keys in terms:
+        scale = w.numerator * (L // w.denominator)
+        powers = [[c ** e for e in range(power + 1)] for c in coeffs]
+        for (e, mult), key in zip(table, keys):
+            acc[key] = acc.get(key, 0) + scale * mult * math.prod(map(operator.getitem, powers, e))
+    den = L * math.factorial(power)
+    return SymbolicIntegral(MultiPoly(names, {key: Fraction(c, den) for key, c in acc.items()}))
 
 
 def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
-    """Split the gamma set into Galois orbits, as (values, m) pairs of a
-    representative's roots exp(2*pi*i*r_F) and the order m of its field.
+    """Split the gamma set into Galois orbits, as (r, m) pairs of a
+    representative's exponents r_F and the order m of its field.
 
     With a point's exponents r_F and m the lcm of their denominators, the
     orbit is {k*r mod 1 : gcd(k, m) = 1}, of phi(m) distinct members.  The
     gamma set must hold every member of each orbit it meets, and nothing
-    besides these orbits.  Roots are built for the representatives only.
+    besides these orbits.  No root is built here.
     """
     present = set(gam.exponents)
     placed: set[tuple] = set()
@@ -341,7 +339,7 @@ def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
                 f"point {gam.points[i]} (order {m}) lacks the member with facet exponents "
                 f"({', '.join(map(str, missing))})")
         placed.update(members)
-        orbits.append((tuple(_simplify_root(x) for x in r), m))
+        orbits.append((r, m))
     covered = sum(euler_phi(m) for _, m in orbits)
     if covered != len(gam.points):
         raise RuntimeError(f"cyclotomic parts failed to cancel in the Todd sum: the Galois "
@@ -351,23 +349,17 @@ def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
 
 def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     """Apply the Todd operator summed over the parallelepiped points to the
-    symbolic integral, set h = 0, and replace t by q(y+1).
+    integral, set h = 0, and replace t by q(y+1) (README, "How the Todd
+    route applies its operator").
 
-    On a monomial h^alpha, prod_F Todd(a_F, d/dh_F) followed by h = 0 keeps
-    only the d^alpha term, which gives alpha!.  So each term
-    c * t^e * h^alpha of the integral becomes c * t^e * W_alpha(y) with
-    W_alpha = alpha! * sum over points of prod_F coeffs(a_F)[alpha_F].  The
-    integral is homogeneous of degree n + deg phi, so no alpha_F exceeds
-    the coefficient tables, and each alpha occurs in one term only.
-
-    The sum over points runs over Galois orbits.  The Galois automorphism
-    z -> z^k of the field of order m maps a point's values to those of
-    another point of its orbit, and the Todd scalars s_k(a) are rational
-    functions of a, so an orbit contributes the trace down to Q of its
-    representative's product.  That product is
-    (y+1)^(sum of alpha_F != 1) times prod_{alpha_F != 1} s_{alpha_F}(a_F)
-    * prod_{alpha_F = 1} (s_1 + (s_1 - 1) y), and only its second factor,
-    a polynomial in y of degree #{F : alpha_F = 1}, is traced.
+    On h^alpha, prod_F Todd(a_F, d/dh_F) followed by h = 0 keeps only the
+    d^alpha term: c * t^e * h^alpha becomes c * t^e * alpha! * (sum over
+    points of prod_F coeffs(a_F)[alpha_F]).  The integral is homogeneous of
+    degree n + deg phi, so no alpha_F exceeds the tables.  The points are
+    summed by Galois orbits, each as the trace down to Q of a representative's
+    product (y+1)^(sum of alpha_F != 1) * prod_{alpha_F != 1} s_{alpha_F}(a_F)
+    * prod_{alpha_F = 1} (s_1 + (s_1 - 1) y), of which only the second factor,
+    a polynomial in y, is traced.
     """
     if phi is None:
         phi = WeightPoly.one(P.ambient_dim)
@@ -377,12 +369,12 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
         return MultiPoly(("q", "y"))
     order = integral.degree()
     h_names = h_variable_names(P)
-    scalars: dict[object, list] = {}
-    for values, _ in orbits:
-        for a in values:
-            if a not in scalars:
-                scalars[a] = todd_coeffs(a, order).scalars
-    tables = [([scalars[a] for a in values], m) for values, m in orbits]
+    scalars: dict[Fraction, list] = {}  # keyed by exponent: conjugate roots share a hash
+    for rho, _ in orbits:
+        for r in rho:
+            if r not in scalars:
+                scalars[r] = todd_coeffs(_simplify_root(r), order).scalars
+    tables = [([scalars[r] for r in rho], m) for rho, m in orbits]
 
     out: dict[tuple[int, int], Fraction] = {}
     for exps, coeff in integral.terms.items():

@@ -285,6 +285,25 @@ def test_console_entry_point(pyramid_file):
     assert "f_vector: [5, 8, 5, 1]" in result.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["todd"], ["nosuch", "--polytope", "p.json"],
+    ["--format", "xml", "info", "--polytope", "p.json"],
+    ["todd", "--format", "xml", "--polytope", "p.json"], ["todd", "--polytope", "p.json", "--phi"],
+    ["corpus", "--seed", "a", "--count", "1", "--dim", "2"], []])
+def test_usage_errors_exit_1_with_json(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error" in json.loads(captured.out)
+    assert captured.err == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["todd", "--help"])
+    assert exc.value.code == 0
+    assert "--polytope" in capsys.readouterr().out
+
+
 # --- fuzzing ----------------------------------------------------------
 
 COORD = st.integers(-2, 3)
@@ -362,8 +381,27 @@ def invocations(draw):
     return argv, files
 
 
+@st.composite
+def usage_errors(draw):
+    """(argv, files) that the argument parser rejects: a missing
+    --polytope, an unknown subcommand, a bad --format or --phi with no
+    value."""
+    command = draw(st.sampled_from(["info", "ehrhart", "wsum", "gfun", "todd", "gpoly"]))
+    files = {"polytope.json": json.dumps(TRIANGLE)}
+    kind = draw(st.sampled_from(["missing", "unknown", "format", "phi"]))
+    if kind == "missing":
+        return [command], {}
+    if kind == "unknown":
+        return [draw(st.sampled_from(["", "tod", "help", "TODD"])), "--polytope",
+                "polytope.json"], files
+    if kind == "format":
+        return [command, "--format", draw(st.sampled_from(["", "xml", "JSON"])), "--polytope",
+                "polytope.json"], files
+    return [command, "--polytope", "polytope.json", "--phi"], files
+
+
 @settings(max_examples=80, deadline=None)
-@given(invocations())
+@given(weighted((9, invocations()), (1, usage_errors())))
 def test_cli_fuzz_exits_with_json(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -58,7 +58,7 @@ def test_inverse_matches_reference(m):
             mat_inverse(m)
         return
     rows, d = mat_inverse(m)
-    assert type(d) is int and d > 0
+    assert type(d) is int and d == abs(ref.leibniz_det(m)) > 0
     assert all(type(v) is int for row in rows for v in row)
     assert [[Fraction(v, d) for v in row] for row in rows] == ref.inverse(m)
 

@@ -8,14 +8,15 @@ from itertools import product
 import pytest
 
 from latticegfun import (CycloNumber, GammaSet, MultiPoly, WeightPoly, apply_todd,
-                         bernoulli, build_gfun, build_polytope, cli,
+                         bernoulli, build_gfun, build_polytope, cli, random_corpus,
                          cyclo_root_of_unity, deformed_vertex, dual_basis_at_vertex,
                          gamma_set, h_variable_names, normal_fan, symbolic_integral,
                          todd, todd_coeffs, verify_todd_formula)
 from latticegfun.cyclotomic import euler_phi
 from latticegfun.linalg import det
-from latticegfun.todd import _inv_scalar
+from latticegfun.todd import _inv_one_minus, _inv_scalar
 
+from integral_reference import triangulation_integral
 from linalg_reference import solve
 
 F = Fraction
@@ -272,6 +273,26 @@ def test_todd_variants_agree():
             assert split.coeffs[k] == quotient[k], (a, k)
 
 
+def test_inverse_of_one_minus_a_root_needs_no_euclid(monkeypatch):
+    # a root stored as one power z^e takes the closed form
+    # -(1/m) sum_j j a^j; any other value falls back to the inverse
+    closed = [cyclo_root_of_unity(num, den) for num, den in
+              ((1, 3), (2, 5), (5, 21), (7, 30), (1, 43), (500, 997))]
+    other = [cyclo_root_of_unity(29, 30), cyclo_root_of_unity(996, 997),
+             2 * cyclo_root_of_unity(1, 5), F(-1), F(3)]
+    expected = {id(a): _inv_scalar(1 - a) for a in closed + other}
+    for a in other:
+        assert _inv_one_minus(a) == expected[id(a)]
+
+    def refuse(self):
+        raise AssertionError("extended Euclid called")
+
+    monkeypatch.setattr(CycloNumber, "inverse", refuse)
+    for a in closed:
+        assert _inv_one_minus(a) == expected[id(a)]
+        assert todd_coeffs(a, 4).scalars[1] == expected[id(a)]
+
+
 def test_todd_coeffs_rejects_zero():
     with pytest.raises(ValueError):
         todd_coeffs(F(0), 3)
@@ -367,11 +388,86 @@ def test_integral_matches_box_volume():
 
 
 def test_triangulation_invariance(right_triangle, unit_cube):
+    # the vertex formula equals the triangulation oracle whichever vertex
+    # the pulling triangulation cones from
     for P in (right_triangle, unit_cube):
-        zero_h = {n: 0 for n in h_variable_names(P)}
-        a = symbolic_integral(P, WeightPoly.one(P.ambient_dim), anchor="min")
-        b = symbolic_integral(P, WeightPoly.one(P.ambient_dim), anchor="max")
-        assert a.poly.substitute(zero_h) == b.poly.substitute(zero_h)
+        n = P.ambient_dim
+        for phi in (WeightPoly.one(n), WeightPoly.monomial(n, (1,) * n)):
+            si = symbolic_integral(P, phi).poly
+            for anchor in ("min", "max"):
+                assert si == triangulation_integral(P, phi, anchor), (P.vertices, anchor)
+
+
+def oracle_weights(n, degree):
+    """1, x1^k for k <= degree, and two mixed weights."""
+    out = [WeightPoly.monomial(n, (k,) + (0,) * (n - 1)) for k in range(degree + 1)]
+    names = tuple(f"x{i + 1}" for i in range(n))
+    out.append(WeightPoly(MultiPoly(names, {(1, 0) + (0,) * (n - 2): F(3),
+                                            (0, 1) + (0,) * (n - 2): F(-2)}), n))
+    out.append(WeightPoly(MultiPoly(names, {(1, 1) + (0,) * (n - 2): F(1),
+                                            (0, 2) + (0,) * (n - 2): F(5, 7)}), n))
+    return out
+
+
+@pytest.mark.parametrize("seeds", [(11, 7), (103, 105)])
+def test_vertex_formula_matches_oracle_on_corpora(seeds):
+    # the corpus sizes of tests/conftest.py, at its seeds and at two others
+    shapes = random_corpus(seeds[0], 15, 2, 3) + random_corpus(seeds[1], 10, 3, 2)
+    for P in (P for P in shapes if P.simple):
+        for phi in oracle_weights(P.ambient_dim, 3):
+            assert symbolic_integral(P, phi).poly == triangulation_integral(P, phi), \
+                (P.vertices, phi.poly)
+
+
+@pytest.mark.parametrize("vertices", [
+    [(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (2, 0), (0, 1)],
+    [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+    [(0, 0), (30, 0), (0, 17)], [(0, 0, 0), (4, 0, 0), (0, 5, 0), (0, 0, 3)],
+    [(0, 0), (60, 0), (0, 37)], [(0, 0), (1000, 0), (0, 997)],
+    [(0, 0, 0), (5, 0, 0), (0, 7, 0), (0, 0, 3)]])
+def test_vertex_formula_matches_oracle_on_named_shapes(vertices):
+    P = build_polytope(vertices)
+    for phi in oracle_weights(P.ambient_dim, 3):
+        assert symbolic_integral(P, phi).poly == triangulation_integral(P, phi), phi.poly
+
+
+@pytest.mark.parametrize("vertices, weights", [
+    (list(product((0, 1), repeat=4)), [(0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0)]),
+    ([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+     [(0, 0, 0, 0), (4, 0, 0, 0), (1, 1, 1, 1), (2, 1, 1, 0)]),
+    ([(a, b, c) for a in (0, 2) for b in (0, 3) for c in (0, 1)],
+     [(4, 0, 0), (1, 1, 1), (2, 0, 2), (1, 3, 0)])])
+def test_vertex_formula_matches_oracle_up_to_degree_4(vertices, weights):
+    P = build_polytope(vertices)
+    for exps in weights:
+        phi = WeightPoly.monomial(P.ambient_dim, exps)
+        assert symbolic_integral(P, phi).poly == triangulation_integral(P, phi), exps
+    names = tuple(f"x{i + 1}" for i in range(P.ambient_dim))
+    mixed = {exps: F(k + 1, 3) for k, exps in enumerate(weights) if sum(exps) == 4}
+    phi = WeightPoly(MultiPoly(names, mixed), P.ambient_dim)
+    assert symbolic_integral(P, phi).poly == triangulation_integral(P, phi)
+
+
+def test_shift_search_skips_a_non_regular_form(monkeypatch):
+    # the edge from (0, 0) to (2, -1) is orthogonal to the first shift
+    # (1, 2), so the search goes on to (1, 3)
+    P = build_polytope([(0, 0), (2, -1), (0, 1)])
+    v = P.vertices.index((0, 0))
+    assert any(sum(a * b for a, b in zip((1, 2), m)) == 0
+               for m in dual_basis_at_vertex(P, v).values())
+    shifts = []
+    original = todd._vertex_terms
+
+    def recorded(forms, cones, shift, degree):
+        shifts.append(list(shift))
+        return original(forms, cones, shift, degree)
+
+    monkeypatch.setattr(todd, "_vertex_terms", recorded)
+    for phi in (WeightPoly.one(2), WeightPoly.monomial(2, (1, 0))):
+        shifts.clear()
+        assert symbolic_integral(P, phi).poly == triangulation_integral(P, phi)
+        assert shifts == [[1, 2], [1, 3]]
+    assert verify_todd_formula(P)
 
 
 def test_integral_degree(simplex3):
@@ -523,7 +619,8 @@ def test_gamma_set_splits_into_complete_galois_orbits(corpus2d, corpus3d):
             assert len(conjugates) == euler_phi(m)
             assert conjugates <= values, P.vertices
         orbits = todd._galois_orbits(gam)
-        assert all(m == math.lcm(*(root_order(a) for a in vals)) for vals, m in orbits)
+        roots = dict(zip(gam.exponents, gam.a_values))
+        assert all(m == math.lcm(*(root_order(a) for a in roots[rho])) for rho, m in orbits)
         assert sum(euler_phi(m) for _, m in orbits) == len(gam.points)
 
 
