@@ -344,8 +344,8 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def interpolate(nodes, degree: int, var: str = "q") -> MultiPoly:
-    """Exact univariate interpolation through ``degree + 1`` nodes.
+def interpolate(nodes, degree: int) -> MultiPoly:
+    """Exact interpolation in ``q`` through ``degree + 1`` nodes.
 
     Returns the unique polynomial of degree at most ``degree`` through the
     given ``(abscissa, value)`` pairs, via Newton divided differences over
@@ -365,7 +365,7 @@ def interpolate(nodes, degree: int, var: str = "q") -> MultiPoly:
         for i in range(len(nodes) - 1, level - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
 
-    x = MultiPoly.variable(var)
+    x = MultiPoly.variable("q")
     result = MultiPoly.const(coeffs[-1])
     for i in range(len(nodes) - 2, -1, -1):
         result = result * (x - xs[i]) + coeffs[i]

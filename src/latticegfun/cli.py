@@ -19,6 +19,9 @@ from .polytope import Polytope, build_polytope, volume
 from .todd import apply_todd
 from .wsum import WeightPoly, weighted_sum_poly
 
+#: Largest ``corpus --count`` accepted; 1,000 polytopes take under a second.
+MAX_CORPUS_COUNT = 1000
+
 
 def _load_json(path: str) -> dict:
     try:
@@ -250,6 +253,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "corpus":
+        if args.count > MAX_CORPUS_COUNT:
+            raise ValueError(f"corpus count must be at most {MAX_CORPUS_COUNT}")
         polys = random_corpus(args.seed, args.count, args.dim, args.max_coord)
         payload = {"polytopes": [P.to_json() for P in polys]}
         _emit(payload, fmt)

@@ -2,8 +2,7 @@
 
 For a homogeneous weight polynomial phi and a face G, the closed sum adds
 phi over the lattice points of q*G and the open sum over its relative
-interior.  Both are polynomials in q of degree dim G + deg phi, recovered
-by exact interpolation at consecutive integers.
+interior.  Both are polynomials in q of degree dim G + deg phi.
 
 One scan of each dilate q*F serves F and every face of F.  A polytope is
 the disjoint union of the relative interiors of its nonempty faces, and a
@@ -11,10 +10,12 @@ point in the relative interior of q*G is tight on exactly the facets that
 contain G, so the set of tight facets names the face a point belongs to.
 Each scanned point is put in that face's bucket, where the integer sums of
 phi's monomials accumulate; phi's rational coefficients are applied only
-when a bucket is read.  The open sums of G are its own bucket, the closed
-sums add the buckets of every face of G.  F is scanned at
-q = 1..dim F + deg phi + 1; each face G is interpolated at its first
-dim G + deg phi + 1 nodes and checked at every further node.
+when a bucket is read.  The open sums of G are its own bucket.  F is
+scanned at q = 1..dim F + deg phi + 1; each face G is interpolated once,
+at its first dim G + deg phi + 1 nodes, and checked at every further node.
+The closed polynomial of G is the sum of the open polynomials of the faces
+of G.  At q = 0 it gives phi(0) by Euler's relation: the nonempty faces H
+of G have sum (-1)^dim H = 1, and phi(0) = 0 when deg phi > 0.
 """
 from __future__ import annotations
 
@@ -116,26 +117,25 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
     """Closed and open weighted sums of the dilates of F and of every
     nonempty face of F, keyed by face in face-lattice order.
 
-    A face G is interpolated at q = 0..(dim G + deg phi); the q = 0 value is
-    phi(0) for the closed sum and is fixed by reciprocity for the open sum,
-    which keeps both bona fide polynomials.  Every further scanned node
-    validates the degree bound.
+    The open sum of a face G is interpolated at q = 0..(dim G + deg phi),
+    where the q = 0 value is fixed by reciprocity, which keeps it a bona
+    fide polynomial; every further scanned node validates the degree bound.
+    The closed sum of G is the sum of the open sums of its faces, whose
+    value at q = 0 is phi(0) by Euler's relation.
     """
     if F.dim < 0:
         raise ValueError("weighted sums need a nonempty face")
     faces = [G for G in P.face_lattice.faces
              if G.dim >= 0 and G.vertex_indices <= F.vertex_indices]
     key_of = {G: tuple(sorted(G.containing_facets)) for G in faces}
-    subfaces = {G: [key_of[H] for H in faces if H.vertex_indices <= G.vertex_indices]
-                for G in faces}
+    subfaces = {G: [H for H in faces if H.vertex_indices <= G.vertex_indices] for G in faces}
     coords = [int(v[1:]) - 1 for v in phi.poly.vars]
     monomials = [[(k, e) for k, e in zip(coords, exps) if e] for exps in phi.poly.terms]
     coeffs = list(phi.poly.terms.values())
     zeros = [0] * len(monomials)
 
     last_q = F.dim + phi.degree + 1
-    closed_values = {G: [] for G in faces}
-    open_values = {G: [] for G in faces}
+    values = {G: [] for G in faces}
     for q in range(1, last_q + 1):
         facets = [(h.normal, q * h.offset) for h in P.halfspaces]
         buckets: dict[tuple[int, ...], list[int]] = {}
@@ -148,24 +148,19 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
             for j, mono in enumerate(monomials):
                 sums[j] += math.prod(point[k] ** e for k, e in mono)
         for G in faces:
-            closed = [sum(col) for col in zip(*(buckets.get(k, zeros) for k in subfaces[G]))]
-            closed_values[G].append(_apply(coeffs, closed))
-            open_values[G].append(_apply(coeffs, buckets.get(key_of[G], zeros)))
+            values[G].append(_apply(coeffs, buckets.get(key_of[G], zeros)))
 
     origin = phi.at_origin()
-    out = {}
+    opens = {}
     for G in faces:
         deg = G.dim + phi.degree
-        polys = []
-        for at_zero, values in ((origin, closed_values[G]),
-                                ((-1) ** deg * origin, open_values[G])):
-            poly = interpolate([(0, at_zero)] + list(enumerate(values[:deg], start=1)), deg)
-            for q in range(deg + 1, last_q + 1):
-                if poly.evaluate({"q": q}) != values[q - 1]:
-                    raise RuntimeError("degree assumption violated")
-            polys.append(poly)
-        out[G] = WeightedSumPoly(G, *polys)
-    return out
+        nodes = [(0, (-1) ** deg * origin)] + list(enumerate(values[G][:deg], start=1))
+        poly = interpolate(nodes, deg)
+        for q in range(deg + 1, last_q + 1):
+            if poly.evaluate({"q": q}) != values[G][q - 1]:
+                raise RuntimeError("degree assumption violated")
+        opens[G] = poly
+    return {G: WeightedSumPoly(G, sum(opens[H] for H in subfaces[G]), opens[G]) for G in faces}
 
 
 def _apply(coeffs, moments) -> Fraction:

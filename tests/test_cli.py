@@ -202,6 +202,7 @@ def test_malformed_weight_vars_keep_their_error(capsys, triangle_file, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["--seed", "1", "--count", "-1", "--dim", "2"],
     ["--seed", "1", "--count", "30", "--dim", "2", "--max-coord", "1"],
+    ["--seed", "1", "--count", "1000000", "--dim", "3", "--max-coord", "5"],
 ])
 def test_corpus_bad_count_exits_1(capsys, argv):
     code = cli.main(["--format", "json", "corpus", *argv])

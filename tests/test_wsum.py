@@ -5,7 +5,7 @@ import pytest
 
 from latticegfun import (MultiPoly, WeightPoly, check_ehrhart_macdonald,
                          check_weighted_reciprocity, ehrhart_polynomial,
-                         iter_lattice_points, volume, weighted_sum_poly)
+                         iter_lattice_points, volume, weighted_sum_poly, wsum)
 
 F = Fraction
 q = MultiPoly.variable("q")
@@ -110,6 +110,36 @@ def test_closed_is_sum_of_opens(pyramid, corpus2d):
         for i in lat.nonempty():
             total = total + weighted_sum_poly(P, lat.faces[i], phi)[lat.faces[i]].open
         assert total == weighted_sum_poly(P, P.top_face(), phi)[P.top_face()].closed
+
+
+def test_one_interpolation_per_face(monkeypatch, pyramid, corpus3d):
+    calls = []
+    real = wsum.interpolate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wsum, "interpolate", counted)
+    for P in (pyramid, corpus3d[0]):
+        for phi in (WeightPoly.one(3), WeightPoly.monomial(3, (1, 0, 0))):
+            calls.clear()
+            weighted_sum_poly(P, P.top_face(), phi)
+            assert len(calls) == len(P.face_lattice.nonempty())
+
+
+def test_degree_check_catches_a_missing_point(monkeypatch, pyramid):
+    top = pyramid.top_face()
+    last_q = top.dim + 1
+    real = wsum.iter_lattice_points
+
+    def drop_one(P, F, dilate, *args):
+        points = list(real(P, F, dilate, *args))
+        return points[1:] if dilate == last_q else points
+
+    monkeypatch.setattr(wsum, "iter_lattice_points", drop_one)
+    with pytest.raises(RuntimeError, match="degree assumption violated"):
+        weighted_sum_poly(pyramid, top, WeightPoly.one(3))
 
 
 def test_leading_coefficient_is_volume(pyramid, unit_cube, right_triangle, corpus2d):
