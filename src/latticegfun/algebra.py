@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cache
 
 #: Arbitrary-precision rational scalar used throughout the package.
 #: Always stored in lowest terms with positive denominator.
@@ -349,27 +350,62 @@ def interpolate(nodes, degree: int) -> MultiPoly:
 
     Returns the unique polynomial of degree at most ``degree`` through the
     given ``(abscissa, value)`` pairs, via Newton divided differences over
-    rationals.
+    the integers: with the abscissas scaled by ``xscale`` to integers, each
+    divided difference times ``scale`` (the values' common denominator
+    times the Vandermonde product) is an integer.  The expanded Newton form
+    gives one polynomial, in ``q``, or constant at degree 0.
     """
     if degree < 0:
         raise ValueError("interpolation degree must be nonnegative")
     nodes = [(Fraction(x), Fraction(y)) for x, y in nodes]
     if len(nodes) != degree + 1:
         raise ValueError("need exactly degree + 1 interpolation nodes")
-    xs = [x for x, _ in nodes]
-    if len(set(xs)) != len(xs):
+    if len({x for x, _ in nodes}) != len(nodes):
         raise ValueError("degenerate interpolation nodes")
 
-    coeffs = [y for _, y in nodes]
+    xscale = math.lcm(*(x.denominator for x, _ in nodes))
+    xs = [x.numerator * (xscale // x.denominator) for x, _ in nodes]
+    scale = math.lcm(*(y.denominator for _, y in nodes)) * \
+        math.prod(b - a for i, a in enumerate(xs) for b in xs[i + 1:])
+    coeffs = [y.numerator * (scale // y.denominator) for _, y in nodes]
     for level in range(1, len(nodes)):
         for i in range(len(nodes) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // (xs[i] - xs[i - level])
 
-    x = MultiPoly.variable("q")
-    result = MultiPoly.const(coeffs[-1])
+    dense = [coeffs[-1]]
     for i in range(len(nodes) - 2, -1, -1):
-        result = result * (x - xs[i]) + coeffs[i]
-    return result
+        # dense <- dense * (q - xs[i]) + coeffs[i]
+        dense = [coeffs[i] - xs[i] * dense[0]] + \
+            [a - xs[i] * b for a, b in zip(dense, dense[1:])] + [dense[-1]]
+    return poly_from_list("q" if degree else None,
+                          [Fraction(c * xscale ** k, scale) for k, c in enumerate(dense)])
+
+
+def poly_from_list(var: str | None, coeffs) -> MultiPoly:
+    """The polynomial with dense coefficient list ``coeffs`` in ``var``; a
+    constant over no variables when ``var`` is None."""
+    width = 0 if var is None else 1
+    return MultiPoly((var,)[:width], {(k,)[:width]: c for k, c in enumerate(coeffs)})
+
+
+def poly_to_list(poly: MultiPoly) -> list:
+    """Dense coefficient list of a polynomial in at most one variable."""
+    return [poly.terms.get((k,)[:len(poly.vars)], 0) for k in range(poly.degree() + 1)]
+
+
+def convolve(a, b) -> list:
+    """Product of two dense coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, e in enumerate(b, start=i):
+            out[j] += c * e
+    return out
+
+
+@cache
+def pascal_row(k: int, sign: int = 1) -> tuple[int, ...]:
+    """Coefficients of (x + sign)^k, lowest power first."""
+    return tuple(sign ** (k - j) * math.comb(k, j) for j in range(k + 1))
 
 
 # cache holds the B_1 = -1/2 family; only the k = 1 value differs between

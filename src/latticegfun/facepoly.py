@@ -1,20 +1,22 @@
 """Face-count polynomials of polytopes and ranked posets.
 
 Implements the h-polynomial transform of the f-vector, the recursive
-f/g-polynomial pair of a ranked (Eulerian) poset, g-polynomials of dual
-faces via reversed intervals, and the palindromy ("master duality") check.
+f/g-polynomial pair of a ranked (Eulerian) poset on integer lists, dual
+face g-polynomials, and the palindromy ("master duality") check.
 
 The g-polynomial of the dual face is computed purely combinatorially from
-the reversed interval [F, P] of the face poset.  It never constructs the
-polar polytope geometrically: g depends only on the poset, and polar duals
-of lattice polytopes need not be lattice polytopes.
+the reversed interval [F, P] of the face poset, for every F in one pass
+over the reversed face lattice.  It never constructs the polar polytope
+geometrically: g depends only on the poset, and polar duals of lattice
+polytopes need not be lattice polytopes.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, convolve, pascal_row, poly_from_list
 from .polytope import Face, FaceLattice, Polytope
 
 
@@ -85,32 +87,24 @@ def fg_polynomials(Q: GradedPoset) -> tuple[MultiPoly, MultiPoly]:
     smaller element times (x-1)^(r - rank), and g keeps the first
     floor(r/2)+1 coefficient differences of f.
     """
-    x = MultiPoly.variable("x")
-    one = MultiPoly.const(1)
-    order = sorted(range(len(Q)), key=lambda i: Q.ranks[i])
-    g: dict[int, MultiPoly] = {}
-    f: dict[int, MultiPoly] = {}
-    for e in order:
-        if Q.ranks[e] == 0:
-            f[e] = g[e] = one
-            continue
-        n = Q.ranks[e] - 1
-        total = MultiPoly.zero()
-        for b in Q.below[e]:
-            total = total + g[b] * (x - 1) ** (n - Q.ranks[b])
-        f[e] = total
-        coeffs = total.coefficients_in("x")
-        m = n // 2
-        terms = {}
-        prev = Fraction(0)
-        for k in range(m + 1):
-            ck = coeffs.get(k, MultiPoly.zero()).constant_value()
-            delta = ck - prev
-            if delta:
-                terms[(k,)] = delta
-            prev = ck
-        g[e] = MultiPoly(("x",), terms)
-    return f[Q.top], g[Q.top]
+    g: dict[int, list[int]] = {}
+    for e in sorted(range(len(Q)), key=lambda i: Q.ranks[i]):  # the top comes last
+        f, g[e] = _fg_step(Q.ranks[e] - 1, [(g[b], Q.ranks[b]) for b in Q.below[e]])
+    rank = Q.ranks[Q.top]
+    return (poly_from_list("x" if rank > 1 else None, f),
+            poly_from_list("x" if rank else None, g[Q.top]))
+
+
+def _fg_step(n: int, lower) -> tuple[list[int], list[int]]:
+    """Integer f- and g-lists of an element of rank n + 1 from the pairs
+    (g-list, rank) of the elements below it; ([1], [1]) at rank 0."""
+    if n < 0:
+        return [1], [1]
+    f = [0] * (n + 1)
+    for g, rank in lower:
+        for k, c in enumerate(convolve(g, pascal_row(n - rank, -1))):
+            f[k] += c
+    return f, f[:1] + [f[k] - f[k - 1] for k in range(1, n // 2 + 1)]
 
 
 def h_polynomial(P: Polytope) -> MultiPoly:
@@ -128,15 +122,25 @@ def dual_g(P: Polytope, F: Face) -> MultiPoly:
 
     Returns 1 at once when F lies on exactly codim F facets: the interval
     is then Boolean and the dual face a simplex.  That covers F = P and
-    every face of a simple polytope.
+    every face of a simple polytope.  Any other face reads a table filled
+    by one top-down pass over the whole reversed lattice, in which the
+    lower interval of F is the reversed [F, P].
     """
     if len(F.containing_facets) == P.ambient_dim - F.dim:
         # same variable tuple as fg_polynomials gives for these intervals
         return MultiPoly.const(1) if F.dim == P.ambient_dim else MultiPoly(("x",), {(0,): 1})
     lattice = P.face_lattice
-    low = lattice.index_of(F.vertex_indices)
-    _, g = fg_polynomials(GradedPoset.reversed_interval(lattice, low))
-    return g
+    if lattice not in _dual_g_tables:
+        faces, n, g = lattice.faces, P.ambient_dim, {}
+        for i in sorted(range(len(faces)), key=lambda k: -faces[k].dim):
+            g[i] = _fg_step(n - faces[i].dim - 1, [
+                (g[j], n - faces[j].dim) for j in g
+                if faces[i].vertex_indices < faces[j].vertex_indices])[1]
+        _dual_g_tables[lattice] = {i: poly_from_list("x", g[i]) for i in g}
+    return _dual_g_tables[lattice][lattice.index_of(F.vertex_indices)]
+
+
+_dual_g_tables: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def check_master_duality(Q: GradedPoset) -> bool:

@@ -5,8 +5,8 @@ powers of y, each face carrying the g-polynomial of its dual face.  Two
 equivalent assemblies exist: the closed-face form, where the dual-face
 factor is evaluated at -1/y and the formal 1/y is cleared through the
 (-y)^codim prefactor, and the interior form built from relative-interior
-sums with the factor at -y.  Every build computes both and insists they
-agree.
+sums with the factor at -y.  Every build computes both, each in a dense
+[q-power][y-power] table from integer y-lists, and insists they agree.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, convolve, pascal_row, poly_from_list, poly_to_list
 from .facepoly import dual_g, gessel_cube_g
 from .polytope import Polytope, build_polytope, volume
 from .wsum import WeightPoly, weighted_sum_poly
@@ -32,50 +32,54 @@ class GFunction:
 
 
 def _cleared_dual_factor(g_poly: MultiPoly, codim: int) -> MultiPoly:
-    """(-y)^codim * g(-1/y) expanded as a polynomial in y.
+    """(-y)^codim * g(-1/y) expanded as a polynomial in y."""
+    return poly_from_list("y" if codim else None, _cleared(poly_to_list(g_poly), codim))
 
-    Sends the coefficient of x^j to (-1)^(codim + j) y^(codim - j); the
-    degree bound deg g <= codim/2 keeps every exponent nonnegative.
-    """
-    y = MultiPoly.variable("y")
-    out = MultiPoly.zero()
-    for j, c in g_poly.coefficients_in("x").items():
-        coeff = c.constant_value()
-        if codim - j < 0:
-            raise RuntimeError("dual-face polynomial exceeds its degree bound")
-        out = out + coeff * Fraction((-1) ** (codim + j)) * y ** (codim - j)
-    return out
+
+def _cleared(g: list, codim: int) -> list:
+    """The y-list of (-y)^codim * g(-1/y): the coefficient of x^j goes to
+    (-1)^(codim + j) y^(codim - j).  The degree bound deg g <= codim/2
+    keeps every exponent nonnegative."""
+    if len(g) > codim + 1:
+        raise RuntimeError("dual-face polynomial exceeds its degree bound")
+    return [(-1) ** (codim + j) * c for j, c in enumerate(g + [0] * (codim + 1 - len(g)))][::-1]
 
 
 def build_gfun(P: Polytope, phi: WeightPoly | None = None) -> GFunction:
     """Assemble G(q, y) for a polytope and homogeneous weight.
 
-    Both the closed-face and interior forms are computed; a disagreement
-    would indicate an internal error and raises.
+    Both the closed-face and interior forms are computed, each into a
+    [q-power][y-power] table of integers over one denominator; a
+    disagreement would indicate an internal error and raises.
     """
     if phi is None:
         phi = WeightPoly.one(P.ambient_dim)
     if phi.nvars != P.ambient_dim:
         raise ValueError("weight polynomial dimension does not match polytope")
-    n = P.ambient_dim
-    d = phi.degree
-    y = MultiPoly.variable("y")
+    n, d = P.ambient_dim, phi.degree
 
-    closed_total = MultiPoly.zero()
-    open_total = MultiPoly.zero()
-    for face, wsp in weighted_sum_poly(P, P.top_face(), phi).items():
-        g_dual = dual_g(P, face)
-        codim = n - face.dim
-        dim_factor = (y + 1) ** face.dim
-        closed_total = closed_total + dim_factor * _cleared_dual_factor(g_dual, codim) * wsp.closed
-        open_total = open_total + dim_factor * g_dual.substitute({"x": -y}) * wsp.open
+    sums = weighted_sum_poly(P, P.top_face(), phi)
+    den = math.lcm(*(c.denominator for wsp in sums.values()
+                     for poly in (wsp.closed, wsp.open) for c in poly.terms.values()))
+    closed_table = [[0] * (n + 1) for _ in range(n + d + 1)]
+    open_table = [[0] * (n + 1) for _ in range(n + d + 1)]
+    for face, wsp in sums.items():
+        g = [int(c) for c in poly_to_list(dual_g(P, face))]
+        for table, y_list, q_poly in (
+                (closed_table, _cleared(g, n - face.dim), wsp.closed),
+                (open_table, [(-1) ** j * c for j, c in enumerate(g)], wsp.open)):
+            y_list = convolve(pascal_row(face.dim), y_list)
+            for exps, c in q_poly.terms.items():
+                row, c = table[sum(exps)], c.numerator * (den // c.denominator)
+                for j, b in enumerate(y_list):
+                    row[j] += c * b
 
-    prefactor = (y + 1) ** d
-    closed_form = prefactor * closed_total
-    open_form = prefactor * open_total
-    if closed_form != open_form:
+    closed_rows = [convolve(row, pascal_row(d)) for row in closed_table]
+    if closed_rows != [convolve(row, pascal_row(d)) for row in open_table]:
         raise RuntimeError("closed-face and interior assemblies disagree")
-    return GFunction(closed_form, n, d, P, phi)
+    terms = {(i, j): Fraction(c, den) for i, row in enumerate(closed_rows)
+             for j, c in enumerate(row) if c}
+    return GFunction(MultiPoly(("q", "y"), terms), n, d, P, phi)
 
 
 def reciprocity_image(G: GFunction) -> MultiPoly:

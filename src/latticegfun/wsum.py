@@ -12,18 +12,23 @@ Each scanned point is put in that face's bucket, where the integer sums of
 phi's monomials accumulate; phi's rational coefficients are applied only
 when a bucket is read.  The open sums of G are its own bucket.  F is
 scanned at q = 1..dim F + deg phi + 1; each face G is interpolated once,
-at its first dim G + deg phi + 1 nodes, and checked at every further node.
-The closed polynomial of G is the sum of the open polynomials of the faces
-of G.  At q = 0 it gives phi(0) by Euler's relation: the nonempty faces H
-of G have sum (-1)^dim H = 1, and phi(0) = 0 when deg phi > 0.
+at its first dim G + deg phi + 1 nodes, and its dense coefficient list is
+checked at every further node by Horner's rule.  The closed list of G is
+the sum of the open lists of the faces of G, which at q = 0 gives phi(0)
+by Euler's relation: sum (-1)^dim H = 1 over the nonempty faces H of G,
+and phi(0) = 0 when deg phi > 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
+from operator import mul
 
-from .algebra import MultiPoly, interpolate, scalar_from_str, scalar_to_str
+from .algebra import (MultiPoly, interpolate, poly_from_list, poly_to_list, scalar_from_str,
+                      scalar_to_str)
 from .polytope import Face, Polytope, iter_lattice_points
 
 
@@ -132,40 +137,35 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
     coords = [int(v[1:]) - 1 for v in phi.poly.vars]
     monomials = [[(k, e) for k, e in zip(coords, exps) if e] for exps in phi.poly.terms]
     coeffs = list(phi.poly.terms.values())
-    zeros = [0] * len(monomials)
 
     last_q = F.dim + phi.degree + 1
     values = {G: [] for G in faces}
     for q in range(1, last_q + 1):
-        facets = [(h.normal, q * h.offset) for h in P.halfspaces]
+        facets = [(i, h.normal, -q * h.offset) for i, h in enumerate(P.halfspaces)]
         buckets: dict[tuple[int, ...], list[int]] = {}
         for point in iter_lattice_points(P, F, q):
-            key = tuple(i for i, (u, c) in enumerate(facets)
-                        if sum(a * x for a, x in zip(u, point)) + c == 0)
+            key = tuple([i for i, u, c in facets if sum(map(mul, u, point)) == c])
             sums = buckets.get(key)
             if sums is None:
                 sums = buckets[key] = [0] * len(monomials)
             for j, mono in enumerate(monomials):
                 sums[j] += math.prod(point[k] ** e for k, e in mono)
         for G in faces:
-            values[G].append(_apply(coeffs, buckets.get(key_of[G], zeros)))
+            values[G].append(sum(map(mul, coeffs, buckets.get(key_of[G], ()))))
 
     origin = phi.at_origin()
-    opens = {}
+    opens, lists = {}, {}
     for G in faces:
         deg = G.dim + phi.degree
         nodes = [(0, (-1) ** deg * origin)] + list(enumerate(values[G][:deg], start=1))
-        poly = interpolate(nodes, deg)
+        opens[G] = interpolate(nodes, deg)
+        lists[G] = poly_to_list(opens[G])
         for q in range(deg + 1, last_q + 1):
-            if poly.evaluate({"q": q}) != values[G][q - 1]:
+            if reduce(lambda v, c: v * q + c, reversed(lists[G]), 0) != values[G][q - 1]:
                 raise RuntimeError("degree assumption violated")
-        opens[G] = poly
-    return {G: WeightedSumPoly(G, sum(opens[H] for H in subfaces[G]), opens[G]) for G in faces}
-
-
-def _apply(coeffs, moments) -> Fraction:
-    """phi's value from the integer sums of its monomials."""
-    return sum((c * m for c, m in zip(coeffs, moments)), Fraction(0))
+    return {G: WeightedSumPoly(G, poly_from_list("q" if G.dim + phi.degree else None, [
+        sum(c) for c in zip_longest(*(lists[H] for H in subfaces[G]), fillvalue=0)]), opens[G])
+        for G in faces}
 
 
 def ehrhart_polynomial(P: Polytope) -> WeightedSumPoly:
@@ -184,10 +184,5 @@ def check_weighted_reciprocity(P: Polytope, phi: WeightPoly) -> bool:
     top = P.top_face()
     wsp = weighted_sum_poly(P, top, phi)[top]
     sign = (-1) ** (phi.degree + P.ambient_dim)
-    return _negated(wsp.closed) == sign * wsp.open
-
-
-def _negated(poly: MultiPoly) -> MultiPoly:
-    """Substitute q -> -q."""
-    q = MultiPoly.variable("q")
-    return poly.substitute({"q": -q})
+    negated = {exps: (-1) ** sum(exps) * c for exps, c in wsp.closed.terms.items()}
+    return MultiPoly(wsp.closed.vars, negated) == sign * wsp.open

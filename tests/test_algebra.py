@@ -85,6 +85,13 @@ def test_interpolate_unit_square_counts():
     assert interpolate(nodes, 2) == (q + 1) ** 2
 
 
+def test_interpolate_rational_unsorted_nodes():
+    q = MultiPoly.variable("q")
+    poly = F(3, 4) * q ** 3 - F(1, 6) * q + 5
+    xs = [F(1, 2), -2, F(7, 3), 0]
+    assert interpolate([(x, poly.evaluate({"q": x})) for x in xs], 3) == poly
+
+
 def test_interpolate_degenerate_nodes():
     with pytest.raises(ValueError, match="degenerate interpolation nodes"):
         interpolate([(0, 1), (0, 2), (1, 3)], 2)

@@ -1,5 +1,6 @@
 """Command-line interface behavior and exit codes."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from latticegfun import cli
 
 PYRAMID = {"vertices": [[0, 0, 0], [1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]]}
 TRIANGLE = {"vertices": [[0, 0], [2, 0], [0, 1]]}
+CROSS4 = {"vertices": [[s * (i == k) for k in range(4)] for i in range(4) for s in (1, -1)]}
 DIRECTORY = object()  # stands for an input path that names a directory
 
 
@@ -274,6 +276,27 @@ def test_exit_2_on_forced_mismatch(capsys, triangle_file, monkeypatch):
     payload = json.loads(out)
     assert payload["verified"] is False
     assert "todd" in payload and "gfun" in payload
+
+
+# sha256 of the stdout of `gfun --format json` at the time the face-sum route
+# moved onto coefficient lists; x1 gives G = 0 on both symmetric polytopes,
+# which pins the variable tuple, and x1^2 pins the coefficients
+GFUN_DIGESTS = [
+    (PYRAMID, [1, 0, 0], "2b6c025000e3ed648bc8a2f1b14497cb6f4c6a7a8f9166db87760d420d53a9ca"),
+    (CROSS4, [1, 0, 0, 0], "2b6c025000e3ed648bc8a2f1b14497cb6f4c6a7a8f9166db87760d420d53a9ca"),
+    (PYRAMID, [2, 0, 0], "b1a586529e6be8eb31257e51f196165401538a1d3521a9ea4ce2edcb28819ccc"),
+]
+
+
+@pytest.mark.parametrize("polytope, exps, digest", GFUN_DIGESTS)
+def test_gfun_json_digest(capsys, tmp_path, polytope, exps, digest):
+    poly_path, phi_path = tmp_path / "polytope.json", tmp_path / "phi.json"
+    poly_path.write_text(json.dumps(polytope))
+    phi_path.write_text(json.dumps({"vars": len(exps), "terms": [{"coeff": "1", "exps": exps}]}))
+    code, out = run_cli(capsys, "gfun", "--format", "json", "--polytope", str(poly_path),
+                        "--phi", str(phi_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_console_entry_point(pyramid_file):

@@ -1,11 +1,15 @@
 """Assembly of G(q, y), its functional equation, and derived profiles."""
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
-from latticegfun import (GFunction, MultiPoly, WeightPoly, build_gfun, check_reciprocity,
-                         cross_polytope_gfun, dual_g, gessel_cube_g, h_polynomial,
-                         iter_lattice_points, reciprocity_image, y_coefficient_profile)
+from latticegfun import (GFunction, GradedPoset, MultiPoly, WeightPoly, build_gfun,
+                         check_reciprocity, cli, cross_polytope, cross_polytope_gfun, dual_g,
+                         gessel_cube_g, gfun, h_polynomial, iter_lattice_points,
+                         reciprocity_image, y_coefficient_profile)
+from latticegfun.gfun import _cleared_dual_factor
 
 F = Fraction
 q = MultiPoly.variable("q")
@@ -174,3 +178,70 @@ def test_cross_polytope_gfun():
 def test_dimension_mismatch_rejected(pyramid):
     with pytest.raises(ValueError):
         build_gfun(pyramid, WeightPoly.one(2))
+
+
+def test_one_pass_dual_g_builds_no_poset(monkeypatch):
+    def no_poset(*args):
+        raise AssertionError("a per-face poset was built")
+
+    P = cross_polytope(4)
+    monkeypatch.setattr(GradedPoset, "reversed_interval", no_poset)
+    monkeypatch.setattr(GradedPoset, "__init__", no_poset)
+    G = build_gfun(P, WeightPoly.monomial(4, (1, 0, 0, 0)))
+    assert check_reciprocity(G)
+
+
+def test_build_gfun_makes_no_polynomial_products(monkeypatch):
+    # the face-sum route runs on coefficient lists; generic MultiPoly
+    # multiplication must not creep back into it
+    P = cross_polytope(4)
+    phi = WeightPoly.monomial(4, (1, 0, 0, 0))
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(MultiPoly, name)
+        monkeypatch.setattr(MultiPoly, name,
+                            lambda self, other, real=real: calls.append(1) or real(self, other))
+    build_gfun(P, phi)
+    assert calls == []
+
+
+@pytest.mark.parametrize("phi", [WeightPoly.one(3), WeightPoly.monomial(3, (1, 0, 0)),
+                                 WeightPoly.from_json({"vars": 3, "terms": []})])
+def test_gfun_vars_are_q_and_y(pyramid, phi):
+    assert build_gfun(pyramid, phi).poly.vars == ("q", "y")
+
+
+def perturb_one_open(monkeypatch):
+    real = gfun.weighted_sum_poly
+
+    def perturbed(P, F, phi):
+        sums = real(P, F, phi)
+        face = next(iter(sums))
+        sums[face] = dataclasses.replace(sums[face], open=sums[face].open + q)
+        return sums
+
+    monkeypatch.setattr(gfun, "weighted_sum_poly", perturbed)
+
+
+def test_assembly_check_catches_a_perturbed_open_sum(monkeypatch, pyramid):
+    perturb_one_open(monkeypatch)
+    with pytest.raises(RuntimeError, match="closed-face and interior assemblies disagree"):
+        build_gfun(pyramid)
+
+
+def test_degree_bound_check_catches_a_long_g_list(monkeypatch, pyramid):
+    x = MultiPoly.variable("x")
+    with pytest.raises(RuntimeError, match="dual-face polynomial exceeds its degree bound"):
+        _cleared_dual_factor(1 + x ** 3, 2)
+    monkeypatch.setattr(gfun, "dual_g", lambda P, F: 1 + x ** (P.ambient_dim - F.dim + 1))
+    with pytest.raises(RuntimeError, match="dual-face polynomial exceeds its degree bound"):
+        build_gfun(pyramid)
+
+
+def test_cli_gfun_exits_2_on_a_perturbed_open_sum(monkeypatch, capsys, tmp_path, pyramid):
+    path = tmp_path / "pyramid.json"
+    path.write_text(json.dumps(pyramid.to_json()))
+    perturb_one_open(monkeypatch)
+    assert cli.main(["--format", "json", "gfun", "--polytope", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"].startswith("closed-face and interior assemblies disagree")

@@ -142,6 +142,16 @@ def test_degree_check_catches_a_missing_point(monkeypatch, pyramid):
         weighted_sum_poly(pyramid, top, WeightPoly.one(3))
 
 
+@pytest.mark.parametrize("phi", [WeightPoly.one(3), WeightPoly.monomial(3, (1, 0, 0)),
+                                 WeightPoly.from_json({"vars": 3, "terms": []})])
+def test_weighted_sum_vars(pyramid, phi):
+    # one polynomial per sum: constant over no variables at degree 0, else in q
+    for G, wsp in weighted_sum_poly(pyramid, pyramid.top_face(), phi).items():
+        expected = () if G.dim + phi.degree == 0 else ("q",)
+        assert wsp.closed.vars == expected
+        assert wsp.open.vars == expected
+
+
 def test_leading_coefficient_is_volume(pyramid, unit_cube, right_triangle, corpus2d):
     for P in [pyramid, unit_cube, right_triangle, *corpus2d[:6]]:
         wsp = ehrhart_polynomial(P)
