@@ -54,8 +54,6 @@ def build_gfun(P: Polytope, phi: WeightPoly | None = None) -> GFunction:
     """
     if phi is None:
         phi = WeightPoly.one(P.ambient_dim)
-    if phi.nvars != P.ambient_dim:
-        raise ValueError("weight polynomial dimension does not match polytope")
     n, d = P.ambient_dim, phi.degree
 
     sums = weighted_sum_poly(P, P.top_face(), phi)

@@ -49,8 +49,7 @@ class Face:
 class FaceLattice:
     """All faces of a polytope as a ranked poset ordered by inclusion."""
 
-    def __init__(self, polytope: Polytope, faces: list[Face]):
-        self.polytope = polytope
+    def __init__(self, faces: list[Face]):
         self.faces = tuple(faces)
         self._by_vertices = {f.vertex_indices: i for i, f in enumerate(self.faces)}
         self.empty_index = self._by_vertices[frozenset()]
@@ -206,7 +205,7 @@ def face_lattice(P: Polytope) -> FaceLattice:
         containing = frozenset(i for i, fs in enumerate(facet_sets) if vset <= fs and vset)
         faces.append(Face(vset, dim, containing))
     faces.sort(key=lambda f: (f.dim, sorted(f.vertex_indices)))
-    return FaceLattice(P, faces)
+    return FaceLattice(faces)
 
 
 def is_simple(P: Polytope) -> bool:

@@ -11,7 +11,7 @@ cyclotomic field of that point's own order on the roots exp(2*pi*i*rho_F),
 and that every orbit is complete is checked.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
-integral lives in the variables (t, h_1..h_m) and t is replaced by q(y+1)
+integral lives in the variables (h_1..h_m, t) and t is replaced by q(y+1)
 once, after the operator is applied.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, product
 
-from .algebra import MultiPoly, bernoulli
+from .algebra import MultiPoly, bernoulli, convolve, pascal_row
 from .cyclotomic import CycloNumber, cyclo_from_powers, cyclo_root_of_unity, euler_phi, trace
 from .gfun import build_gfun
 from .linalg import lattice_index, mat_inverse, mat_rank, solve_exact
@@ -101,22 +101,21 @@ def gamma_set(fan: NormalFan) -> GammaSet:
 
     Every cone of the fan is a face of the vertex cones containing it, so
     they hold every point.  Each is scanned by ``scan_box`` under
-    0 <= w_i . x <= d - 1, where rho_i = w_i . x / d and W / d is the inverse
-    generator matrix; ``solve_exact`` recomputes rho as a cross-check.  A
-    facet off the cone has exponent 0, cones sharing a point must agree,
-    and no root of unity is built.
+    0 <= w_i . x <= d - 1, where rho_i = w_i . x / d and w_i is the i-th
+    column of the vertex frame's W; ``solve_exact`` recomputes rho as a
+    cross-check.  A facet off the cone has exponent 0, cones sharing a point
+    must agree, and no root of unity is built.
     """
     P = fan.polytope
-    n = P.ambient_dim
     found: dict[tuple[int, ...], tuple] = {}
 
     for cone in fan.maximal_cones():
-        gens = cone.generators
-        rows = [[g[k] for g in gens] for k in range(n)]  # columns are generators
-        inverse, d = mat_inverse(rows)
-        constraints = [c for w in inverse for c in ((w, 0), ([-x for x in w], d - 1))]
-        lo = [sum(min(0, g[k]) for g in gens) for k in range(n)]
-        hi = [sum(max(0, g[k]) for g in gens) for k in range(n)]
+        rows = list(zip(*cone.generators))  # columns are generators
+        (vertex,) = P.face_lattice.faces[cone.face_index].vertex_indices
+        _, W, d = _vertex_frame(P, vertex)
+        constraints = [c for w in zip(*W) for c in ((w, 0), ([-x for x in w], d - 1))]
+        lo = [sum(min(0, x) for x in row) for row in rows]
+        hi = [sum(max(0, x) for x in row) for row in rows]
         for point in scan_box(lo, hi, constraints):
             rho = solve_exact(rows, point)
             if rho is None or any(r < 0 or r >= 1 for r in rho):
@@ -208,14 +207,22 @@ def h_variable_names(P: Polytope) -> list[str]:
     return [f"h{i + 1}" for i in range(len(P.halfspaces))]
 
 
-def dual_basis_at_vertex(P: Polytope, vertex_index: int):
-    """The rational vectors m_v^F dual to the facet normals through v,
-    keyed by facet index."""
+def _vertex_frame(P: Polytope, vertex_index: int):
+    """The sorted facets through a vertex, and (W, d) with W / d the inverse
+    of the matrix whose rows are their normals: column j of W / d is the
+    vector m_v^F dual to the j-th facet's normal."""
     lattice = P.face_lattice
     facets = sorted(lattice.faces[lattice.index_of({vertex_index})].containing_facets)
     if len(facets) != P.ambient_dim:
         raise ValueError("not simple at vertex")
     W, d = mat_inverse([P.halfspaces[j].normal for j in facets])
+    return facets, W, d
+
+
+def dual_basis_at_vertex(P: Polytope, vertex_index: int):
+    """The rational vectors m_v^F dual to the facet normals through v,
+    keyed by facet index."""
+    facets, W, d = _vertex_frame(P, vertex_index)
     return {fj: tuple(Fraction(row[j], d) for row in W) for j, fj in enumerate(facets)}
 
 
@@ -234,7 +241,8 @@ def deformed_vertex(P: Polytope, vertex_index: int):
 @dataclass
 class SymbolicIntegral:
     """Integral of the weight over the facet-deformed t-dilate, as a
-    polynomial in (t, h_1..h_m), valid in the chamber of P near h = 0."""
+    polynomial over the variables (h_1..h_m, t) in that order, valid in the
+    chamber of P near h = 0."""
 
     poly: MultiPoly
 
@@ -252,7 +260,7 @@ def _power_forms(phi: WeightPoly) -> dict:
     """w_b with phi = sum_b w_b <b + c, x>^d / d! for any shift c: for |a| = d,
     x^a = sum_{b <= a} (-1)^|a-b| prod_i C(a_i, b_i) <b + c, x>^d / d!."""
     weights: dict = {}
-    for a, coeff in phi.poly._mapped(tuple(f"x{i + 1}" for i in range(phi.nvars))).items():
+    for a, coeff in phi.terms.items():
         for b in product(*(range(k + 1) for k in a)):
             sign = (-1) ** (phi.degree - sum(b))
             weights[b] = weights.get(b, 0) + sign * coeff * math.prod(map(math.comb, a, b))
@@ -287,13 +295,12 @@ def symbolic_integral(P: Polytope, phi: WeightPoly) -> SymbolicIntegral:
         raise ValueError("normal fan machinery requires a simple polytope")
     if phi.nvars != P.ambient_dim:
         raise ValueError("weight polynomial dimension does not match polytope")
-    n, power, lattice = P.ambient_dim, phi.degree + P.ambient_dim, P.face_lattice
+    n, power = P.ambient_dim, phi.degree + P.ambient_dim
     names = (*h_variable_names(P), "t")
     table = _multinomials(power, n + 1)  # exponents of t and the h_F of v's facets
     cones = []
     for i, vertex in enumerate(P.vertices):
-        facets = sorted(lattice.faces[lattice.index_of({i})].containing_facets)
-        W, d = mat_inverse([P.halfspaces[j].normal for j in facets])
+        facets, W, d = _vertex_frame(P, i)
         slot = {f: j + 1 for j, f in enumerate(facets)}
         keys = [tuple(e[slot[f]] if f in slot else 0 for f in range(len(names) - 1)) + e[:1]
                 for e, _ in table]
@@ -368,7 +375,6 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     if integral.is_zero():  # a zero weight: nothing needs a coefficient table
         return MultiPoly(("q", "y"))
     order = integral.degree()
-    h_names = h_variable_names(P)
     scalars: dict[Fraction, list] = {}  # keyed by exponent: conjugate roots share a hash
     for rho, _ in orbits:
         for r in rho:
@@ -377,19 +383,14 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     tables = [([scalars[r] for r in rho], m) for rho, m in orbits]
 
     out: dict[tuple[int, int], Fraction] = {}
-    for exps, coeff in integral.terms.items():
-        named = dict(zip(integral.vars, exps))
-        power = named.pop("t", 0)
-        alpha = [named.get(name, 0) for name in h_names]
+    for (*alpha, power), coeff in integral.terms.items():  # vars (h_1..h_m, t)
         traced = [Fraction(0)] * (alpha.count(1) + 1)
         for orbit_scalars, m in tables:
             poly = [Fraction(1)]
             for table, k in zip(orbit_scalars, alpha):
                 s = table[k]
                 if k == 1:  # times s + (s - 1) y
-                    lower = [c * s for c in poly] + [Fraction(0)]
-                    upper = [Fraction(0)] + [c * (s - 1) for c in poly]
-                    poly = [u + v for u, v in zip(lower, upper)]
+                    poly = convolve(poly, (s, s - 1))
                 elif s:
                     poly = [c * s for c in poly]
                 else:
@@ -399,12 +400,10 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
                     traced[j] += trace(c, m)
         # t^e = q^e (y+1)^e joins the (y+1) power of the alpha_F != 1 factors
         shift = power + sum(k for k in alpha if k != 1)
-        scale = coeff * math.prod(math.factorial(k) for k in alpha)
-        for j, w in enumerate(traced):
+        scale = coeff * math.prod(map(math.factorial, alpha))
+        for j, w in enumerate(convolve(traced, pascal_row(shift))):
             if w:
-                for i in range(shift + 1):
-                    key = (power, i + j)
-                    out[key] = out.get(key, Fraction(0)) + scale * w * math.comb(shift, i)
+                out[power, j] = out.get((power, j), Fraction(0)) + scale * w
     return MultiPoly(("q", "y"), out)
 
 

@@ -36,7 +36,8 @@ class WeightPoly:
     """A homogeneous polynomial weight on the ambient space.
 
     Variables are x1..xn and exponents are nonnegative integers.  The
-    constant weight 1 has degree 0.
+    constant weight 1 has degree 0.  ``terms`` maps each full-width
+    exponent vector (one entry per x_i, in order) to its coefficient.
     """
 
     def __init__(self, poly: MultiPoly, nvars: int):
@@ -46,10 +47,13 @@ class WeightPoly:
             _check_exponents(exps)
         if not poly.is_homogeneous():
             raise ValueError("weight polynomial must be homogeneous")
-        names = {f"x{i + 1}" for i in range(nvars)}
+        names = [f"x{i + 1}" for i in range(nvars)]
         for v in poly.vars:
             if v not in names:
                 raise ValueError(f"unexpected weight variable {v!r}")
+        slot = {v: i for i, v in enumerate(poly.vars)}
+        self.terms = {tuple(exps[slot[x]] if x in slot else 0 for x in names): coeff
+                      for exps, coeff in poly.terms.items()}
         self.degree = max(poly.degree(), 0)
 
     @classmethod
@@ -62,13 +66,11 @@ class WeightPoly:
         return cls(MultiPoly.monomial(names, tuple(exps), coeff), nvars)
 
     def at_origin(self) -> Fraction:
-        return self.poly.evaluate({v: 0 for v in self.poly.vars})
+        return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def to_json(self) -> dict:
-        names = tuple(f"x{i + 1}" for i in range(self.nvars))
-        mapped = self.poly._mapped(names)
-        terms = [{"coeff": scalar_to_str(mapped[exps]), "exps": list(exps)}
-                 for exps in sorted(mapped)]
+        terms = [{"coeff": scalar_to_str(self.terms[exps]), "exps": list(exps)}
+                 for exps in sorted(self.terms)]
         return {"vars": self.nvars, "terms": terms}
 
     @classmethod
@@ -130,13 +132,14 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
     """
     if F.dim < 0:
         raise ValueError("weighted sums need a nonempty face")
+    if phi.nvars != P.ambient_dim:
+        raise ValueError("weight polynomial dimension does not match polytope")
     faces = [G for G in P.face_lattice.faces
              if G.dim >= 0 and G.vertex_indices <= F.vertex_indices]
     key_of = {G: tuple(sorted(G.containing_facets)) for G in faces}
     subfaces = {G: [H for H in faces if H.vertex_indices <= G.vertex_indices] for G in faces}
-    coords = [int(v[1:]) - 1 for v in phi.poly.vars]
-    monomials = [[(k, e) for k, e in zip(coords, exps) if e] for exps in phi.poly.terms]
-    coeffs = list(phi.poly.terms.values())
+    monomials = [[(k, e) for k, e in enumerate(exps) if e] for exps in phi.terms]
+    coeffs = list(phi.terms.values())
 
     last_q = F.dim + phi.degree + 1
     values = {G: [] for G in faces}

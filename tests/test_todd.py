@@ -520,6 +520,16 @@ def test_verify_mixed_weight(right_triangle):
     assert verify_todd_formula(right_triangle, phi2)
 
 
+def test_verify_weights_over_some_variables_in_any_order(unit_cube, right_triangle):
+    # the integral and the operator read phi's exponents by position
+    phi3 = WeightPoly(MultiPoly(("x3", "x1"), {(2, 1): F(3), (0, 3): F(-1, 2)}), 3)
+    box = build_polytope([(a, b, c) for a in (0, 2) for b in (0, 1) for c in (0, 1)])
+    for P in (unit_cube, box):
+        assert verify_todd_formula(P, phi3)
+    phi2 = WeightPoly(MultiPoly(("x2",), {(2,): F(5, 3)}), 2)
+    assert verify_todd_formula(right_triangle, phi2)
+
+
 def test_apply_todd_requires_simple(pyramid):
     with pytest.raises(ValueError, match="simple"):
         apply_todd(pyramid)

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from latticegfun import (MultiPoly, WeightPoly, check_ehrhart_macdonald,
-                         check_weighted_reciprocity, ehrhart_polynomial,
-                         iter_lattice_points, volume, weighted_sum_poly, wsum)
+from latticegfun import (MultiPoly, WeightPoly, build_gfun, build_polytope,
+                         check_ehrhart_macdonald, check_weighted_reciprocity,
+                         ehrhart_polynomial, iter_lattice_points, volume,
+                         weighted_sum_poly, wsum)
 
 F = Fraction
 q = MultiPoly.variable("q")
@@ -172,3 +173,51 @@ def test_vertex_face_sums(pyramid):
 def test_homogeneity_enforced():
     with pytest.raises(ValueError, match="homogeneous"):
         WeightPoly(MultiPoly(("x1",), {(1,): F(1), (0,): F(1)}), 1)
+
+
+@pytest.mark.parametrize("phi", [WeightPoly.monomial(3, (1, 0, 0)), WeightPoly.monomial(1, (1,))])
+def test_weight_dimension_must_match_polytope(right_triangle, phi):
+    # a weight with more or fewer variables than the polytope's dimension is
+    # rejected by every face-sum entry point, before any scan
+    P = right_triangle
+    for run in (lambda: weighted_sum_poly(P, P.top_face(), phi),
+                lambda: check_weighted_reciprocity(P, phi), lambda: build_gfun(P, phi)):
+        with pytest.raises(ValueError, match="dimension does not match polytope"):
+            run()
+
+
+# weights over a subset of x1..xn, or with their variables out of order,
+# with their full-width exponent tables
+PARTIAL_WEIGHTS = [
+    (WeightPoly(MultiPoly(("x3", "x1"), {(2, 1): F(3), (0, 3): F(-1, 2)}), 3),
+     {(1, 0, 2): F(3), (3, 0, 0): F(-1, 2)}),
+    (WeightPoly(MultiPoly(("x2",), {(2,): F(5, 3)}), 2), {(0, 2): F(5, 3)}),
+    (WeightPoly(MultiPoly(("x2", "x1"), {(1, 0): F(1), (0, 1): F(2)}), 2),
+     {(1, 0): F(2), (0, 1): F(1)}),
+]
+
+
+@pytest.mark.parametrize("phi, terms", PARTIAL_WEIGHTS)
+def test_weight_terms_are_full_width(phi, terms):
+    assert phi.terms == terms
+    data = phi.to_json()
+    assert data["terms"] == [{"coeff": str(terms[e]), "exps": list(e)} for e in sorted(terms)]
+    again = WeightPoly.from_json(data)
+    assert again.terms == terms and again.to_json() == data
+
+
+@pytest.mark.parametrize("phi", [phi for phi, _ in PARTIAL_WEIGHTS])
+def test_partial_weight_face_sums_match_brute_force(phi):
+    n = phi.nvars
+    P = build_polytope([(0,) * n] + [tuple(2 * (i == k) + (k == 0) for k in range(n))
+                                     for i in range(n)])
+    top = P.top_face()
+    wsp = weighted_sum_poly(P, top, phi)[top]
+    names = [f"x{i + 1}" for i in range(n)]
+    for qq in range(1, 5):
+        points = list(iter_lattice_points(P, top, qq))
+        interior = [x for x in points if all(h.value(x) + (qq - 1) * h.offset for h in P.halfspaces)]
+        for poly, pts in ((wsp.closed, points), (wsp.open, interior)):
+            brute = sum(phi.poly.evaluate({v: x for v, x in zip(names, point)
+                                           if v in phi.poly.vars}) for point in pts)
+            assert poly.evaluate({"q": qq}) == brute, (qq, phi.poly)
