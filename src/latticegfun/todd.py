@@ -8,7 +8,11 @@ facet-deformed dilate by Brion's vertex formula, and apply the operator.
 The points fall into Galois orbits of their exponent tuples; each orbit
 adds the rational trace of one representative's term, computed in the
 cyclotomic field of that point's own order on the roots exp(2*pi*i*rho_F),
-and that every orbit is complete is checked.
+and that every orbit is complete is checked.  Each root inverts 1 - a in
+closed form from its exponent.  The operator runs on integer tables: the
+coefficients s_k over one denominator per derivative order k, integral
+cyclotomic numbers promoted into each orbit's field once, and an orbit
+skipped by facet mask wherever some s_0(a_F) = 0 meets the term.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 integral lives in the variables (h_1..h_m, t) and t is replaced by q(y+1)
@@ -24,7 +28,8 @@ from functools import cached_property, lru_cache
 from itertools import count, product
 
 from .algebra import MultiPoly, bernoulli, convolve, pascal_row
-from .cyclotomic import CycloNumber, cyclo_from_powers, cyclo_root_of_unity, euler_phi, trace
+from .cyclotomic import (CycloNumber, _trace_numerator, cyclo_from_powers, cyclo_root_of_unity,
+                         euler_phi)
 from .gfun import build_gfun
 from .linalg import lattice_index, mat_inverse, mat_rank, solve_exact
 from .polytope import Polytope, scan_box
@@ -149,28 +154,29 @@ class ToddCoeffs:
 
 
 def _inv_scalar(v):
-    if isinstance(v, CycloNumber):
-        return v.inverse()
-    return 1 / Fraction(v)
+    return v.inverse() if isinstance(v, CycloNumber) else 1 / Fraction(v)
 
 
-def _inv_one_minus(a):
-    """1/(1 - a).  A root a = z^e stored as one power of the generator z of
-    its field, of order m, has 1/(1 - a) = -(1/m) sum_{j<m} j z^(e*j mod m),
-    confirmed by one product; anything else goes through ``_inv_scalar``."""
-    if isinstance(a, CycloNumber) and a.den == 1 and \
-            sorted(a.nums) == [0] * (len(a.nums) - 1) + [1]:
-        m, e = a.order, a.nums.index(1)
-        powers = [0] * m
-        for j in range(1, m):
-            powers[e * j % m] += j
-        inv = cyclo_from_powers(m, powers) * Fraction(-1, m)
-        if (1 - a) * inv == 1:
-            return inv
+def _inv_one_minus(a, exponent: Fraction | None = None):
+    """1/(1 - a).  A root a = exp(2*pi*i*e/m) has 1/(1 - a) =
+    -(1/m) sum_{j<m} j z^(e*j mod m), z = exp(2*pi*i/m), confirmed by one
+    product; e/m is the given exponent, or read from a root stored as one
+    power z^e.  Anything else goes through ``_inv_scalar``."""
+    if isinstance(a, CycloNumber):
+        if exponent is None and a.den == 1 and sorted(a.nums) == [0] * (len(a.nums) - 1) + [1]:
+            exponent = Fraction(a.nums.index(1), a.order)
+        if exponent is not None:
+            m, e = exponent.denominator, exponent.numerator
+            powers = [0] * m
+            for j in range(1, m):
+                powers[e * j % m] += j
+            inv = cyclo_from_powers(m, powers) * Fraction(-1, m)
+            if (1 - a) * inv == 1:
+                return inv
     return _inv_scalar(1 - a)
 
 
-def todd_coeffs(a, order: int) -> ToddCoeffs:
+def todd_coeffs(a, order: int, *, exponent: Fraction | None = None) -> ToddCoeffs:
     """Expand the operator d*(1 + a*y*exp(-d(y+1))) / (1 - a*exp(-d(y+1)))
     as a power series in the derivative symbol d, through the given order.
 
@@ -179,7 +185,7 @@ def todd_coeffs(a, order: int) -> ToddCoeffs:
     For a = 1, s_k = B_k/k! (the B_1 = +1/2 flavor).  For a != 1 the
     denominator is invertible at d = 0, and s_k is the (k-1)-th coefficient
     of the inverse of 1 - a*exp(-u) in u = d(y+1), inverted over the field
-    containing a.
+    containing a, in closed form when the exponent r of a = exp(2*pi*i*r) is given.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -193,7 +199,7 @@ def todd_coeffs(a, order: int) -> ToddCoeffs:
     else:
         # 1 - a*exp(-u) = (1 - a) + sum_{j>=1} (-1)^(j+1) a/j! u^j
         dens = {j: Fraction((-1) ** (j + 1), math.factorial(j)) * a for j in range(1, order + 1)}
-        inv0 = _inv_one_minus(a)
+        inv0 = _inv_one_minus(a, exponent)
         inverse = [inv0]
         for k in range(1, order + 1):
             inverse.append(-sum((dens[j] * inverse[k - j] for j in range(1, k + 1)),
@@ -326,27 +332,27 @@ def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
     """Split the gamma set into Galois orbits, as (r, m) pairs of a
     representative's exponents r_F and the order m of its field.
 
-    With a point's exponents r_F and m the lcm of their denominators, the
-    orbit is {k*r mod 1 : gcd(k, m) = 1}, of phi(m) distinct members.  The
-    gamma set must hold every member of each orbit it meets, and nothing
+    With a point's exponents n_F / m over the lcm m of their denominators,
+    the orbit is {k*n mod m : gcd(k, m) = 1}, of phi(m) distinct members.
+    The gamma set must hold every member of each orbit it meets, and nothing
     besides these orbits.  No root is built here.
     """
-    present = set(gam.exponents)
-    placed: set[tuple] = set()
+    keys = [(m, tuple(x.numerator * (m // x.denominator) for x in r))
+            for r in gam.exponents for m in [math.lcm(*(x.denominator for x in r))]]
+    unplaced = set(keys)
     orbits = []
-    for i, r in enumerate(gam.exponents):
-        if r in placed:
+    for i, (m, nums) in enumerate(keys):
+        if (m, nums) not in unplaced:
             continue
-        m = math.lcm(*(x.denominator for x in r))
-        members = [tuple(k * x % 1 for x in r) for k in range(1, m + 1) if math.gcd(k, m) == 1]
-        missing = next((member for member in members if member not in present), None)
+        members = [(m, tuple(k * x % m for x in nums)) for k in range(m) if math.gcd(k, m) == 1]
+        missing = next((member for _, member in members if (m, member) not in unplaced), None)
         if missing is not None:
             raise RuntimeError(
                 f"cyclotomic parts failed to cancel in the Todd sum: the Galois orbit of "
                 f"point {gam.points[i]} (order {m}) lacks the member with facet exponents "
-                f"({', '.join(map(str, missing))})")
-        placed.update(members)
-        orbits.append((r, m))
+                f"({', '.join(str(Fraction(x, m)) for x in missing)})")
+        unplaced.difference_update(members)
+        orbits.append((gam.exponents[i], m))
     covered = sum(euler_phi(m) for _, m in orbits)
     if covered != len(gam.points):
         raise RuntimeError(f"cyclotomic parts failed to cancel in the Todd sum: the Galois "
@@ -366,45 +372,62 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     summed by Galois orbits, each as the trace down to Q of a representative's
     product (y+1)^(sum of alpha_F != 1) * prod_{alpha_F != 1} s_{alpha_F}(a_F)
     * prod_{alpha_F = 1} (s_1 + (s_1 - 1) y), of which only the second factor,
-    a polynomial in y, is traced.
+    a polynomial in y, is traced.  It runs in integers: s_k is scaled by D_k,
+    the lcm of its denominators over every root met, and s_0(a) = 0 for
+    a != 1 skips each orbit with an a_F != 1 off alpha's support.
     """
     if phi is None:
         phi = WeightPoly.one(P.ambient_dim)
+    if phi.nvars != P.ambient_dim:
+        raise ValueError("weight polynomial dimension does not match polytope")
     orbits = _galois_orbits(gamma_set(normal_fan(P)))
     integral = symbolic_integral(P, phi).poly
     if integral.is_zero():  # a zero weight: nothing needs a coefficient table
         return MultiPoly(("q", "y"))
     order = integral.degree()
-    scalars: dict[Fraction, list] = {}  # keyed by exponent: conjugate roots share a hash
-    for rho, _ in orbits:
-        for r in rho:
-            if r not in scalars:
-                scalars[r] = todd_coeffs(_simplify_root(r), order).scalars
-    tables = [([scalars[r] for r in rho], m) for rho, m in orbits]
-
-    out: dict[tuple[int, int], Fraction] = {}
-    for (*alpha, power), coeff in integral.terms.items():  # vars (h_1..h_m, t)
-        traced = [Fraction(0)] * (alpha.count(1) + 1)
-        for orbit_scalars, m in tables:
-            poly = [Fraction(1)]
-            for table, k in zip(orbit_scalars, alpha):
-                s = table[k]
-                if k == 1:  # times s + (s - 1) y
-                    poly = convolve(poly, (s, s - 1))
+    scalars = {r: todd_coeffs(_simplify_root(r), order, exponent=r).scalars
+               for r in dict.fromkeys(r for rho, _ in orbits for r in rho)}
+    dens = [math.lcm(*(s.den if isinstance(s, CycloNumber) else s.denominator for s in col))
+            for col in zip(*scalars.values())]  # D_0 = 1
+    scaled = {r: [s * d if isinstance(s, CycloNumber) else s.numerator * (d // s.denominator)
+                  for s, d in zip(row, dens)] for r, row in scalars.items()}
+    tables = []  # (mask of the facets with a_F != 1, rows in the orbit's field, phi(m))
+    for rho, m in orbits:
+        rows = [[s.promote(m) if isinstance(s, CycloNumber) else s for s in scaled[r]]
+                for r in rho]
+        for row in rows:
+            row[1] = (row[1], row[1] - dens[1])  # D_1 (s_1 + (s_1 - 1) y)
+        tables.append((sum(1 << f for f, r in enumerate(rho) if r), rows, euler_phi(m)))
+    terms = [(alpha, power, coeff, coeff.denominator * math.prod(dens[k] for k in alpha))
+             for (*alpha, power), coeff in integral.terms.items()]  # vars (h_1..h_m, t)
+    common = math.lcm(*(den for *_, den in terms))
+    out = [[0] * (order + 1) for _ in range(order + 1)]  # [q][y] over common
+    for alpha, power, coeff, den in terms:
+        support = [(f, k) for f, k in enumerate(alpha) if k]
+        mask = sum(1 << f for f, _ in support)
+        traced = [0] * (alpha.count(1) + 1)
+        for orbit_mask, rows, phi_m in tables:
+            if orbit_mask & ~mask:  # some a_F != 1 meets s_0(a_F) = 0
+                continue
+            poly = [1]
+            for f, k in support:
+                s = rows[f][k]
+                if k == 1:
+                    poly = convolve(poly, s)
                 elif s:
                     poly = [c * s for c in poly]
                 else:
                     break
             else:
                 for j, c in enumerate(poly):
-                    traced[j] += trace(c, m)
+                    traced[j] += c * phi_m if isinstance(c, int) else _trace_numerator(c)
         # t^e = q^e (y+1)^e joins the (y+1) power of the alpha_F != 1 factors
         shift = power + sum(k for k in alpha if k != 1)
-        scale = coeff * math.prod(map(math.factorial, alpha))
+        scale = coeff.numerator * math.prod(map(math.factorial, alpha)) * (common // den)
         for j, w in enumerate(convolve(traced, pascal_row(shift))):
-            if w:
-                out[power, j] = out.get((power, j), Fraction(0)) + scale * w
-    return MultiPoly(("q", "y"), out)
+            out[power][j] += scale * w
+    return MultiPoly(("q", "y"), {(e, j): Fraction(c, common)
+                                  for e, row in enumerate(out) for j, c in enumerate(row) if c})
 
 
 def verify_todd_formula(P: Polytope, phi: WeightPoly | None = None) -> bool:

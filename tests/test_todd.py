@@ -1,5 +1,6 @@
 """Normal fans, parallelepiped points, Todd coefficients, symbolic
 integration, and the end-to-end operator identity."""
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -274,8 +275,8 @@ def test_todd_variants_agree():
 
 
 def test_inverse_of_one_minus_a_root_needs_no_euclid(monkeypatch):
-    # a root stored as one power z^e takes the closed form
-    # -(1/m) sum_j j a^j; any other value falls back to the inverse
+    # a root stored as one power z^e, or given with its exponent, takes the
+    # closed form -(1/m) sum_j j a^j; any other value falls back to the inverse
     closed = [cyclo_root_of_unity(num, den) for num, den in
               ((1, 3), (2, 5), (5, 21), (7, 30), (1, 43), (500, 997))]
     other = [cyclo_root_of_unity(29, 30), cyclo_root_of_unity(996, 997),
@@ -291,6 +292,9 @@ def test_inverse_of_one_minus_a_root_needs_no_euclid(monkeypatch):
     for a in closed:
         assert _inv_one_minus(a) == expected[id(a)]
         assert todd_coeffs(a, 4).scalars[1] == expected[id(a)]
+    for a, r in zip(other, (F(29, 30), F(996, 997))):
+        assert _inv_one_minus(a, r) == expected[id(a)]
+        assert todd_coeffs(a, 4, exponent=r).scalars[1] == expected[id(a)]
 
 
 def test_todd_coeffs_rejects_zero():
@@ -654,9 +658,9 @@ def test_apply_todd_reaches_todd_coeffs_through_the_module_global(monkeypatch):
     roots = []
     original = todd.todd_coeffs
 
-    def counted(a, order):
+    def counted(a, order, **kwargs):
         roots.append(a)
-        return original(a, order)
+        return original(a, order, **kwargs)
 
     monkeypatch.setattr(todd, "todd_coeffs", counted)
     assert apply_todd(P) == expected
@@ -687,3 +691,65 @@ def test_verify_index_1849_simplex():
     P = build_polytope([(0, 1, 3), (1, 0, -1), (2, -2, 2), (3, 3, -1)])
     assert all(c.index == 1849 for c in normal_fan(P).maximal_cones())
     assert verify_todd_formula(P)
+
+
+HIGH_INDEX = [[(0, 0), (60, 0), (0, 37)], [(0, 0, 0), (5, 0, 0), (0, 7, 0), (0, 0, 3)]]
+
+
+def test_apply_todd_calls_no_extended_euclid(monkeypatch):
+    # apply_todd passes each root's exponent to todd_coeffs, so every root,
+    # whether or not it is stored as one power, takes the closed form
+    shapes = [build_polytope(v) for v in HIGH_INDEX]
+    expected = [apply_todd(P) for P in shapes]
+
+    def refuse(self):
+        raise AssertionError("extended Euclid called")
+
+    monkeypatch.setattr(CycloNumber, "inverse", refuse)
+    assert [apply_todd(P) for P in shapes] == expected
+
+
+def test_apply_todd_rejects_a_wrong_dimension_weight_before_the_scan(monkeypatch):
+    def refuse(fan):
+        raise AssertionError("gamma_set called")
+
+    monkeypatch.setattr(todd, "gamma_set", refuse)
+    triangle = build_polytope([(0, 0), (3, 0), (0, 1)])
+    with pytest.raises(ValueError, match="weight polynomial dimension does not match polytope"):
+        apply_todd(triangle, WeightPoly.monomial(3, (1, 0, 0)))
+
+
+def test_apply_todd_convolves_no_fraction(monkeypatch, corpus3d):
+    # the operator runs on integer tables: each entry is an int or an
+    # integral cyclotomic number, and one Fraction per output coefficient is
+    # built at the end
+    cases = [(build_polytope(HIGH_INDEX[1]), WeightPoly.monomial(3, (2, 0, 0)))]
+    cases += [(P, WeightPoly.one(3)) for P in corpus3d if P.simple]
+    expected = [apply_todd(P, phi) for P, phi in cases]
+    original = todd.convolve
+
+    def integral_only(a, b):
+        assert not any(isinstance(c, Fraction) for c in (*a, *b)), (a, b)
+        return original(a, b)
+
+    monkeypatch.setattr(todd, "convolve", integral_only)
+    assert [apply_todd(P, phi) for P, phi in cases] == expected
+
+
+# sha256 of the JSON list of apply_todd(P, phi).to_json() for each shape and
+# the weights 1, x1 and x1^2, taken before the operator moved onto integer
+# tables
+TODD_SHAPES = [[(0, 0), (30, 0), (0, 17)], [(0, 0), (60, 0), (0, 37)],
+               [(0, 0, 0), (4, 0, 0), (0, 5, 0), (0, 0, 3)], HIGH_INDEX[1]]
+TODD_DIGEST = "cc31d008b8cd328d2be532e69e03d9d849fe198c8842c496783a60303718be71"
+
+
+def test_apply_todd_json_digest():
+    out = []
+    for vertices in TODD_SHAPES:
+        P = build_polytope(vertices)
+        n = P.ambient_dim
+        for phi in (WeightPoly.one(n), WeightPoly.monomial(n, (1,) + (0,) * (n - 1)),
+                    WeightPoly.monomial(n, (2,) + (0,) * (n - 1))):
+            out.append(apply_todd(P, phi).to_json())
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == TODD_DIGEST
