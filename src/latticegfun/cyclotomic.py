@@ -412,18 +412,3 @@ def _trace_numerator(x: CycloNumber) -> int:
     """x.den times the trace of x over its own field."""
     return sum(c * s for c, s in zip(x.nums, _ramanujan_sums(x.order)) if c)
 
-
-def trace(x, order: int) -> Fraction:
-    """The trace of x from the cyclotomic field of the given order down to Q.
-
-    On the power basis the trace of z_d^e is the Ramanujan sum c_d(e).  An
-    x stored at an order d dividing ``order`` lies in a subfield, and the
-    trace over the full field is phi(order)/phi(d) times its own.
-    """
-    if isinstance(x, (int, Fraction)):
-        return euler_phi(order) * Fraction(x)
-    if not isinstance(x, CycloNumber):
-        raise TypeError(f"cannot take the trace of {type(x).__name__}")
-    if order % x.order:
-        raise ValueError("the element's order must divide the field order")
-    return Fraction(_trace_numerator(x) * (euler_phi(order) // euler_phi(x.order)), x.den)

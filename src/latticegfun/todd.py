@@ -8,8 +8,9 @@ facet-deformed dilate by Brion's vertex formula, and apply the operator.
 The points fall into Galois orbits of their exponent tuples; each orbit
 adds the rational trace of one representative's term, computed in the
 cyclotomic field of that point's own order on the roots exp(2*pi*i*rho_F),
-and that every orbit is complete is checked.  Each root inverts 1 - a in
-closed form from its exponent.  The operator runs on integer tables: the
+and that every orbit is complete is checked.  Each root's coefficients
+come from one closed form in Bernoulli polynomials at its exponent,
+summed in integers.  The operator runs on integer tables: the
 coefficients s_k over one denominator per derivative order k, integral
 cyclotomic numbers promoted into each orbit's field once, and an orbit
 skipped by facet mask wherever some s_0(a_F) = 0 meets the term.
@@ -141,7 +142,7 @@ class ToddCoeffs:
     derivative, for a fixed root of unity a: the k-th is s_k * (y+1)^k,
     except that y is subtracted at k = 1."""
 
-    scalars: list  # index k -> s_k, rational or in the field of a
+    scalars: list  # index k -> s_k, a Fraction when rational, else in the field of a
 
     @cached_property
     def coeffs(self) -> list[MultiPoly]:
@@ -153,27 +154,22 @@ class ToddCoeffs:
         return out
 
 
+# acceptance criterion 6 imports this to build its expected rows
 def _inv_scalar(v):
     return v.inverse() if isinstance(v, CycloNumber) else 1 / Fraction(v)
 
 
-def _inv_one_minus(a, exponent: Fraction | None = None):
-    """1/(1 - a).  A root a = exp(2*pi*i*e/m) has 1/(1 - a) =
-    -(1/m) sum_{j<m} j z^(e*j mod m), z = exp(2*pi*i/m), confirmed by one
-    product; e/m is the given exponent, or read from a root stored as one
-    power z^e.  Anything else goes through ``_inv_scalar``."""
-    if isinstance(a, CycloNumber):
-        if exponent is None and a.den == 1 and sorted(a.nums) == [0] * (len(a.nums) - 1) + [1]:
-            exponent = Fraction(a.nums.index(1), a.order)
-        if exponent is not None:
-            m, e = exponent.denominator, exponent.numerator
-            powers = [0] * m
-            for j in range(1, m):
-                powers[e * j % m] += j
-            inv = cyclo_from_powers(m, powers) * Fraction(-1, m)
-            if (1 - a) * inv == 1:
-                return inv
-    return _inv_scalar(1 - a)
+@lru_cache(maxsize=None)
+def _todd_sums(m: int, k: int) -> tuple[tuple[int, ...], Fraction]:
+    """Integers N_j (j < m) and a scale c with s_k(a) = c sum_j N_j a^j for
+    each primitive m-th root a: N_j / D = m^k B_k(j/m) = sum_i C(k,i) B_i
+    m^i j^(k-i) with B_1 = -1/2, and c = (-1)^k / (m k! D)."""
+    row = [math.comb(k, i) * (Fraction(-1, 2) if i == 1 else bernoulli(i)) * m ** i
+           for i in range(k + 1)]
+    den = math.lcm(*(c.denominator for c in row))
+    row = [c.numerator * (den // c.denominator) for c in row]
+    sums = tuple(sum(c * j ** (k - i) for i, c in enumerate(row)) for j in range(m))
+    return sums, Fraction((-1) ** k, m * math.factorial(k) * den)
 
 
 def todd_coeffs(a, order: int, *, exponent: Fraction | None = None) -> ToddCoeffs:
@@ -182,30 +178,34 @@ def todd_coeffs(a, order: int, *, exponent: Fraction | None = None) -> ToddCoeff
 
     In the split form (y+1)d / (1 - a exp(-d(y+1))) - y*d every coefficient
     is a scalar s_k times (y+1)^k, except that y is subtracted at k = 1.
-    For a = 1, s_k = B_k/k! (the B_1 = +1/2 flavor).  For a != 1 the
-    denominator is invertible at d = 0, and s_k is the (k-1)-th coefficient
-    of the inverse of 1 - a*exp(-u) in u = d(y+1), inverted over the field
-    containing a, in closed form when the exponent r of a = exp(2*pi*i*r) is given.
+    For a = exp(2*pi*i*e/m), e/m in lowest terms (m = 1 for a = 1),
+        s_k = (-1)^k m^(k-1)/k! sum_{j<m} B_k(j/m) a^j,
+    B_k the Bernoulli polynomials: s_0 = [a = 1], s_k = B_k/k! (B_1 = +1/2)
+    at a = 1, and s_1 = 1/(1 - a) otherwise.  m^k B_k(j/m), in integers,
+    is the coefficient of z^(e*j mod m), z = exp(2*pi*i/m), so no product
+    in the field is taken.  A given exponent e/m must give a; else a is
+    multiplied by exp(2*pi*i/lcm(2, order of a)) until it reaches 1.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    if not (isinstance(a, CycloNumber) or isinstance(a, (int, Fraction))):
+    if not isinstance(a, (int, Fraction, CycloNumber)):
         raise ValueError("a must be a rational or cyclotomic number")
-    if a == 0:
-        raise ValueError("a must be a nonzero root of unity")
+    if exponent is None:  # a root in Q(zeta_N) is an m-th root, m = lcm(2, N)
+        m = math.lcm(2, a.order if isinstance(a, CycloNumber) else 1)
+        z, x, j = _simplify_root(Fraction(1, m)), a, 0
+        while x != 1:  # x = a z^j, which is 1 at j = -e mod m
+            if j == m:
+                raise ValueError("a must be a nonzero root of unity")
+            x, j = x * z, j + 1
+        exponent = Fraction(-j % m, m)
+    elif _simplify_root(exponent) != a:
+        raise ValueError(f"a is not the root of unity of exponent {exponent}")
 
-    if a == 1:
-        scalars = [bernoulli(k) / math.factorial(k) for k in range(order + 1)]
-    else:
-        # 1 - a*exp(-u) = (1 - a) + sum_{j>=1} (-1)^(j+1) a/j! u^j
-        dens = {j: Fraction((-1) ** (j + 1), math.factorial(j)) * a for j in range(1, order + 1)}
-        inv0 = _inv_one_minus(a, exponent)
-        inverse = [inv0]
-        for k in range(1, order + 1):
-            inverse.append(-sum((dens[j] * inverse[k - j] for j in range(1, k + 1)),
-                                Fraction(0)) * inv0)
-        scalars = ([0] + inverse)[: order + 1]
-    return ToddCoeffs(scalars)
+    m = exponent.denominator
+    inv = pow(exponent.numerator, -1, m)  # N_j goes to z^p for p = e*j mod m
+    scalars = [cyclo_from_powers(m, [sums[p * inv % m] for p in range(m)]) * scale
+               for sums, scale in (_todd_sums(m, k) for k in range(order + 1))]
+    return ToddCoeffs([s.as_rational() if s.is_rational() else s for s in scalars])
 
 
 def h_variable_names(P: Polytope) -> list[str]:

@@ -15,7 +15,7 @@ from latticegfun import (CycloNumber, GammaSet, MultiPoly, WeightPoly, apply_tod
                          todd, todd_coeffs, verify_todd_formula)
 from latticegfun.cyclotomic import euler_phi
 from latticegfun.linalg import det
-from latticegfun.todd import _inv_one_minus, _inv_scalar
+from latticegfun.todd import _inv_scalar
 
 from integral_reference import triangulation_integral
 from linalg_reference import solve
@@ -265,36 +265,63 @@ def quotient_todd_coeffs(a, order):
 
 
 def test_todd_variants_agree():
-    # the split form the library uses against the quotient expansion; a = 1
-    # is covered by the Bernoulli-row tests
-    for a in (F(-1), cyclo_root_of_unity(1, 3), cyclo_root_of_unity(1, 4)):
+    # the closed form the library uses against the quotient expansion, for
+    # all 45 roots of orders 2 to 12; a = 1 is covered by the Bernoulli-row
+    # tests
+    roots = [cyclo_root_of_unity(k, m) for m in range(2, 13) for k in range(m)
+             if math.gcd(k, m) == 1]
+    assert len(roots) == 45
+    for a in roots:
+        a = a.as_rational() or a
         split = todd_coeffs(a, 6)
         quotient = quotient_todd_coeffs(a, 6)
         for k in range(7):
             assert split.coeffs[k] == quotient[k], (a, k)
 
 
-def test_inverse_of_one_minus_a_root_needs_no_euclid(monkeypatch):
-    # a root stored as one power z^e, or given with its exponent, takes the
-    # closed form -(1/m) sum_j j a^j; any other value falls back to the inverse
-    closed = [cyclo_root_of_unity(num, den) for num, den in
-              ((1, 3), (2, 5), (5, 21), (7, 30), (1, 43), (500, 997))]
-    other = [cyclo_root_of_unity(29, 30), cyclo_root_of_unity(996, 997),
-             2 * cyclo_root_of_unity(1, 5), F(-1), F(3)]
-    expected = {id(a): _inv_scalar(1 - a) for a in closed + other}
-    for a in other:
-        assert _inv_one_minus(a) == expected[id(a)]
+def refuse_inverse(self):
+    raise AssertionError("extended Euclid called")
 
-    def refuse(self):
-        raise AssertionError("extended Euclid called")
 
-    monkeypatch.setattr(CycloNumber, "inverse", refuse)
-    for a in closed:
-        assert _inv_one_minus(a) == expected[id(a)]
-        assert todd_coeffs(a, 4).scalars[1] == expected[id(a)]
-    for a, r in zip(other, (F(29, 30), F(996, 997))):
-        assert _inv_one_minus(a, r) == expected[id(a)]
-        assert todd_coeffs(a, 4, exponent=r).scalars[1] == expected[id(a)]
+def test_one_over_one_minus_a_needs_no_euclid(monkeypatch):
+    # s_1(a) = 1/(1 - a) takes the closed form for every root, whether or
+    # not it is stored as one power z^e, with or without its exponent; the
+    # exponent must give the root, and a value that is no root of unity is
+    # refused
+    roots = [(F(num, den), cyclo_root_of_unity(num, den)) for num, den in
+             ((1, 3), (2, 5), (5, 21), (7, 30), (1, 43), (500, 997), (29, 30), (996, 997))]
+    roots.append((F(1, 2), F(-1)))
+    expected = [_inv_scalar(1 - a) for _, a in roots]
+    monkeypatch.setattr(CycloNumber, "inverse", refuse_inverse)
+    for (r, a), inv in zip(roots, expected):
+        assert todd_coeffs(a, 4).scalars[1] == inv, r
+        assert todd_coeffs(a, 4, exponent=r).scalars[1] == inv, r
+        with pytest.raises(ValueError, match="is not the root of unity of exponent"):
+            todd_coeffs(a, 4, exponent=r + F(1, 3))
+    for a in (2 * cyclo_root_of_unity(1, 5), F(3), F(0)):
+        with pytest.raises(ValueError, match="a must be a nonzero root of unity"):
+            todd_coeffs(a, 4)
+
+
+def test_todd_coeffs_given_the_exponent_multiply_nothing_in_the_field(monkeypatch):
+    # every s_k is one reduction of integer power sums times a Fraction: no
+    # product of two field elements and no inverse
+    roots = [(F(num, den), cyclo_root_of_unity(num, den)) for num, den in
+             ((7, 30), (29, 30), (1, 37), (20, 37), (500, 997), (996, 997))]
+    original = CycloNumber.__mul__
+
+    def scalar_only(self, other):
+        if isinstance(other, CycloNumber):
+            raise AssertionError("product in the field")
+        return original(self, other)
+
+    monkeypatch.setattr(CycloNumber, "__mul__", scalar_only)
+    monkeypatch.setattr(CycloNumber, "__rmul__", scalar_only)
+    monkeypatch.setattr(CycloNumber, "inverse", refuse_inverse)
+    rows = [todd_coeffs(a, 6, exponent=r).scalars for r, a in roots]
+    monkeypatch.undo()
+    for (r, a), scalars in zip(roots, rows):
+        assert len(scalars) == 7 and scalars[0] == 0 and (1 - a) * scalars[1] == 1, r
 
 
 def test_todd_coeffs_rejects_zero():
@@ -702,10 +729,7 @@ def test_apply_todd_calls_no_extended_euclid(monkeypatch):
     shapes = [build_polytope(v) for v in HIGH_INDEX]
     expected = [apply_todd(P) for P in shapes]
 
-    def refuse(self):
-        raise AssertionError("extended Euclid called")
-
-    monkeypatch.setattr(CycloNumber, "inverse", refuse)
+    monkeypatch.setattr(CycloNumber, "inverse", refuse_inverse)
     assert [apply_todd(P) for P in shapes] == expected
 
 
