@@ -11,7 +11,7 @@ sums with the factor at -y.  Every build computes both, each in a dense
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import MultiPoly, convolve, pascal_row, poly_from_list, poly_to_list
@@ -20,15 +20,10 @@ from .polytope import Polytope, build_polytope, volume
 from .wsum import WeightPoly, weighted_sum_poly
 
 
-@dataclass
-class GFunction:
+class GFunction(namedtuple("GFunction", "poly n d polytope phi")):
     """An assembled generating function with its provenance."""
 
-    poly: MultiPoly
-    n: int
-    d: int
-    polytope: Polytope
-    phi: WeightPoly
+    __slots__ = ()
 
 
 def _cleared_dual_factor(g_poly: MultiPoly, codim: int) -> MultiPoly:

@@ -9,7 +9,7 @@ vertices).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -17,19 +17,16 @@ from itertools import combinations
 from .linalg import affine_rank, det, mat_rank, nullspace_vector
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(namedtuple("HalfSpace", "normal offset")):
     """Inward halfspace <x, normal> + offset >= 0 with primitive normal."""
 
-    normal: tuple[int, ...]
-    offset: int
+    __slots__ = ()
 
     def value(self, point):
         return sum(a * b for a, b in zip(point, self.normal)) + self.offset
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "vertex_indices dim containing_facets")):
     """A face of a polytope, identified by its vertex set.
 
     The empty face has ``dim == -1`` and an empty vertex set; the polytope
@@ -37,9 +34,7 @@ class Face:
     polytope's halfspace list.
     """
 
-    vertex_indices: frozenset[int]
-    dim: int
-    containing_facets: frozenset[int]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

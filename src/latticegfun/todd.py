@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, product
@@ -37,13 +37,10 @@ from .polytope import Polytope, scan_box
 from .wsum import WeightPoly
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(namedtuple("Cone", "generators facet_indices face_index")):
     """Normal cone of a face: spanned by the normals of its facets."""
 
-    generators: tuple[tuple[int, ...], ...]
-    facet_indices: tuple[int, ...]
-    face_index: int
+    __slots__ = ()
 
     @property
     def index(self) -> int:
@@ -51,24 +48,20 @@ class Cone:
         return lattice_index(self.generators)
 
 
-@dataclass
-class NormalFan:
-    polytope: Polytope
-    cones: tuple[Cone, ...]
+class NormalFan(namedtuple("NormalFan", "polytope cones")):
+    __slots__ = ()
 
     def maximal_cones(self):
         return [c for c in self.cones if len(c.generators) == self.polytope.ambient_dim]
 
 
-@dataclass
-class GammaSet:
+class GammaSet(namedtuple("GammaSet", "points exponents")):
     """Lattice points of the half-open cone parallelepipeds, with every
     facet's exponent at each point: the support function of facet F takes
     the root of unity exp(2*pi*i*rho_F) there, and rho_F is 0 for a facet
-    off the point's cone."""
+    off the point's cone.  ``exponents`` holds rho_F in [0, 1) per facet."""
 
-    points: tuple[tuple[int, ...], ...]
-    exponents: tuple[tuple[Fraction, ...], ...]  # rho_F in [0, 1) per facet
+    __slots__ = ()
 
     @property
     def a_values(self) -> tuple[tuple[object, ...], ...]:
@@ -136,13 +129,12 @@ def gamma_set(fan: NormalFan) -> GammaSet:
     return GammaSet(tuple(points), tuple(found[p] for p in points))
 
 
-@dataclass
-class ToddCoeffs:
+class ToddCoeffs(namedtuple("ToddCoeffs", "scalars")):
     """Power-series coefficients of the y-deformed Todd operator in one
     derivative, for a fixed root of unity a: the k-th is s_k * (y+1)^k,
-    except that y is subtracted at k = 1."""
-
-    scalars: list  # index k -> s_k, a Fraction when rational, else in the field of a
+    except that y is subtracted at k = 1.  ``scalars[k]`` is s_k, a Fraction
+    when rational, else in the field of a.  No ``__slots__``: ``coeffs``
+    caches in the instance ``__dict__``."""
 
     @cached_property
     def coeffs(self) -> list[MultiPoly]:
@@ -244,13 +236,12 @@ def deformed_vertex(P: Polytope, vertex_index: int):
                  for k, x in enumerate(P.vertices[vertex_index]))
 
 
-@dataclass
-class SymbolicIntegral:
+class SymbolicIntegral(namedtuple("SymbolicIntegral", "poly")):
     """Integral of the weight over the facet-deformed t-dilate, as a
     polynomial over the variables (h_1..h_m, t) in that order, valid in the
     chamber of P near h = 0."""
 
-    poly: MultiPoly
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ and phi(0) = 0 when deg phi > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
@@ -111,13 +111,10 @@ def _check_exponents(exps: tuple) -> tuple:
     return exps
 
 
-@dataclass
-class WeightedSumPoly:
+class WeightedSumPoly(namedtuple("WeightedSumPoly", "face closed open")):
     """Closed and relative-interior weighted sums of one face, in q."""
 
-    face: Face
-    closed: MultiPoly
-    open: MultiPoly
+    __slots__ = ()
 
 
 def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, WeightedSumPoly]:

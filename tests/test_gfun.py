@@ -1,5 +1,4 @@
 """Assembly of G(q, y), its functional equation, and derived profiles."""
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -217,7 +216,7 @@ def perturb_one_open(monkeypatch):
     def perturbed(P, F, phi):
         sums = real(P, F, phi)
         face = next(iter(sums))
-        sums[face] = dataclasses.replace(sums[face], open=sums[face].open + q)
+        sums[face] = sums[face]._replace(open=sums[face].open + q)
         return sums
 
     monkeypatch.setattr(gfun, "weighted_sum_poly", perturbed)

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +20,16 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every CLI process pays for what the package imports; dataclasses drags
+    # in inspect, ast, dis and tokenize.  -S keeps site from preloading them.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import latticegfun.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_tracer_sites_resolve():
