@@ -1,10 +1,9 @@
 """Lattice polytopes: V- and H-representations, face lattice, enumeration.
 
 Polytopes are always full-dimensional with vertices in Z^n; the lattice is
-fixed as Z^n.  Facet enumeration works by an exhaustive supporting
-hyperplane scan over n-point subsets, which is exact and entirely adequate
-at the scale this package targets (dimension at most ~4, a few dozen
-vertices).
+fixed as Z^n.  The facets come from an incremental double-description hull
+over the integers, whose cost follows the facets it meets rather than the
+number of n-point subsets of the input.
 """
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from .linalg import affine_rank, det, mat_rank, nullspace_vector
 
@@ -113,12 +111,11 @@ class Polytope:
 def build_polytope(points) -> Polytope:
     """Build a lattice polytope from integer points.
 
-    Duplicates and non-extreme points are dropped.  The H-representation is
-    found by scanning every hyperplane spanned by an affinely independent
-    n-subset of the input and keeping those with all points on one closed
-    side.  Its normal is the primitive integer nullspace vector of the
-    subset's difference rows (None when they have rank below n - 1), turned
-    inward.
+    Duplicates and non-extreme points are dropped.  The facets come from
+    ``_hull``, sorted by (normal, offset), so they do not depend on the
+    order of the input; the vertices are the input points on n facets with
+    independent normals, sorted.  A point outside a facet breaks the hull
+    and raises ``RuntimeError``.
     """
     if not isinstance(points, (list, tuple)):
         raise ValueError("vertices must be a list of coordinate lists")
@@ -140,39 +137,63 @@ def build_polytope(points) -> Polytope:
     if affine_rank(pts) != n:
         raise ValueError("polytope not full-dimensional")
 
-    halfspaces: set[HalfSpace] = set()
-    # input points on each facet found so far, as bitmasks; an n-subset
-    # inside one of them can only span that facet again
-    facet_masks: list[int] = []
-    for subset in combinations(range(len(pts)), n):
-        mask = sum(1 << i for i in subset)
-        if any(mask & fm == mask for fm in facet_masks):
-            continue
-        base = pts[subset[0]]
-        # the base's own zero row keeps the matrix nonempty when n = 1
-        diffs = [[pts[i][k] - base[k] for k in range(n)] for i in subset]
-        u = nullspace_vector(diffs)
-        if u is None:
-            continue
-        c = sum(a * b for a, b in zip(base, u))
-        sides = [sum(a * b for a, b in zip(p, u)) - c for p in pts]
-        if all(s >= 0 for s in sides):
-            halfspaces.add(HalfSpace(u, -c))
-        elif all(s <= 0 for s in sides):
-            neg = tuple(-x for x in u)
-            halfspaces.add(HalfSpace(neg, c))
-        else:
-            continue
-        facet_masks.append(sum(1 << i for i, s in enumerate(sides) if s == 0))
-
-    facets = sorted(halfspaces, key=lambda h: (h.normal, h.offset))
+    facets = sorted(_hull(pts, n), key=lambda h: (h.normal, h.offset))
     vertices = []
     for p in pts:
-        active = [h.normal for h in facets if h.value(p) == 0]
+        values = [h.value(p) for h in facets]
+        if min(values) < 0:
+            h = facets[values.index(min(values))]
+            raise RuntimeError(f"hull invariant violated: point {p} is outside facet {h}")
+        active = [h.normal for h, v in zip(facets, values) if v == 0]
         if len(active) >= n and mat_rank(active) == n:
             vertices.append(p)
     vertices.sort()
     return Polytope(vertices, facets)
+
+
+def _hull(pts, n) -> list[HalfSpace]:
+    """The facets of the hull of distinct lattice points spanning Z^n, by
+    double description over the integers (README, "How the hull is built"):
+    from a simplex of the first independent points, each further point
+    beyond some facets replaces them by the facets through it and the
+    ridges between adjacent facets it is beyond and strictly beneath.
+    """
+    rows, simplex = [], [0]
+    for i in range(1, len(pts)):
+        row = [a - b for a, b in zip(pts[i], pts[0])]
+        if len(simplex) <= n and mat_rank(rows + [row]) > len(rows):
+            rows.append(row)
+            simplex.append(i)
+    facets = []  # (halfspace, mask of the points on it)
+    for out in simplex:
+        on = [i for i in simplex if i != out]
+        base = pts[on[0]]
+        # the base's own zero row keeps the matrix nonempty when n = 1
+        u = nullspace_vector([[a - b for a, b in zip(pts[i], base)] for i in on])
+        h = HalfSpace(u, -sum(a * b for a, b in zip(u, base)))
+        if h.value(pts[out]) < 0:
+            h = HalfSpace(tuple(-a for a in h.normal), -h.offset)
+        facets.append((h, sum(1 << i for i in on)))
+    for i, p in enumerate(pts):
+        if i in simplex:
+            continue
+        bit = 1 << i
+        values = [h.value(p) for h, _ in facets]
+        beneath = [(h, m, v) for (h, m), v in zip(facets, values) if v > 0]
+        beyond = [(h, m, v) for (h, m), v in zip(facets, values) if v < 0]
+        kept = [(h, m | bit if v == 0 else m) for (h, m), v in zip(facets, values) if v >= 0]
+        for f, fm, fv in beneath:
+            for g, gm, gv in beyond:
+                ridge = fm & gm  # a ridge lies in two facets, a smaller face in three or more
+                if ridge.bit_count() < n - 1 or sum(m & ridge == ridge for _, m in facets) > 2:
+                    continue
+                # zero at p and on the ridge, positive on every point before p
+                u = [fv * a - gv * b for a, b in zip(g.normal, f.normal)]
+                d = math.gcd(*u)  # the offset stays integral: p is a lattice point
+                kept.append((HalfSpace(tuple(a // d for a in u),
+                                       (fv * g.offset - gv * f.offset) // d), ridge | bit))
+        facets = kept
+    return [h for h, _ in facets]
 
 
 def face_lattice(P: Polytope) -> FaceLattice:

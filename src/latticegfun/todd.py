@@ -175,14 +175,18 @@ def todd_coeffs(a, order: int, *, exponent: Fraction | None = None) -> ToddCoeff
     B_k the Bernoulli polynomials: s_0 = [a = 1], s_k = B_k/k! (B_1 = +1/2)
     at a = 1, and s_1 = 1/(1 - a) otherwise.  m^k B_k(j/m), in integers,
     is the coefficient of z^(e*j mod m), z = exp(2*pi*i/m), so no product
-    in the field is taken.  A given exponent e/m must give a; else a is
-    multiplied by exp(2*pi*i/lcm(2, order of a)) until it reaches 1.
+    in the field is taken.  Given the exponent e/m, a may be None, and no
+    root is built; given both, the exponent must give a.  Given a alone, a
+    is multiplied by exp(2*pi*i/lcm(2, order of a)) until it reaches 1.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    if not isinstance(a, (int, Fraction, CycloNumber)):
+    if a is None:
+        if exponent is None:
+            raise ValueError("todd_coeffs needs a or its exponent")
+    elif not isinstance(a, (int, Fraction, CycloNumber)):
         raise ValueError("a must be a rational or cyclotomic number")
-    if exponent is None:  # a root in Q(zeta_N) is an m-th root, m = lcm(2, N)
+    elif exponent is None:  # a root in Q(zeta_N) is an m-th root, m = lcm(2, N)
         m = math.lcm(2, a.order if isinstance(a, CycloNumber) else 1)
         z, x, j = _simplify_root(Fraction(1, m)), a, 0
         while x != 1:  # x = a z^j, which is 1 at j = -e mod m
@@ -376,7 +380,7 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     if integral.is_zero():  # a zero weight: nothing needs a coefficient table
         return MultiPoly(("q", "y"))
     order = integral.degree()
-    scalars = {r: todd_coeffs(_simplify_root(r), order, exponent=r).scalars
+    scalars = {r: todd_coeffs(None, order, exponent=r).scalars
                for r in dict.fromkeys(r for rho, _ in orbits for r in rho)}
     dens = [math.lcm(*(s.den if isinstance(s, CycloNumber) else s.denominator for s in col))
             for col in zip(*scalars.values())]  # D_0 = 1

@@ -266,6 +266,24 @@ def test_exit_2_on_reciprocity_failure(capsys, triangle_file, monkeypatch):
     assert payload["transformed"] == reciprocity_image(broken).to_json()
 
 
+def test_exit_2_on_a_broken_hull(capsys, triangle_file, monkeypatch):
+    # the facet y >= 0 moved inward by one leaves the origin outside it
+    from latticegfun import polytope
+    hull = polytope._hull
+
+    def shifted(pts, n):
+        return [h._replace(offset=h.offset - 1) if h.normal == (0, 1) else h
+                for h in hull(pts, n)]
+
+    monkeypatch.setattr(polytope, "_hull", shifted)
+    code, out = run_cli(capsys, "--format", "json", "info", "--polytope", triangle_file)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "hull invariant violated: point (0, 0) is outside facet "
+                 "HalfSpace(normal=(0, 1), offset=-1)",
+        "kind": "invariant-violation"}
+
+
 def test_exit_2_on_forced_mismatch(capsys, triangle_file, monkeypatch):
     # force the verification to disagree to exercise the invariant path
     from latticegfun import MultiPoly

@@ -11,6 +11,7 @@ from latticegfun import (build_polytope, cross_polytope, euler_characteristic,
                          iter_lattice_points, pulling_triangulation, volume)
 from latticegfun.polytope import scan_box
 
+from hull_reference import reference_hull
 from linalg_reference import leibniz_det, rank, solve
 
 F = Fraction
@@ -68,27 +69,97 @@ def test_facets_of_cube4_and_cross4():
     assert set(cross.vertices) == set(units + negs)
 
 
-def test_facets_match_supporting_hyperplanes(corpus2d, corpus3d):
+def assert_facets_match_supporting_hyperplanes(P):
     # oracle: the vertex sets cut out by hyperplanes through n vertices that
     # leave every vertex on one side, sided by determinant signs
+    n = P.ambient_dim
+    V = P.vertices
+    expected = set()
+    for S in combinations(V, n):
+        rows = [[a - b for a, b in zip(s, S[0])] for s in S[1:]]
+        if rank(rows) != n - 1:
+            continue
+        sides = [leibniz_det(rows + [[a - b for a, b in zip(v, S[0])]]) for v in V]
+        if all(d >= 0 for d in sides) or all(d <= 0 for d in sides):
+            expected.add(frozenset(v for v, d in zip(V, sides) if d == 0))
+    found = [frozenset(v for v in V if h.value(v) == 0) for h in P.halfspaces]
+    assert len(found) == len(set(found)) == len(expected)
+    assert set(found) == expected
+    for h in P.halfspaces:
+        assert all(h.value(v) >= 0 for v in V)
+        assert math.gcd(*h.normal) == 1
+
+
+def test_facets_match_supporting_hyperplanes(corpus2d, corpus3d):
     box = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     for P in [*corpus2d, *corpus3d, build_polytope(box)]:
-        n = P.ambient_dim
-        V = P.vertices
-        expected = set()
-        for S in combinations(V, n):
-            rows = [[a - b for a, b in zip(s, S[0])] for s in S[1:]]
-            if rank(rows) != n - 1:
-                continue
-            sides = [leibniz_det(rows + [[a - b for a, b in zip(v, S[0])]]) for v in V]
-            if all(d >= 0 for d in sides) or all(d <= 0 for d in sides):
-                expected.add(frozenset(v for v, d in zip(V, sides) if d == 0))
-        found = [frozenset(v for v in V if h.value(v) == 0) for h in P.halfspaces]
-        assert len(found) == len(set(found)) == len(expected)
-        assert set(found) == expected
-        for h in P.halfspaces:
-            assert all(h.value(v) >= 0 for v in V)
-            assert math.gcd(*h.normal) == 1
+        assert_facets_match_supporting_hyperplanes(P)
+
+
+def lattice_shell(low, high):
+    """The points x of Z^3 with low <= |x|^2 <= high."""
+    r = math.isqrt(high)
+    return [x for x in product(range(-r, r + 1), repeat=3) if low <= sum(a * a for a in x) <= high]
+
+
+def test_hull_of_the_122_point_shell():
+    # a subset scan would test C(122, 3) = 295,240 triples
+    pts = lattice_shell(6, 12)
+    assert len(pts) == 122
+    P = build_polytope(pts)
+    assert (len(P.vertices), len(P.halfspaces)) == (32, 18)
+    assert_facets_match_supporting_hyperplanes(P)
+
+
+def test_hull_of_the_218_point_shell():
+    # a subset scan would test C(218, 3) = 1,703,016 triples
+    pts = lattice_shell(12, 20)
+    assert len(pts) == 218
+    P = build_polytope(pts)
+    assert P.face_lattice.f_vector() == (48, 96, 50, 1)
+    assert all(h.value(p) >= 0 for h in P.halfspaces for p in pts)
+
+
+@st.composite
+def hull_inputs(draw):
+    """A point list in dimension 1-4 with duplicates, interior points,
+    points inside facets and collinear or coplanar runs, at times flat or
+    holding one malformed entry; and a permutation of it."""
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-2, 2)] * n)
+    pts = draw(st.lists(point, min_size=n + 1, max_size=n + 3))
+    # even midpoints fall inside an edge, a facet or the interior
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=3))
+    pts += [tuple((a + b) // 2 for a, b in zip(p, r)) for p, r in pairs
+            if all((a + b) % 2 == 0 for a, b in zip(p, r))]
+    start, step = draw(point), draw(point)
+    pts += [tuple(a + k * d for a, d in zip(start, step)) for k in range(draw(st.integers(0, 3)))]
+    coplanar = draw(st.integers(0, len(pts)))  # the first ones on x_n = x_1
+    pts = [p[:-1] + (p[0],) for p in pts[:coplanar]] + pts[coplanar:]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    bad = draw(st.sampled_from([None] * 16 + [(), (1,) * (n + 1), (True,) * n, (0.5,) * n]))
+    if bad is not None:
+        pts.append(bad)
+    pts = draw(st.permutations(pts))
+    return pts, draw(st.permutations(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_inputs())
+def test_hull_matches_the_subset_scan(case):
+    pts, shuffled = case
+    try:
+        expected = reference_hull(pts)
+    except ValueError as exc:
+        for points in (pts, shuffled):
+            with pytest.raises(ValueError) as err:
+                build_polytope(points)
+            assert str(err.value) == str(exc)
+        return
+    P = build_polytope(pts)
+    assert (repr(P.vertices), repr(P.halfspaces)) == tuple(map(repr, expected))
+    Q = build_polytope(shuffled)
+    assert (repr(Q.vertices), repr(Q.halfspaces)) == (repr(P.vertices), repr(P.halfspaces))
 
 
 def test_non_extreme_points_removed():

@@ -285,9 +285,9 @@ def refuse_inverse(self):
 
 def test_one_over_one_minus_a_needs_no_euclid(monkeypatch):
     # s_1(a) = 1/(1 - a) takes the closed form for every root, whether or
-    # not it is stored as one power z^e, with or without its exponent; the
-    # exponent must give the root, and a value that is no root of unity is
-    # refused
+    # not it is stored as one power z^e, with or without its exponent, or
+    # from the exponent alone; the exponent must give the root, a value that
+    # is no root of unity is refused, and so is neither root nor exponent
     roots = [(F(num, den), cyclo_root_of_unity(num, den)) for num, den in
              ((1, 3), (2, 5), (5, 21), (7, 30), (1, 43), (500, 997), (29, 30), (996, 997))]
     roots.append((F(1, 2), F(-1)))
@@ -296,11 +296,14 @@ def test_one_over_one_minus_a_needs_no_euclid(monkeypatch):
     for (r, a), inv in zip(roots, expected):
         assert todd_coeffs(a, 4).scalars[1] == inv, r
         assert todd_coeffs(a, 4, exponent=r).scalars[1] == inv, r
+        assert todd_coeffs(None, 4, exponent=r).scalars[1] == inv, r
         with pytest.raises(ValueError, match="is not the root of unity of exponent"):
             todd_coeffs(a, 4, exponent=r + F(1, 3))
     for a in (2 * cyclo_root_of_unity(1, 5), F(3), F(0)):
         with pytest.raises(ValueError, match="a must be a nonzero root of unity"):
             todd_coeffs(a, 4)
+    with pytest.raises(ValueError, match="todd_coeffs needs a or its exponent"):
+        todd_coeffs(None, 4)
 
 
 def test_todd_coeffs_given_the_exponent_multiply_nothing_in_the_field(monkeypatch):
@@ -682,16 +685,16 @@ def test_apply_todd_reaches_todd_coeffs_through_the_module_global(monkeypatch):
     # global; apply_todd must keep resolving it there
     P = build_polytope([(0, 0), (5, 2), (2, 5)])
     expected = apply_todd(P)
-    roots = []
+    exponents = []
     original = todd.todd_coeffs
 
     def counted(a, order, **kwargs):
-        roots.append(a)
+        exponents.append(kwargs["exponent"])
         return original(a, order, **kwargs)
 
     monkeypatch.setattr(todd, "todd_coeffs", counted)
     assert apply_todd(P) == expected
-    assert roots and any(isinstance(a, CycloNumber) for a in roots)
+    assert exponents and any(r.denominator > 2 for r in exponents)
 
 
 @pytest.mark.parametrize("vertices", [[(0, 0), (60, 0), (0, 37)],
@@ -730,6 +733,19 @@ def test_apply_todd_calls_no_extended_euclid(monkeypatch):
     expected = [apply_todd(P) for P in shapes]
 
     monkeypatch.setattr(CycloNumber, "inverse", refuse_inverse)
+    assert [apply_todd(P) for P in shapes] == expected
+
+
+def test_apply_todd_builds_no_root(monkeypatch):
+    # todd_coeffs reads each root from its exponent, so apply_todd never
+    # builds the root itself
+    shapes = [build_polytope(v) for v in HIGH_INDEX]
+    expected = [apply_todd(P) for P in shapes]
+
+    def refuse_root(num, den):
+        raise AssertionError(f"root exp(2 pi i {num}/{den}) built")
+
+    monkeypatch.setattr(todd, "cyclo_root_of_unity", refuse_root)
     assert [apply_todd(P) for P in shapes] == expected
 
 
