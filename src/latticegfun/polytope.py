@@ -237,10 +237,13 @@ def scan_box(lo, hi, constraints):
     meaning <normal, x> + offset >= 0.  Each coordinate is solved as an
     interval: the constraints bound it given the coordinates before it and
     the most the box lets the ones after it add, so no value is tried that
-    has no extension.  Face dilates and cone parallelepipeds are both
-    enumerated here.
+    has no extension; the last one's interval is yielded by a flat loop.
+    An empty box (n = 0) holds the point () if every offset is >= 0.  Face
+    dilates and cone parallelepipeds are both enumerated here.
     """
     n = len(lo)
+    if not n:
+        return iter([()] if all(c >= 0 for _, c in constraints) else [])
     columns = [[u[d] for u, _ in constraints] for d in range(n)]
     # reach[d][ci]: the largest value coordinates d..n-1 can add to normal ci
     reach = [[0] * len(constraints) for _ in range(n + 1)]
@@ -249,9 +252,6 @@ def scan_box(lo, hi, constraints):
     point = [0] * n
 
     def scan(d, partial):
-        if d == n:
-            yield tuple(point)
-            return
         column = columns[d]
         first, last = lo[d], hi[d]
         for a, p, r in zip(column, partial, reach[d + 1]):
@@ -262,6 +262,11 @@ def scan_box(lo, hi, constraints):
                 last = min(last, need // a)
             elif need > 0:
                 return
+        if d == n - 1:
+            for x in range(first, last + 1):
+                point[d] = x
+                yield tuple(point)
+            return
         for x in range(first, last + 1):
             point[d] = x
             yield from scan(d + 1, [p + a * x for p, a in zip(partial, column)])
@@ -278,7 +283,7 @@ def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False)
     over the bounding box of q*face; bad arguments raise ``ValueError`` at
     the call, before any point is produced.
     """
-    if not isinstance(q, int) or q <= 0:
+    if not isinstance(q, int) or isinstance(q, bool) or q <= 0:
         raise ValueError("dilation must be positive")
     if face.dim < 0:
         raise ValueError("the empty face has no dilates")

@@ -8,20 +8,25 @@ One scan of each dilate q*F serves F and every face of F.  A polytope is
 the disjoint union of the relative interiors of its nonempty faces, and a
 point in the relative interior of q*G is tight on exactly the facets that
 contain G, so the set of tight facets names the face a point belongs to.
-Each scanned point is put in that face's bucket, where the integer sums of
-phi's monomials accumulate; phi's rational coefficients are applied only
-when a bucket is read.  The open sums of G are its own bucket.  F is
-scanned at q = 1..dim F + deg phi + 1; each face G is interpolated once,
-at its first dim G + deg phi + 1 nodes, and its dense coefficient list is
-checked at every further node by Horner's rule.  The closed list of G is
-the sum of the open lists of the faces of G, which at q = 0 gives phi(0)
-by Euler's relation: sum (-1)^dim H = 1 over the nonempty faces H of G,
-and phi(0) = 0 when deg phi > 0.
+They are found once per line {prefix} x Z of the scan: a facet whose
+normal ends in a = 0 is tight on all of the line or none of it, any other
+only at x_n = r / a, when a divides the rest r of its equation.  So each
+point costs one dict lookup to find its face's bucket, where the integer
+sums of phi's monomials accumulate.  The open sums of G are its own
+bucket.  F is scanned at q = 1..dim F + deg phi + 1; each face G is
+interpolated once, at its first dim G + deg phi + 1 nodes, and its dense
+coefficient list is checked at every further node by Horner's rule.  The
+closed list of G is the sum of the open lists of the faces of G, which at
+q = 0 gives phi(0) by Euler's relation: sum (-1)^dim H = 1 over the
+nonempty faces H of G, and phi(0) = 0 when deg phi > 0.  phi is scaled to
+integer coefficients, and the Horner checks and closed sums run on integer
+lists over one denominator: Fractions appear only at interpolation and in
+the returned polynomials.
 """
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
@@ -135,37 +140,53 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
              if G.dim >= 0 and G.vertex_indices <= F.vertex_indices]
     key_of = {G: tuple(sorted(G.containing_facets)) for G in faces}
     subfaces = {G: [H for H in faces if H.vertex_indices <= G.vertex_indices] for G in faces}
-    monomials = [[(k, e) for k, e in enumerate(exps) if e] for exps in phi.terms]
-    coeffs = list(phi.terms.values())
+    monomials = list(enumerate(phi.terms))
+    den = math.lcm(*(c.denominator for c in phi.terms.values()))
+    coeffs = [c.numerator * (den // c.denominator) for c in phi.terms.values()]
 
     last_q = F.dim + phi.degree + 1
-    values = {G: [] for G in faces}
+    values = {G: [] for G in faces}  # den times each face's open sum, per q
     for q in range(1, last_q + 1):
-        facets = [(i, h.normal, -q * h.offset) for i, h in enumerate(P.halfspaces)]
-        buckets: dict[tuple[int, ...], list[int]] = {}
+        facets = [(i, u[:-1], u[-1], -q * c) for i, (u, c) in enumerate(P.halfspaces)]
+        buckets: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * len(monomials))
+        prefix = None
         for point in iter_lattice_points(P, F, q):
-            key = tuple([i for i, u, c in facets if sum(map(mul, u, point)) == c])
-            sums = buckets.get(key)
-            if sums is None:
-                sums = buckets[key] = [0] * len(monomials)
-            for j, mono in enumerate(monomials):
-                sums[j] += math.prod(point[k] ** e for k, e in mono)
+            if point[:-1] != prefix:
+                # on the line prefix x Z facet i is tight where a * x_n = r: on all
+                # of it or none when a = 0, else only at x_n = r / a if a divides r
+                prefix = point[:-1]
+                flat, tight = [], {}
+                for i, u, a, c in facets:
+                    r = c - sum(map(mul, u, prefix))
+                    if not (a or r):
+                        flat.append(i)
+                    elif a and not r % a:
+                        tight.setdefault(r // a, []).append(i)
+                flat_sums = buckets[tuple(flat)]
+                line = {x: buckets[tuple(sorted(flat + ids))] for x, ids in tight.items()}
+            sums = line.get(point[-1], flat_sums)
+            for j, exps in monomials:
+                sums[j] += math.prod(map(pow, point, exps))
         for G in faces:
             values[G].append(sum(map(mul, coeffs, buckets.get(key_of[G], ()))))
 
     origin = phi.at_origin()
-    opens, lists = {}, {}
+    opens = {}
     for G in faces:
         deg = G.dim + phi.degree
-        nodes = [(0, (-1) ** deg * origin)] + list(enumerate(values[G][:deg], start=1))
-        opens[G] = interpolate(nodes, deg)
-        lists[G] = poly_to_list(opens[G])
-        for q in range(deg + 1, last_q + 1):
-            if reduce(lambda v, c: v * q + c, reversed(lists[G]), 0) != values[G][q - 1]:
+        nodes = [(q, Fraction(v, den)) for q, v in enumerate(values[G][:deg], start=1)]
+        opens[G] = interpolate([(0, (-1) ** deg * origin)] + nodes, deg)
+    # the open lists as integers over one common denominator
+    lists = {G: poly_to_list(opens[G]) for G in faces}
+    common = math.lcm(*(c.denominator for cs in lists.values() for c in cs))
+    for G, cs in lists.items():
+        lists[G] = cs = [c.numerator * (common // c.denominator) for c in cs]
+        for q in range(G.dim + phi.degree + 1, last_q + 1):
+            if reduce(lambda v, c: v * q + c, reversed(cs), 0) * den != values[G][q - 1] * common:
                 raise RuntimeError("degree assumption violated")
     return {G: WeightedSumPoly(G, poly_from_list("q" if G.dim + phi.degree else None, [
-        sum(c) for c in zip_longest(*(lists[H] for H in subfaces[G]), fillvalue=0)]), opens[G])
-        for G in faces}
+        Fraction(sum(c), common) for c in zip_longest(*map(lists.get, subfaces[G]), fillvalue=0)
+    ]), opens[G]) for G in faces}
 
 
 def ehrhart_polynomial(P: Polytope) -> WeightedSumPoly:

@@ -233,7 +233,7 @@ def test_hrep_vrep_round_trip(pyramid, unit_cube, octahedron, corpus2d):
 
 @st.composite
 def boxes_and_constraints(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3))  # the empty box holds () when its constraints hold
     lo = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
     hi = [a + draw(st.integers(0, 5)) for a in lo]
     constraint = st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
@@ -289,8 +289,10 @@ def test_closed_equals_sum_of_open_over_subfaces(right_triangle, corpus2d):
 
 
 def test_dilation_must_be_positive(unit_square):
-    with pytest.raises(ValueError, match="dilation must be positive"):
-        list(iter_lattice_points(unit_square, unit_square.top_face(), 0))
+    # a bool is rejected as _check_exponents rejects it, not read as 1 or 0
+    for q in (0, True, False):
+        with pytest.raises(ValueError, match="dilation must be positive"):
+            iter_lattice_points(unit_square, unit_square.top_face(), q)
 
 
 def test_triangulation_and_volume(pyramid, unit_cube, right_triangle, octahedron):

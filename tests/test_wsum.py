@@ -1,12 +1,18 @@
 """Weighted counting polynomials of dilated faces and reciprocity."""
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latticegfun import (MultiPoly, WeightPoly, build_gfun, build_polytope,
                          check_ehrhart_macdonald, check_weighted_reciprocity,
                          ehrhart_polynomial, iter_lattice_points, volume,
                          weighted_sum_poly, wsum)
+
+from wsum_reference import reference_weighted_sums
 
 F = Fraction
 q = MultiPoly.variable("q")
@@ -129,9 +135,8 @@ def test_one_interpolation_per_face(monkeypatch, pyramid, corpus3d):
             assert len(calls) == len(P.face_lattice.nonempty())
 
 
-def test_degree_check_catches_a_missing_point(monkeypatch, pyramid):
-    top = pyramid.top_face()
-    last_q = top.dim + 1
+def drop_one_point_at(monkeypatch, last_q):
+    """Make the face-sum scan lose the first point of the dilate last_q."""
     real = wsum.iter_lattice_points
 
     def drop_one(P, F, dilate, *args):
@@ -139,8 +144,100 @@ def test_degree_check_catches_a_missing_point(monkeypatch, pyramid):
         return points[1:] if dilate == last_q else points
 
     monkeypatch.setattr(wsum, "iter_lattice_points", drop_one)
+
+
+def test_degree_check_catches_a_missing_point(monkeypatch, pyramid):
+    top = pyramid.top_face()
+    drop_one_point_at(monkeypatch, top.dim + 1)
     with pytest.raises(RuntimeError, match="degree assumption violated"):
         weighted_sum_poly(pyramid, top, WeightPoly.one(3))
+
+
+def test_degree_check_catches_a_missing_point_under_a_rational_weight(monkeypatch, pyramid):
+    # phi = x1/3 + 2 x3/5 is 1/15 at the dropped vertex (-1, -1, 1), so only
+    # the check on values scaled by phi's denominator 15 can see it
+    phi = WeightPoly.from_json({"vars": 3, "terms": [{"coeff": "1/3", "exps": [1, 0, 0]},
+                                                     {"coeff": "2/5", "exps": [0, 0, 1]}]})
+    top = pyramid.top_face()
+    drop_one_point_at(monkeypatch, top.dim + phi.degree + 1)
+    with pytest.raises(RuntimeError, match="degree assumption violated"):
+        weighted_sum_poly(pyramid, top, phi)
+
+
+@st.composite
+def face_sum_cases(draw):
+    """Vertices of a polytope in dimension 1-4, a weight with rational
+    coefficients (or the zero weight) as JSON, and a pick of a lower face.
+    The polytope is full-dimensional: a base point plus the rows of a
+    triangular matrix with diagonal entries +-1 or +-2, and up to three
+    further points, so facet normals ending in 0, +-1 and +-2 or more all
+    occur."""
+    n = draw(st.sampled_from([2, 3, 4, 1]))
+    reach = {1: 6, 2: 3, 3: 2, 4: 1}[n]
+    point = st.tuples(*[st.integers(-reach, reach)] * n)
+    base = draw(point)
+    pts = [base]
+    for k in range(n):
+        below = draw(st.lists(st.integers(-min(reach, 2), min(reach, 2)), min_size=k, max_size=k))
+        step = below + [draw(st.sampled_from([-2, -1, 1, 2]))] + [0] * (n - k - 1)
+        pts.append(tuple(b + s for b, s in zip(base, step)))
+    pts += draw(st.lists(point, max_size=3 if n < 4 else 1))
+    terms = []
+    if draw(st.sampled_from([True] * 5 + [False])):  # else the zero weight
+        degree = draw(st.integers(0, 2 if n < 3 else 1))
+        for k in range(draw(st.integers(1, 3))):
+            slots = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree))
+            num, den = draw(st.integers(-5, 5)), draw(st.integers(1, 6))
+            if not k:  # an odd numerator over an even denominator does not reduce
+                num, den = 2 * num + 1, 2 * den
+            terms.append({"coeff": f"{num}/{den}", "exps": [slots.count(i) for i in range(n)]})
+    return pts, {"vars": n, "terms": terms}, draw(st.integers(0, 99))
+
+
+@settings(max_examples=100, deadline=None)
+@given(face_sum_cases())
+@example(([(0, 0), (5, 0), (0, 2)],  # facet normals (1, 0), (0, 1), (-2, -5)
+          {"vars": 2, "terms": [{"coeff": "3/2", "exps": [1, 0]},
+                                {"coeff": "-1/3", "exps": [0, 1]}]}, 1))
+@example(([(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 2)],  # (1, 0, 0), ..., (-2, -3, -3)
+          {"vars": 3, "terms": [{"coeff": "5/4", "exps": [0, 1, 1]}]}, 7))
+@example(([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)],
+          {"vars": 4, "terms": []}, 3))  # (0, 0, 0, 1), (2, 0, 0, -1), ...
+def test_per_line_classification_matches_the_reference(case):
+    # the reference tests every point against every facet and sums Fractions
+    pts, phi_json, pick = case
+    P = build_polytope(pts)
+    phi = WeightPoly.from_json(phi_json)
+    lat = P.face_lattice
+    lower = [lat.faces[i] for i in lat.nonempty() if lat.faces[i].dim < P.ambient_dim]
+    for F in (P.top_face(), lower[pick % len(lower)]):
+        expected = reference_weighted_sums(P, F, phi)
+        got = weighted_sum_poly(P, F, phi)
+        assert list(got) == list(expected)
+        for G, wsp in got.items():
+            closed, opened = expected[G]
+            assert (wsp.closed.to_json(), wsp.open.to_json()) == \
+                (closed.to_json(), opened.to_json()), (pts, phi_json, F, G)
+
+
+# sha256 of build_gfun(P, phi).poly.to_json() taken while every point was
+# still tested against every facet; the lines of these dilates run to
+# hundreds of points, where the benchmark's average about four
+LARGE_GFUN_DIGESTS = [
+    ([(0, 0), (100, 0), (0, 120)], [("2/3", [1, 0]), ("-1/2", [0, 1])],
+     "df2c5cf488ca4273f53cdb71046054307fb5fe66de7c482ad0fa21f1778586b3"),
+    ([(0, 0, 0), (10, 0, 0), (0, 12, 0), (0, 0, 15)], [("2/3", [1, 0, 0]), ("-1/4", [0, 0, 1])],
+     "0c611dd3b2dcc29d21f7270e155b9ae71c7dc3ee961c4500123cb577214a7176"),
+]
+
+
+@pytest.mark.parametrize("vertices, terms, digest", LARGE_GFUN_DIGESTS,
+                         ids=["triangle", "simplex"])
+def test_large_simplex_gfun_digest(vertices, terms, digest):
+    phi = WeightPoly.from_json({"vars": len(vertices[0]),
+                                "terms": [{"coeff": c, "exps": e} for c, e in terms]})
+    poly = build_gfun(build_polytope(vertices), phi).poly
+    assert hashlib.sha256(json.dumps(poly.to_json()).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("phi", [WeightPoly.one(3), WeightPoly.monomial(3, (1, 0, 0)),
