@@ -349,15 +349,19 @@ def interpolate(nodes, degree: int) -> MultiPoly:
     """Exact interpolation in ``q`` through ``degree + 1`` nodes.
 
     Returns the unique polynomial of degree at most ``degree`` through the
-    given ``(abscissa, value)`` pairs, via Newton divided differences over
-    the integers: with the abscissas scaled by ``xscale`` to integers, each
-    divided difference times ``scale`` (the values' common denominator
-    times the Vandermonde product) is an integer.  The expanded Newton form
-    gives one polynomial, in ``q``, or constant at degree 0.
+    given ``(abscissa, value)`` pairs, ints or Fractions read as given (any
+    other type, ``bool`` included, raises ``TypeError``), via Newton divided
+    differences over the integers: with the abscissas scaled by ``xscale``
+    to integers, each divided difference times ``scale`` (the values'
+    common denominator times the Vandermonde product) is an integer.  The
+    expanded Newton form is one polynomial in ``q``, constant at degree 0.
     """
     if degree < 0:
         raise ValueError("interpolation degree must be nonnegative")
-    nodes = [(Fraction(x), Fraction(y)) for x, y in nodes]
+    nodes = list(nodes)
+    if any(isinstance(v, bool) or not isinstance(v, (int, Fraction))
+           for node in nodes for v in node):
+        raise TypeError("interpolation nodes must be ints or Fractions")
     if len(nodes) != degree + 1:
         raise ValueError("need exactly degree + 1 interpolation nodes")
     if len({x for x, _ in nodes}) != len(nodes):

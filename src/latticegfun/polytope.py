@@ -11,6 +11,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 
 from .linalg import affine_rank, det, mat_rank, nullspace_vector
 
@@ -237,9 +238,12 @@ def scan_box(lo, hi, constraints):
     meaning <normal, x> + offset >= 0.  Each coordinate is solved as an
     interval: the constraints bound it given the coordinates before it and
     the most the box lets the ones after it add, so no value is tried that
-    has no extension; the last one's interval is yielded by a flat loop.
-    An empty box (n = 0) holds the point () if every offset is >= 0.  Face
-    dilates and cone parallelepipeds are both enumerated here.
+    has no extension.  One loop over a stack of levels walks the first
+    n - 1 coordinates; each nonempty interval of the last one is handed out
+    whole as a line ``zip(*map(repeat, prefix), range(first, last + 1))``,
+    and the lines are chained, so no bytecode runs per point.  An empty
+    box (n = 0) holds the point () if every offset is >= 0.  Face dilates
+    and cone parallelepipeds are both enumerated here.
     """
     n = len(lo)
     if not n:
@@ -249,29 +253,41 @@ def scan_box(lo, hi, constraints):
     reach = [[0] * len(constraints) for _ in range(n + 1)]
     for d in range(n - 1, -1, -1):
         reach[d] = [r + max(a * lo[d], a * hi[d]) for r, a in zip(reach[d + 1], columns[d])]
-    point = [0] * n
 
-    def scan(d, partial):
-        column = columns[d]
-        first, last = lo[d], hi[d]
-        for a, p, r in zip(column, partial, reach[d + 1]):
-            need = -(p + r)  # a * x must reach this
-            if a > 0:
-                first = max(first, -(-need // a))
-            elif a < 0:
-                last = min(last, need // a)
-            elif need > 0:
+    def lines():
+        # levels[d]: (values left for coordinate d, partial sums before it);
+        # prefix[d]: the value drawn for coordinate d
+        prefix, levels, partial = [], [], [c for _, c in constraints]
+        while True:
+            d = len(levels)
+            first, last = lo[d], hi[d]
+            for a, p, r in zip(columns[d], partial, reach[d + 1]):
+                s = p + r  # a * x + s >= 0 is what the constraint needs
+                if a > 0:
+                    if -(s // a) > first:
+                        first = -(s // a)
+                elif a < 0:
+                    if s // -a < last:
+                        last = s // -a
+                elif s < 0:
+                    first, last = 1, 0  # no value fits
+                    break
+            if d < n - 1:
+                levels.append((iter(range(first, last + 1)), partial))
+            elif first <= last:
+                yield zip(*map(repeat, prefix), range(first, last + 1))
+            while levels:
+                x = next(levels[-1][0], None)
+                if x is not None:
+                    break
+                levels.pop()
+            else:
                 return
-        if d == n - 1:
-            for x in range(first, last + 1):
-                point[d] = x
-                yield tuple(point)
-            return
-        for x in range(first, last + 1):
-            point[d] = x
-            yield from scan(d + 1, [p + a * x for p, a in zip(partial, column)])
+            del prefix[len(levels) - 1:]
+            prefix.append(x)
+            partial = [p + a * x for p, a in zip(levels[-1][1], columns[len(levels) - 1])]
 
-    return scan(0, [c for _, c in constraints])
+    return chain.from_iterable(lines())
 
 
 def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False):

@@ -126,7 +126,8 @@ def gamma_set(fan: NormalFan) -> GammaSet:
                 raise RuntimeError("support function disagrees between cones")
 
     points = sorted(found)
-    return GammaSet(tuple(points), tuple(found[p] for p in points))
+    # tuples from lists: one grown from a generator is freed to another size's free list
+    return GammaSet(tuple(points), tuple([found[p] for p in points]))
 
 
 class ToddCoeffs(namedtuple("ToddCoeffs", "scalars")):
@@ -312,7 +313,7 @@ def symbolic_integral(P: Polytope, phi: WeightPoly) -> SymbolicIntegral:
         if terms is not None:
             break
 
-    L = math.lcm(*(w.denominator for w, _, _ in terms))
+    L = math.lcm(*[w.denominator for w, _, _ in terms])
     acc: dict[tuple[int, ...], int] = {}
     for w, coeffs, keys in terms:
         scale = w.numerator * (L // w.denominator)
@@ -382,7 +383,7 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     order = integral.degree()
     scalars = {r: todd_coeffs(None, order, exponent=r).scalars
                for r in dict.fromkeys(r for rho, _ in orbits for r in rho)}
-    dens = [math.lcm(*(s.den if isinstance(s, CycloNumber) else s.denominator for s in col))
+    dens = [math.lcm(*[s.den if isinstance(s, CycloNumber) else s.denominator for s in col])
             for col in zip(*scalars.values())]  # D_0 = 1
     scaled = {r: [s * d if isinstance(s, CycloNumber) else s.numerator * (d // s.denominator)
                   for s, d in zip(row, dens)] for r, row in scalars.items()}
@@ -395,7 +396,7 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
         tables.append((sum(1 << f for f, r in enumerate(rho) if r), rows, euler_phi(m)))
     terms = [(alpha, power, coeff, coeff.denominator * math.prod(dens[k] for k in alpha))
              for (*alpha, power), coeff in integral.terms.items()]  # vars (h_1..h_m, t)
-    common = math.lcm(*(den for *_, den in terms))
+    common = math.lcm(*[den for *_, den in terms])
     out = [[0] * (order + 1) for _ in range(order + 1)]  # [q][y] over common
     for alpha, power, coeff, den in terms:
         support = [(f, k) for f, k in enumerate(alpha) if k]

@@ -8,20 +8,23 @@ One scan of each dilate q*F serves F and every face of F.  A polytope is
 the disjoint union of the relative interiors of its nonempty faces, and a
 point in the relative interior of q*G is tight on exactly the facets that
 contain G, so the set of tight facets names the face a point belongs to.
-They are found once per line {prefix} x Z of the scan: a facet whose
-normal ends in a = 0 is tight on all of the line or none of it, any other
-only at x_n = r / a, when a divides the rest r of its equation.  So each
-point costs one dict lookup to find its face's bucket, where the integer
-sums of phi's monomials accumulate.  The open sums of G are its own
-bucket.  F is scanned at q = 1..dim F + deg phi + 1; each face G is
-interpolated once, at its first dim G + deg phi + 1 nodes, and its dense
-coefficient list is checked at every further node by Horner's rule.  The
-closed list of G is the sum of the open lists of the faces of G, which at
-q = 0 gives phi(0) by Euler's relation: sum (-1)^dim H = 1 over the
+The scan comes in lexicographic order and is read a line at a time: the
+points sharing a prefix form a run prefix x [first, last].  On it a facet
+whose normal ends in a = 0 is tight on all of the run or none of it, any
+other at most at one end, since its value is >= 0 on the run and linear in
+x_n.  So each monomial of phi is summed over the whole run in one step
+into the bucket of the run's flat tight facets, and only the tight ends
+move to their own buckets, where the integer sums accumulate.  A run with
+a gap is a broken invariant and raises RuntimeError.  The open sums of G
+are its own bucket.  F is scanned at q = 1..dim F + deg phi + 1; each face
+G is interpolated once, at its first dim G + deg phi + 1 nodes, and its
+dense coefficient list is checked at every further node by Horner's rule.
+The closed list of G is the sum of the open lists of the faces of G, which
+at q = 0 gives phi(0) by Euler's relation: sum (-1)^dim H = 1 over the
 nonempty faces H of G, and phi(0) = 0 when deg phi > 0.  phi is scaled to
-integer coefficients, and the Horner checks and closed sums run on integer
-lists over one denominator: Fractions appear only at interpolation and in
-the returned polynomials.
+integer coefficients, and the node values, the Horner checks and the
+closed sums run on integer lists over one denominator: Fractions appear
+only out of interpolation and in the returned polynomials.
 """
 from __future__ import annotations
 
@@ -29,8 +32,8 @@ import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import zip_longest
-from operator import mul
+from itertools import groupby, repeat, zip_longest
+from operator import itemgetter, mul
 
 from .algebra import (MultiPoly, interpolate, poly_from_list, poly_to_list, scalar_from_str,
                       scalar_to_str)
@@ -130,7 +133,8 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
     where the q = 0 value is fixed by reciprocity, which keeps it a bona
     fide polynomial; every further scanned node validates the degree bound.
     The closed sum of G is the sum of the open sums of its faces, whose
-    value at q = 0 is phi(0) by Euler's relation.
+    value at q = 0 is phi(0) by Euler's relation.  A run of the scan with
+    a gap raises ``RuntimeError`` naming the dilate and the run's prefix.
     """
     if F.dim < 0:
         raise ValueError("weighted sums need a nonempty face")
@@ -140,7 +144,8 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
              if G.dim >= 0 and G.vertex_indices <= F.vertex_indices]
     key_of = {G: tuple(sorted(G.containing_facets)) for G in faces}
     subfaces = {G: [H for H in faces if H.vertex_indices <= G.vertex_indices] for G in faces}
-    monomials = list(enumerate(phi.terms))
+    prefix_exps = [exps[:-1] for exps in phi.terms]  # each monomial as x'^α' x_n^e
+    last_exps = [exps[-1] for exps in phi.terms]
     den = math.lcm(*(c.denominator for c in phi.terms.values()))
     coeffs = [c.numerator * (den // c.denominator) for c in phi.terms.values()]
 
@@ -148,45 +153,57 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
     values = {G: [] for G in faces}  # den times each face's open sum, per q
     for q in range(1, last_q + 1):
         facets = [(i, u[:-1], u[-1], -q * c) for i, (u, c) in enumerate(P.halfspaces)]
-        buckets: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * len(monomials))
-        prefix = None
-        for point in iter_lattice_points(P, F, q):
-            if point[:-1] != prefix:
-                # on the line prefix x Z facet i is tight where a * x_n = r: on all
-                # of it or none when a = 0, else only at x_n = r / a if a divides r
-                prefix = point[:-1]
-                flat, tight = [], {}
-                for i, u, a, c in facets:
-                    r = c - sum(map(mul, u, prefix))
-                    if not (a or r):
+        buckets: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * len(last_exps))
+        for prefix, line in groupby(iter_lattice_points(P, F, q), itemgetter(slice(0, -1))):
+            line = list(line)
+            first, last = line[0][-1], line[-1][-1]
+            if last - first + 1 != len(line):  # the scan ascends, so this is a gap
+                raise RuntimeError(f"lattice scan of the dilate q = {q} has a gap "
+                                   f"on the line {prefix}")
+            # facet i is tight where a * x_n = r: on all of the run or none when
+            # a = 0, else at most at one end, as it is >= 0 and linear on the run
+            flat, tight = [], {}
+            for i, u, a, c in facets:
+                r = c - sum(map(mul, u, prefix))
+                if not a:
+                    if not r:
                         flat.append(i)
-                    elif a and not r % a:
-                        tight.setdefault(r // a, []).append(i)
-                flat_sums = buckets[tuple(flat)]
-                line = {x: buckets[tuple(sorted(flat + ids))] for x, ids in tight.items()}
-            sums = line.get(point[-1], flat_sums)
-            for j, exps in monomials:
-                sums[j] += math.prod(map(pow, point, exps))
+                elif r == a * first or r == a * last:
+                    tight.setdefault(r // a, []).append(i)
+            heads = [math.prod(map(pow, prefix, exps)) for exps in prefix_exps]
+            sums = buckets[tuple(flat)]
+            for j, e in enumerate(last_exps):
+                sums[j] += heads[j] * (sum(map(pow, range(first, last + 1), repeat(e)))
+                                       if e else len(line))
+            for x, ids in tight.items():  # move each tight end to its own bucket
+                own = buckets[tuple(sorted(flat + ids))]
+                for j, e in enumerate(last_exps):
+                    own[j] += heads[j] * x ** e
+                    sums[j] -= heads[j] * x ** e
         for G in faces:
             values[G].append(sum(map(mul, coeffs, buckets.get(key_of[G], ()))))
 
+    # each open list interpolated from den-scaled integer values, then held
+    # as integers over one common denominator common * den
     origin = phi.at_origin()
-    opens = {}
+    origin = origin.numerator * (den // origin.denominator)
+    lists = {}
     for G in faces:
         deg = G.dim + phi.degree
-        nodes = [(q, Fraction(v, den)) for q, v in enumerate(values[G][:deg], start=1)]
-        opens[G] = interpolate([(0, (-1) ** deg * origin)] + nodes, deg)
-    # the open lists as integers over one common denominator
-    lists = {G: poly_to_list(opens[G]) for G in faces}
+        nodes = [(0, (-1) ** deg * origin)] + list(enumerate(values[G][:deg], start=1))
+        lists[G] = poly_to_list(interpolate(nodes, deg))
     common = math.lcm(*(c.denominator for cs in lists.values() for c in cs))
     for G, cs in lists.items():
         lists[G] = cs = [c.numerator * (common // c.denominator) for c in cs]
         for q in range(G.dim + phi.degree + 1, last_q + 1):
-            if reduce(lambda v, c: v * q + c, reversed(cs), 0) * den != values[G][q - 1] * common:
+            if reduce(lambda v, c: v * q + c, reversed(cs), 0) != values[G][q - 1] * common:
                 raise RuntimeError("degree assumption violated")
-    return {G: WeightedSumPoly(G, poly_from_list("q" if G.dim + phi.degree else None, [
-        Fraction(sum(c), common) for c in zip_longest(*map(lists.get, subfaces[G]), fillvalue=0)
-    ]), opens[G]) for G in faces}
+
+    def poly(G, cs):
+        return poly_from_list("q" if G.dim + phi.degree else None,
+                              [Fraction(c, common * den) for c in cs])
+    return {G: WeightedSumPoly(G, poly(G, map(sum, zip_longest(
+        *map(lists.get, subfaces[G]), fillvalue=0))), poly(G, lists[G])) for G in faces}
 
 
 def ehrhart_polynomial(P: Polytope) -> WeightedSumPoly:

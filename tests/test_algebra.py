@@ -99,6 +99,24 @@ def test_interpolate_degenerate_nodes():
         interpolate([(0, 1), (1, 2)], 2)
 
 
+@pytest.mark.parametrize("nodes", [[(0, 0.5), (1, 1.0)], [(0.0, 1), (1, 2)],
+                                   [(0, "1/2"), (1, 1)], [(0, True), (1, 1)],
+                                   [(False, 1), (1, 2)]])
+def test_interpolate_takes_only_ints_and_fractions(nodes):
+    # a float, a string or a bool anywhere in a node is refused, so none can
+    # reach a result
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        interpolate(nodes, 1)
+
+
+def test_interpolate_reads_int_values_over_their_own_denominator():
+    # den-scaled integer values give the scaled polynomial; Fraction nodes
+    # give the same polynomial as the ints they equal
+    q = MultiPoly.variable("q")
+    assert interpolate([(0, 3), (1, 5), (2, 7)], 2) == 2 * q + 3
+    assert interpolate([(F(0), F(3)), (F(2, 2), F(10, 2))], 1) == 2 * q + 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=7))
 def test_interpolate_inverts_evaluation(coeffs):

@@ -284,6 +284,22 @@ def test_exit_2_on_a_broken_hull(capsys, triangle_file, monkeypatch):
         "kind": "invariant-violation"}
 
 
+def test_exit_2_on_a_gap_in_the_face_sum_scan(capsys, pyramid_file, monkeypatch):
+    # the pyramid's dilate q = 2 loses (0, 0, 1), the middle of its line z = 0..2
+    from latticegfun import wsum
+    real = wsum.iter_lattice_points
+
+    def drop_one(P, F, dilate, *args):
+        return [p for p in real(P, F, dilate, *args) if (dilate, p) != (2, (0, 0, 1))]
+
+    monkeypatch.setattr(wsum, "iter_lattice_points", drop_one)
+    code, out = run_cli(capsys, "--format", "json", "gfun", "--polytope", pyramid_file)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "lattice scan of the dilate q = 2 has a gap on the line (0, 0)",
+        "kind": "invariant-violation"}
+
+
 def test_exit_2_on_forced_mismatch(capsys, triangle_file, monkeypatch):
     # force the verification to disagree to exercise the invariant path
     from latticegfun import MultiPoly

@@ -233,7 +233,9 @@ def test_hrep_vrep_round_trip(pyramid, unit_cube, octahedron, corpus2d):
 
 @st.composite
 def boxes_and_constraints(draw):
-    n = draw(st.integers(0, 3))  # the empty box holds () when its constraints hold
+    # the empty box holds () when its constraints hold; n = 4 puts three
+    # levels on the scanner's stack above the last coordinate
+    n = draw(st.integers(0, 4))
     lo = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
     hi = [a + draw(st.integers(0, 5)) for a in lo]
     constraint = st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),

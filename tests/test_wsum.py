@@ -2,6 +2,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -146,6 +147,30 @@ def drop_one_point_at(monkeypatch, last_q):
     monkeypatch.setattr(wsum, "iter_lattice_points", drop_one)
 
 
+def drop_an_inner_point_at(monkeypatch, last_q):
+    """Make the face-sum scan lose the middle point of the longest line of
+    the dilate last_q, which leaves a gap in that line."""
+    real = wsum.iter_lattice_points
+
+    def drop_one(P, F, dilate, *args):
+        points = list(real(P, F, dilate, *args))
+        if dilate == last_q:
+            longest = max((list(line) for _, line in groupby(points, lambda p: p[:-1])), key=len)
+            assert len(longest) >= 3
+            points.remove(longest[len(longest) // 2])
+        return points
+
+    monkeypatch.setattr(wsum, "iter_lattice_points", drop_one)
+
+
+def test_a_gap_in_a_line_is_an_invariant_failure(monkeypatch, pyramid):
+    # the longest line of the dilate q = 2 runs over z = 0..2 at (0, 0)
+    drop_an_inner_point_at(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"^lattice scan of the dilate q = 2 has a gap "
+                                           r"on the line \(0, 0\)$"):
+        weighted_sum_poly(pyramid, pyramid.top_face(), WeightPoly.one(3))
+
+
 def test_degree_check_catches_a_missing_point(monkeypatch, pyramid):
     top = pyramid.top_face()
     drop_one_point_at(monkeypatch, top.dim + 1)
@@ -171,17 +196,34 @@ def face_sum_cases(draw):
     The polytope is full-dimensional: a base point plus the rows of a
     triangular matrix with diagonal entries +-1 or +-2, and up to three
     further points, so facet normals ending in 0, +-1 and +-2 or more all
-    occur."""
-    n = draw(st.sampled_from([2, 3, 4, 1]))
-    reach = {1: 6, 2: 3, 3: 2, 4: 1}[n]
-    point = st.tuples(*[st.integers(-reach, reach)] * n)
-    base = draw(point)
-    pts = [base]
-    for k in range(n):
-        below = draw(st.lists(st.integers(-min(reach, 2), min(reach, 2)), min_size=k, max_size=k))
-        step = below + [draw(st.sampled_from([-2, -1, 1, 2]))] + [0] * (n - k - 1)
-        pts.append(tuple(b + s for b, s in zip(base, step)))
-    pts += draw(st.lists(point, max_size=3 if n < 4 else 1))
+    occur.  One case in four is instead stretched along x_n (dimension 2
+    or 3): a simplex of legs 2 in the first n - 1 coordinates, lifted to
+    a floor and a roof of slope +-1/2 in x_n, 9 to 11 apart at the base
+    point, so every line runs 8 or more points and ends on facets with
+    u_n = +-2 wherever the floor or roof is a lattice point."""
+    if draw(st.sampled_from([False, False, False, True])):
+        n = draw(st.sampled_from([2, 3]))
+        base = draw(st.tuples(*[st.integers(-3, 3)] * n))
+        height = draw(st.integers(9, 11))
+        floor = draw(st.lists(st.sampled_from([-1, 1]), min_size=n - 1, max_size=n - 1))
+        roof = draw(st.lists(st.sampled_from([-1, 1]), min_size=n - 1, max_size=n - 1))
+        steps = [(0,) * n, (0,) * (n - 1) + (height,)]
+        for k in range(n - 1):
+            leg = tuple(2 * (i == k) for i in range(n - 1))
+            steps += [leg + (floor[k],), leg + (height + roof[k],)]
+        pts = [tuple(b + s for b, s in zip(base, step)) for step in steps]
+    else:
+        n = draw(st.sampled_from([2, 3, 4, 1]))
+        reach = {1: 6, 2: 3, 3: 2, 4: 1}[n]
+        point = st.tuples(*[st.integers(-reach, reach)] * n)
+        base = draw(point)
+        pts = [base]
+        for k in range(n):
+            below = draw(st.lists(st.integers(-min(reach, 2), min(reach, 2)),
+                                  min_size=k, max_size=k))
+            step = below + [draw(st.sampled_from([-2, -1, 1, 2]))] + [0] * (n - k - 1)
+            pts.append(tuple(b + s for b, s in zip(base, step)))
+        pts += draw(st.lists(point, max_size=3 if n < 4 else 1))
     terms = []
     if draw(st.sampled_from([True] * 5 + [False])):  # else the zero weight
         degree = draw(st.integers(0, 2 if n < 3 else 1))
