@@ -14,59 +14,14 @@ modulo ``x^N - 1`` and then dividing by the monic ``Phi_N`` from the top,
 touching only ``Phi_N``'s nonzero terms; no table of the powers of z is
 kept.  Elements of different orders are merged by embedding both into the
 field of order ``lcm`` before any mixed arithmetic.  The trace down to Q
-is read off the numerators through Ramanujan sums.
+is read off the numerators through Ramanujan sums, and the inverse is the
+product of the other Galois conjugates over the norm.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-# ---------------------------------------------------------------------------
-# dense univariate helpers over Fraction (ascending coefficient lists), for
-# the extended Euclid of ``CycloNumber.inverse``
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _ptrim(out)
-
-
-def _psub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    a = list(a)
-    out = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        factor = a[i + len(b) - 1] * inv
-        if factor:
-            out[i] = factor
-            for j, cb in enumerate(b):
-                a[i + j] -= factor * cb
-    return _ptrim(out), _ptrim(a[: len(b) - 1])
-
 
 # ---------------------------------------------------------------------------
 # arithmetic functions and the cyclotomic modulus
@@ -288,25 +243,24 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNumber:
-        """Multiplicative inverse via extended gcd against the modulus."""
+        """x^-1 = prod_{sigma != 1} sigma(x) / N(x) over the automorphisms
+        sigma_k: z -> z^k, gcd(k, m) = 1, for the integral x = den * self;
+        the norm N(x) is x times the product.  With R the product over a
+        subgroup H minus 1 and e the order of a unit g modulo H, the cosets
+        g^j H, 0 < j < e, add prod_j sigma_{g^j}(x R) in about 2 log e steps."""
         if not self:
             raise ZeroDivisionError("cyclotomic element is zero")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # extended Euclid in Q[x]: maintain s with s*nums = r (mod modulus)
-        r0, r1 = _ptrim([Fraction(c) for c in self.nums]), mod
-        s0, s1 = [Fraction(1)], []
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        # r0 is a nonzero constant: the modulus is irreducible over Q
-        if len(r0) != 1:
-            raise RuntimeError("gcd with the cyclotomic modulus is not a unit")
-        scale = self.den / r0[0]
-        coords = [c * scale for c in s0]
-        if len(coords) >= len(mod):
-            _, coords = _pdivmod(coords, mod)
-        return CycloNumber(self.order, coords)
+        m, x = self.order, _make(self.order, list(self.nums), 1)
+        rest, group = CycloNumber.from_rational(1, m), {1}
+        for g in range(2, m):
+            if g in group or math.gcd(g, m) > 1:
+                continue
+            e, power = 1, g
+            while power not in group:
+                e, power = e + 1, power * g % m
+            rest = rest * _conjugate(_orbit_product(x * rest, g, e - 1), g)
+            group = {h * pow(g, j, m) % m for h in group for j in range(e)}
+        return rest * (self.den / (x * rest).rational_value())
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -378,6 +332,23 @@ class CycloNumber:
         body = " + ".join(f"{Fraction(c, self.den)}*z{self.order}^{i}"
                           for i, c in enumerate(self.nums) if c)
         return f"CycloNumber[{self.order}]({body})"
+
+
+def _conjugate(x: CycloNumber, k: int) -> CycloNumber:
+    """sigma_k(x): z -> z^k for an integral x and a unit k mod x.order."""
+    spread = [0] * x.order
+    for i, c in enumerate(x.nums):
+        spread[k * i % x.order] = c
+    return cyclo_from_powers(x.order, spread)
+
+
+def _orbit_product(y: CycloNumber, g: int, t: int) -> CycloNumber:
+    """prod_{j < t} sigma_{g^j}(y) for an integral y, by doubling t."""
+    if t == 0:
+        return CycloNumber.from_rational(1, y.order)
+    half = _orbit_product(y, g, t // 2)
+    out = half * _conjugate(half, pow(g, t // 2, y.order))
+    return out * _conjugate(y, pow(g, t - 1, y.order)) if t % 2 else out
 
 
 def cyclo_root_of_unity(num: int, den: int) -> CycloNumber:

@@ -123,7 +123,7 @@ def nullspace_vector(rows):
     for r, col in enumerate(pivots):
         vec[col] = -m[r][free]
     g = math.gcd(*vec) if d > 0 else -math.gcd(*vec)
-    return tuple(v // g for v in vec)
+    return tuple([v // g for v in vec])
 
 
 def lattice_index(generators) -> int:

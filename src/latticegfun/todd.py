@@ -1,10 +1,11 @@
 """Euler-Maclaurin summation for simple lattice polytopes via Todd operators.
 
-The pipeline: build the normal fan of a simple polytope, collect the
-lattice points of the half-open parallelepipeds of its vertex cones with
-one exponent rho_F in [0, 1) per facet, expand the y-deformed Todd
-operator coefficients exactly, integrate the weight over the
-facet-deformed dilate by Brion's vertex formula, and apply the operator.
+The pipeline: build the normal fan of a simple polytope, generate the
+lattice points of the half-open parallelepipeds of its vertex cones, one
+per element of the cone's group Z^n / U Z^n, with one exponent rho_F in
+[0, 1) per facet, expand the y-deformed Todd operator coefficients
+exactly, integrate the weight over the facet-deformed dilate by Brion's
+vertex formula, and apply the operator.
 The points fall into Galois orbits of their exponent tuples; each orbit
 adds the rational trace of one representative's term, computed in the
 cyclotomic field of that point's own order on the roots exp(2*pi*i*rho_F),
@@ -17,7 +18,8 @@ skipped by facet mask wherever some s_0(a_F) = 0 meets the term.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 integral lives in the variables (h_1..h_m, t) and t is replaced by q(y+1)
-once, after the operator is applied.
+once, after the operator is applied.  The points and the integral read one
+vertex frame per vertex, inverted once per polytope.
 """
 from __future__ import annotations
 
@@ -27,13 +29,14 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, product
+from weakref import WeakKeyDictionary
 
 from .algebra import MultiPoly, bernoulli, convolve, pascal_row
 from .cyclotomic import (CycloNumber, _trace_numerator, cyclo_from_powers, cyclo_root_of_unity,
                          euler_phi)
 from .gfun import build_gfun
-from .linalg import lattice_index, mat_inverse, mat_rank, solve_exact
-from .polytope import Polytope, scan_box
+from .linalg import lattice_index, mat_inverse, solve_exact
+from .polytope import Polytope
 from .wsum import WeightPoly
 
 
@@ -71,18 +74,16 @@ class GammaSet(namedtuple("GammaSet", "points exponents")):
 
 
 def normal_fan(P: Polytope) -> NormalFan:
-    """One cone per nonempty face, spanned by its facets' normals."""
+    """One cone per nonempty face, spanned by its facets' normals, which
+    are independent: on a simple full-dimensional P they are some of the n
+    normals through a vertex, which span R^n."""
     if not P.simple:
         raise ValueError("normal fan machinery requires a simple polytope")
     lattice = P.face_lattice
     cones = []
     for i in lattice.nonempty():
-        face = lattice.faces[i]
-        facets = tuple(sorted(face.containing_facets))
-        gens = tuple(P.halfspaces[j].normal for j in facets)
-        if gens and mat_rank(gens) != len(gens):
-            raise ValueError("normal cone generators are dependent; polytope is not simple")
-        cones.append(Cone(gens, facets, i))
+        facets = tuple(sorted(lattice.faces[i].containing_facets))
+        cones.append(Cone(tuple(P.halfspaces[j].normal for j in facets), facets, i))
     return NormalFan(P, tuple(cones))
 
 
@@ -92,6 +93,22 @@ def _simplify_root(r: Fraction):
     return root.as_rational() if root.is_rational() else root
 
 
+def _residues(W, d: int) -> list[tuple[int, ...]]:
+    """The subgroup of (Z/d)^n spanned by the rows of W mod d, closed one
+    row at a time: with H the residues so far, H + k*row for k = 1, 2, ...
+    are new cosets until k*row falls back into H.  Each residue is built
+    once, and the zero residue comes first."""
+    group = [tuple([0] * len(W))]
+    for step in W:
+        members, layer = set(group), group
+        while True:
+            layer = [tuple([(a + b) % d for a, b in zip(r, step)]) for r in layer]
+            if layer[0] in members:
+                break
+            group += layer
+    return group
+
+
 def gamma_set(fan: NormalFan) -> GammaSet:
     """Union over the vertex cones of the lattice points of Q(cone), the
     half-open parallelepiped {sum rho_i u_i : 0 <= rho_i < 1} of the
@@ -99,11 +116,13 @@ def gamma_set(fan: NormalFan) -> GammaSet:
     finds its parallelepiped points").
 
     Every cone of the fan is a face of the vertex cones containing it, so
-    they hold every point.  Each is scanned by ``scan_box`` under
-    0 <= w_i . x <= d - 1, where rho_i = w_i . x / d and w_i is the i-th
-    column of the vertex frame's W; ``solve_exact`` recomputes rho as a
-    cross-check.  A facet off the cone has exponent 0, cones sharing a point
-    must agree, and no root of unity is built.
+    they hold every point.  With W / d the vertex frame's inverse, x -> W^T x
+    mod d maps Z^n onto Z^n / U Z^n, U the generator matrix, and e_j to row
+    j of W; so the residues the rows span, ``_residues``, are one per point,
+    and residue r gives the point sum r_i u_i / d with rho = r / d.
+    ``solve_exact`` recomputes rho as a cross-check.  A facet off the cone
+    has exponent 0, cones sharing a point must agree, and no root of unity
+    is built.
     """
     P = fan.polytope
     found: dict[tuple[int, ...], tuple] = {}
@@ -112,16 +131,14 @@ def gamma_set(fan: NormalFan) -> GammaSet:
         rows = list(zip(*cone.generators))  # columns are generators
         (vertex,) = P.face_lattice.faces[cone.face_index].vertex_indices
         _, W, d = _vertex_frame(P, vertex)
-        constraints = [c for w in zip(*W) for c in ((w, 0), ([-x for x in w], d - 1))]
-        lo = [sum(min(0, x) for x in row) for row in rows]
-        hi = [sum(max(0, x) for x in row) for row in rows]
-        for point in scan_box(lo, hi, constraints):
+        for residue in _residues(W, d):
+            point = tuple([sum(map(operator.mul, residue, row)) // d for row in rows])
             rho = solve_exact(rows, point)
             if rho is None or any(r < 0 or r >= 1 for r in rho):
-                raise RuntimeError(f"scanned point {point} is outside the parallelepiped "
+                raise RuntimeError(f"produced point {point} is outside the parallelepiped "
                                    f"of the cone on facets {cone.facet_indices}")
             placed = dict(zip(cone.facet_indices, rho))
-            exponents = tuple(placed.get(f, Fraction(0)) for f in range(len(P.halfspaces)))
+            exponents = tuple([placed.get(f, Fraction(0)) for f in range(len(P.halfspaces))])
             if found.setdefault(point, exponents) != exponents:
                 raise RuntimeError("support function disagrees between cones")
 
@@ -213,13 +230,20 @@ def h_variable_names(P: Polytope) -> list[str]:
 def _vertex_frame(P: Polytope, vertex_index: int):
     """The sorted facets through a vertex, and (W, d) with W / d the inverse
     of the matrix whose rows are their normals: column j of W / d is the
-    vector m_v^F dual to the j-th facet's normal."""
-    lattice = P.face_lattice
-    facets = sorted(lattice.faces[lattice.index_of({vertex_index})].containing_facets)
-    if len(facets) != P.ambient_dim:
-        raise ValueError("not simple at vertex")
-    W, d = mat_inverse([P.halfspaces[j].normal for j in facets])
-    return facets, W, d
+    vector m_v^F dual to the j-th facet's normal.  Each vertex's frame is
+    inverted once per polytope and kept while P lives."""
+    frames = _frames.setdefault(P, {})
+    if vertex_index not in frames:
+        lattice = P.face_lattice
+        facets = sorted(lattice.faces[lattice.index_of({vertex_index})].containing_facets)
+        if len(facets) != P.ambient_dim:
+            raise ValueError("not simple at vertex")
+        W, d = mat_inverse([P.halfspaces[j].normal for j in facets])
+        frames[vertex_index] = (tuple(facets), tuple(map(tuple, W)), d)
+    return frames[vertex_index]
+
+
+_frames: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def dual_basis_at_vertex(P: Polytope, vertex_index: int):
@@ -304,7 +328,7 @@ def symbolic_integral(P: Polytope, phi: WeightPoly) -> SymbolicIntegral:
     for i, vertex in enumerate(P.vertices):
         facets, W, d = _vertex_frame(P, i)
         slot = {f: j + 1 for j, f in enumerate(facets)}
-        keys = [tuple(e[slot[f]] if f in slot else 0 for f in range(len(names) - 1)) + e[:1]
+        keys = [tuple([e[slot[f]] if f in slot else 0 for f in range(len(names) - 1)]) + e[:1]
                 for e, _ in table]
         cones.append((vertex, list(zip(*W)), d, keys))
     forms = _power_forms(phi)
@@ -333,14 +357,14 @@ def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
     The gamma set must hold every member of each orbit it meets, and nothing
     besides these orbits.  No root is built here.
     """
-    keys = [(m, tuple(x.numerator * (m // x.denominator) for x in r))
-            for r in gam.exponents for m in [math.lcm(*(x.denominator for x in r))]]
+    keys = [(m, tuple([x.numerator * (m // x.denominator) for x in r]))
+            for r in gam.exponents for m in [math.lcm(*[x.denominator for x in r])]]
     unplaced = set(keys)
     orbits = []
     for i, (m, nums) in enumerate(keys):
         if (m, nums) not in unplaced:
             continue
-        members = [(m, tuple(k * x % m for x in nums)) for k in range(m) if math.gcd(k, m) == 1]
+        members = [(m, tuple([k * x % m for x in nums])) for k in range(m) if math.gcd(k, m) == 1]
         missing = next((member for _, member in members if (m, member) not in unplaced), None)
         if missing is not None:
             raise RuntimeError(

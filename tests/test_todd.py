@@ -11,14 +11,14 @@ import pytest
 from latticegfun import (CycloNumber, GammaSet, MultiPoly, WeightPoly, apply_todd,
                          bernoulli, build_gfun, build_polytope, cli, random_corpus,
                          cyclo_root_of_unity, deformed_vertex, dual_basis_at_vertex,
-                         gamma_set, h_variable_names, normal_fan, symbolic_integral,
+                         gamma_set, h_variable_names, normal_fan, polytope, symbolic_integral,
                          todd, todd_coeffs, verify_todd_formula)
 from latticegfun.cyclotomic import euler_phi
 from latticegfun.linalg import det
 from latticegfun.todd import _inv_scalar
 
 from integral_reference import triangulation_integral
-from linalg_reference import solve
+from linalg_reference import inverse, rank, solve
 
 F = Fraction
 y = MultiPoly.variable("y")
@@ -71,6 +71,17 @@ def test_ray_facet_bijection(unit_cube):
     fan = normal_fan(unit_cube)
     rays = {c.generators[0] for c in fan.cones if len(c.generators) == 1}
     assert rays == {h.normal for h in unit_cube.halfspaces}
+
+
+@pytest.mark.parametrize("seeds", [(11, 7), (103, 105)])
+def test_fan_cones_have_independent_generators(seeds):
+    # normal_fan takes no rank: on a simple full-dimensional polytope every
+    # face's normals are some vertex's, which span R^n
+    shapes = random_corpus(seeds[0], 15, 2, 3) + random_corpus(seeds[1], 10, 3, 2)
+    for P in (P for P in shapes if P.simple):
+        for cone in normal_fan(P).cones:
+            assert not cone.generators or rank(cone.generators) == len(cone.generators), \
+                (P.vertices, cone.facet_indices)
 
 
 # --- parallelepiped points -------------------------------------------
@@ -145,6 +156,116 @@ def test_gamma_set_matches_box_scan(right_triangle, simplex3, corpus2d, corpus3d
         assert gam.a_values == tuple(tuple(expected[pt]) for pt in points)
         assert [[type(v) for v in vals] for vals in gam.a_values] == \
             [[type(v) for v in expected[pt]] for pt in points]
+
+
+def simplex_with_legs(*legs):
+    n = len(legs)
+    return build_polytope([(0,) * n] + [tuple(a if j == i else 0 for j in range(n))
+                                        for i, a in enumerate(legs)])
+
+
+def scan_parallelepiped(cone, n):
+    """The points of Q(cone) with their rho, scanned by ``scan_box`` under
+    0 <= rho_i < 1, rho = U^-T x read off the reference inverse."""
+    inv = inverse(cone.generators)  # rho_i = sum_k inv[k][i] x_k
+    den = math.lcm(*[x.denominator for row in inv for x in row])
+    cols = [[int(row[i] * den) for row in inv] for i in range(n)]
+    constraints = [c for w in cols for c in ((w, 0), ([-x for x in w], den - 1))]
+    rows = [[g[k] for g in cone.generators] for k in range(n)]
+    lo = [sum(min(0, x) for x in row) for row in rows]
+    hi = [sum(max(0, x) for x in row) for row in rows]
+    return [(pt, solve(rows, pt)) for pt in polytope.scan_box(lo, hi, constraints)]
+
+
+def test_gamma_set_matches_the_scan_on_a_4_simplex():
+    # vertex-cone indices 1, 30, 42, 70 and 105
+    P = simplex_with_legs(2, 3, 5, 7)
+    fan = normal_fan(P)
+    expected = {}
+    for cone in fan.maximal_cones():
+        for pt, rho in scan_parallelepiped(cone, 4):
+            placed = [F(0)] * len(P.halfspaces)
+            for fi, r in zip(cone.facet_indices, rho):
+                placed[fi] = r
+            assert expected.setdefault(pt, placed) == placed
+    gam = gamma_set(fan)
+    assert gam.points == tuple(sorted(expected))
+    assert gam.exponents == tuple(tuple(expected[pt]) for pt in gam.points)
+
+
+GROUP_SHAPES = [[(0, 0), (60, 0), (0, 37)], [(0, 0, 0), (5, 0, 0), (0, 7, 0), (0, 0, 3)],
+                [(0, 0, 0, 0), (3, 0, 0, 0), (0, 4, 0, 0), (0, 0, 5, 0), (0, 0, 0, 7)]]
+
+
+def test_gamma_set_scans_no_box(monkeypatch):
+    # the points come from each vertex cone's residue group, with one
+    # solve_exact cross-check per point of each vertex cone
+    def refuse(*args):
+        raise AssertionError("gamma_set scanned a box")
+
+    monkeypatch.setattr(polytope, "scan_box", refuse)
+    assert not hasattr(todd, "scan_box")
+    solved = []
+    original = todd.solve_exact
+
+    def counted(rows, rhs):
+        solved.append(tuple(rhs))
+        return original(rows, rhs)
+
+    monkeypatch.setattr(todd, "solve_exact", counted)
+    for vertices in GROUP_SHAPES:
+        fan = normal_fan(build_polytope(vertices))
+        solved.clear()
+        gam = gamma_set(fan)
+        assert len(solved) == sum(c.index for c in fan.maximal_cones())
+        assert set(solved) == set(gam.points)
+
+
+def test_gamma_set_cross_checks_each_point(monkeypatch):
+    # a solve that puts a point outside [0, 1)^n, or gives the shared origin
+    # other exponents in a second cone, raises
+    P = build_polytope(GROUP_SHAPES[0])
+    original = todd.solve_exact
+
+    def shifted(rows, rhs):
+        return [r + 1 for r in original(rows, rhs)]
+
+    monkeypatch.setattr(todd, "solve_exact", shifted)
+    with pytest.raises(RuntimeError, match=r"produced point .* is outside the parallelepiped "
+                                           r"of the cone on facets"):
+        gamma_set(normal_fan(P))
+    seen_rows = []
+
+    def disagreeing(rows, rhs):
+        rho = original(rows, rhs)
+        if any(rhs):
+            return rho
+        seen_rows.append(rows)
+        return rho if len(seen_rows) == 1 else [F(1, 2)] + rho[1:]
+
+    monkeypatch.setattr(todd, "solve_exact", disagreeing)
+    with pytest.raises(RuntimeError, match="support function disagrees between cones"):
+        gamma_set(normal_fan(P))
+
+
+def test_apply_todd_inverts_each_vertex_frame_once(monkeypatch):
+    # gamma_set, symbolic_integral and dual_basis_at_vertex share one
+    # inverse per vertex of the polytope
+    P = build_polytope(GROUP_SHAPES[1])
+    inverted = []
+    original = todd.mat_inverse
+
+    def counted(rows):
+        inverted.append(tuple(map(tuple, rows)))
+        return original(rows)
+
+    monkeypatch.setattr(todd, "mat_inverse", counted)
+    expected = build_gfun(P).poly
+    assert apply_todd(P) == expected
+    assert len(inverted) == len(P.vertices) == len(set(inverted))
+    for v in range(len(P.vertices)):
+        deformed_vertex(P, v)
+    assert len(inverted) == len(P.vertices)
 
 
 def test_gamma_set_builds_no_root_of_unity(monkeypatch):
@@ -713,6 +834,15 @@ def test_apply_todd_large_prime_index_triangle():
     G = apply_todd(build_polytope([(0, 0), (1000, 0), (0, 997)]))
     ehrhart = {exps: c for exps, c in G.terms.items() if exps[G.vars.index("y")] == 0}
     assert MultiPoly(G.vars, ehrhart) == 498500 * q ** 2 + 999 * q + 1
+
+
+@pytest.mark.parametrize("legs, weight", [((3, 4, 5, 7), (2, 0, 0, 0)),
+                                          ((1, 1, 1, 1, 1), (2, 0, 0, 0, 0)),
+                                          ((2, 3, 5, 7), (0, 0, 0, 0))])
+def test_verify_4_and_5_dimensional_simplices(legs, weight):
+    # vertex-cone indices up to 140 in dimension 4; the unit 5-simplex is
+    # unimodular but runs the operator in six facet variables
+    assert verify_todd_formula(simplex_with_legs(*legs), WeightPoly.monomial(len(legs), weight))
 
 
 def test_verify_index_1849_simplex():
