@@ -32,6 +32,8 @@ def _load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON in {path!r}: {exc.msg} at line {exc.lineno} column {exc.colno}")
+    except RecursionError:  # a RuntimeError, which would read as a broken invariant
+        raise ValueError(f"malformed JSON in {path!r}: nested too deeply")
 
 
 def _load_polytope(path: str) -> Polytope:

@@ -15,7 +15,8 @@ touching only ``Phi_N``'s nonzero terms; no table of the powers of z is
 kept.  Elements of different orders are merged by embedding both into the
 field of order ``lcm`` before any mixed arithmetic.  The trace down to Q
 is read off the numerators through Ramanujan sums, and the inverse is the
-product of the other Galois conjugates over the norm.
+product of the other Galois conjugates over the norm.  ``gmul`` multiplies
+in Z[x]/(x^N - 1), which x -> z maps onto the integers of the field.
 """
 from __future__ import annotations
 
@@ -371,12 +372,33 @@ def cyclo_from_powers(order: int, coeffs) -> CycloNumber:
 @lru_cache(maxsize=None)
 def _ramanujan_sums(n: int) -> tuple[int, ...]:
     """c_n(e), the sum of the e-th powers of the primitive n-th roots of
-    unity, for e < phi(n): mu(n/g) * phi(n)/phi(n/g) with g = gcd(e, n)."""
-    out = []
-    for e in range(euler_phi(n)):
-        d = n // math.gcd(e, n)
-        out.append(_mobius(d) * (euler_phi(n) // euler_phi(d)))
-    return tuple(out)
+    unity, for e < n: mu(n/g) * phi(n)/phi(n/g) with g = gcd(e, n)."""
+    by_gcd = {g: _mobius(n // g) * (euler_phi(n) // euler_phi(n // g))
+              for g in range(1, n + 1) if n % g == 0}
+    return tuple([by_gcd[math.gcd(e, n)] for e in range(n)])
+
+
+def gmul(a, b, m: int) -> list[int]:
+    """a * b in the group ring Z[x]/(x^m - 1), each as m integers: cyclic
+    schoolbook below length 48, else one big-integer product by Kronecker
+    substitution, w bytes a slot, 2^(8w-1) above each entry and coefficient."""
+    if m < 48:
+        out = [0] * (2 * m)
+        right = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in right:
+                    out[i + j] += x * y
+        return [x + y for x, y in zip(out, out[m:])]
+    w = (max(1, *map(abs, a)) * max(1, *map(abs, b)) * m).bit_length() // 8 + 1
+    half, n, zero = 1 << (8 * w - 1), 2 * m - 1, bytes(w)
+    pos_a, neg_a, pos_b, neg_b = (  # sum v_i 2^(8wi) over the positive, then negative, v_i
+        int.from_bytes(b"".join([(s * c).to_bytes(w, "little") if s * c > 0 else zero
+                                 for c in v]), "little") for v in (a, b) for s in (1, -1))
+    offset = int.from_bytes(half.to_bytes(w, "little") * n, "little")  # keeps each slot >= 0
+    raw = ((pos_a - neg_a) * (pos_b - neg_b) + offset).to_bytes(n * w, "little")
+    out = [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, n * w, w)]
+    return [x + y for x, y in zip(out, out[m:] + [0])]
 
 
 def _trace_numerator(x: CycloNumber) -> int:

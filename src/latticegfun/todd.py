@@ -7,14 +7,14 @@ per element of the cone's group Z^n / U Z^n, with one exponent rho_F in
 exactly, integrate the weight over the facet-deformed dilate by Brion's
 vertex formula, and apply the operator.
 The points fall into Galois orbits of their exponent tuples; each orbit
-adds the rational trace of one representative's term, computed in the
-cyclotomic field of that point's own order on the roots exp(2*pi*i*rho_F),
-and that every orbit is complete is checked.  Each root's coefficients
-come from one closed form in Bernoulli polynomials at its exponent,
-summed in integers.  The operator runs on integer tables: the
-coefficients s_k over one denominator per derivative order k, integral
-cyclotomic numbers promoted into each orbit's field once, and an orbit
-skipped by facet mask wherever some s_0(a_F) = 0 meets the term.
+adds the rational trace of one representative's term, and that every
+orbit is complete is checked.  Each root's coefficients come from one
+closed form in Bernoulli polynomials at its exponent, summed in integers.
+The operator runs on integer tables: the coefficients s_k over one
+denominator per derivative order k, each non-rational one as integers in
+the group ring Z[x]/(x^m - 1) of its orbit's order m, where products need
+no reduction and are traced by Ramanujan sums, and an orbit skipped by
+facet mask wherever some s_0(a_F) = 0 meets the term.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 integral lives in the variables (h_1..h_m, t) and t is replaced by q(y+1)
@@ -32,8 +32,8 @@ from itertools import count, product
 from weakref import WeakKeyDictionary
 
 from .algebra import MultiPoly, bernoulli, convolve, pascal_row
-from .cyclotomic import (CycloNumber, _trace_numerator, cyclo_from_powers, cyclo_root_of_unity,
-                         euler_phi)
+from .cyclotomic import (CycloNumber, _ramanujan_sums, cyclo_from_powers, cyclo_root_of_unity,
+                         euler_phi, gmul)
 from .gfun import build_gfun
 from .linalg import lattice_index, mat_inverse, solve_exact
 from .polytope import Polytope
@@ -380,6 +380,17 @@ def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
     return orbits
 
 
+def _muladd(x, s, y, m: int):
+    """x * s + y in Z[C_m] = Z[x]/(x^m - 1), each m coefficients or an int n for n * 1."""
+    if isinstance(x, int):
+        x, s = s, x
+    x = x * s if isinstance(x, int) else [c * s for c in x] if isinstance(s, int) else gmul(x, s, m)
+    if isinstance(x, int) != isinstance(y, int):  # n * 1 adds n to the coefficient of x^0
+        x, y = (x, y) if isinstance(y, int) else (y, x)
+        return [x[0] + y, *x[1:]] if y else x
+    return x + y if isinstance(x, int) else list(map(operator.add, x, y))
+
+
 def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     """Apply the Todd operator summed over the parallelepiped points to the
     integral, set h = 0, and replace t by q(y+1) (README, "How the Todd
@@ -391,10 +402,10 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     degree n + deg phi, so no alpha_F exceeds the tables.  The points are
     summed by Galois orbits, each as the trace down to Q of a representative's
     product (y+1)^(sum of alpha_F != 1) * prod_{alpha_F != 1} s_{alpha_F}(a_F)
-    * prod_{alpha_F = 1} (s_1 + (s_1 - 1) y), of which only the second factor,
-    a polynomial in y, is traced.  It runs in integers: s_k is scaled by D_k,
-    the lcm of its denominators over every root met, and s_0(a) = 0 for
-    a != 1 skips each orbit with an a_F != 1 off alpha's support.
+    * prod_{alpha_F = 1} (s_1 (y+1) - y), the second factor taken in integers
+    in Z[x]/(x^m - 1), m the orbit's order, with s_k scaled by D_k, the lcm
+    of its denominators over every root met, and traced by Ramanujan sums.
+    s_0(a) = 0 for a != 1 skips each orbit with an a_F != 1 off alpha's support.
     """
     if phi is None:
         phi = WeightPoly.one(P.ambient_dim)
@@ -409,15 +420,14 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
                for r in dict.fromkeys(r for rho, _ in orbits for r in rho)}
     dens = [math.lcm(*[s.den if isinstance(s, CycloNumber) else s.denominator for s in col])
             for col in zip(*scalars.values())]  # D_0 = 1
-    scaled = {r: [s * d if isinstance(s, CycloNumber) else s.numerator * (d // s.denominator)
-                  for s, d in zip(row, dens)] for r, row in scalars.items()}
-    tables = []  # (mask of the facets with a_F != 1, rows in the orbit's field, phi(m))
-    for rho, m in orbits:
-        rows = [[s.promote(m) if isinstance(s, CycloNumber) else s for s in scaled[r]]
-                for r in rho]
-        for row in rows:
-            row[1] = (row[1], row[1] - dens[1])  # D_1 (s_1 + (s_1 - 1) y)
-        tables.append((sum(1 << f for f, r in enumerate(rho) if r), rows, euler_phi(m)))
+    scaled = {r: [s.numerator * (d // s.denominator) if isinstance(s, Fraction) else
+                  [c * (d // s.den) for c in s.nums] + [0] * (r.denominator - len(s.nums))
+                  for s, d in zip(row, dens)] for r, row in scalars.items()}  # D_k s_k
+    tables = []  # (mask of the facets with a_F != 1, rows in Z[C_m], m, c_m(e) for e < m)
+    for rho, m in orbits:  # x^j -> x^(j m/m0) takes Z[C_m0] into Z[C_m]
+        rows = [[s if isinstance(s, int) else [x for c in s for x in (c, *pad)]
+                 for s in scaled[r]] for r in rho for pad in [[0] * (m // r.denominator - 1)]]
+        tables.append((sum(1 << f for f, r in enumerate(rho) if r), rows, m, _ramanujan_sums(m)))
     terms = [(alpha, power, coeff, coeff.denominator * math.prod(dens[k] for k in alpha))
              for (*alpha, power), coeff in integral.terms.items()]  # vars (h_1..h_m, t)
     common = math.lcm(*[den for *_, den in terms])
@@ -426,25 +436,30 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
         support = [(f, k) for f, k in enumerate(alpha) if k]
         mask = sum(1 << f for f, _ in support)
         traced = [0] * (alpha.count(1) + 1)
-        for orbit_mask, rows, phi_m in tables:
+        for orbit_mask, rows, m, cm in tables:
             if orbit_mask & ~mask:  # some a_F != 1 meets s_0(a_F) = 0
                 continue
-            poly = [1]
+            poly = [1]  # poly[j] is the coefficient of (-D_1 y)^j (y+1)^(i-j) after i pairs
             for f, k in support:
                 s = rows[f][k]
-                if k == 1:
-                    poly = convolve(poly, s)
-                elif s:
-                    poly = [c * s for c in poly]
+                if k == 1:  # D_1 (s_1 + (s_1 - 1) y) = s (y+1) - D_1 y
+                    poly = [c * s + b if m < 3 else _muladd(c, s, b, m)
+                            for c, b in zip(poly, [0, *poly])] + poly[-1:]
+                elif s if isinstance(s, int) else any(s):
+                    poly = [c * s if m < 3 else _muladd(c, s, 0, m) for c in poly]
                 else:
                     break
             else:
                 for j, c in enumerate(poly):
-                    traced[j] += c * phi_m if isinstance(c, int) else _trace_numerator(c)
-        # t^e = q^e (y+1)^e joins the (y+1) power of the alpha_F != 1 factors
+                    traced[j] += c * cm[0] if isinstance(c, int) else sum(map(operator.mul, c, cm))
+        if not any(traced):
+            continue
+        poly = traced[:1]  # in powers of y; t^e = q^e (y+1)^e joins the (y+1) power
+        for j, w in enumerate(traced[1:], 1):
+            poly = [a + b for a, b in zip(poly, [0, *poly])] + [poly[-1] + w * (-dens[1]) ** j]
         shift = power + sum(k for k in alpha if k != 1)
         scale = coeff.numerator * math.prod(map(math.factorial, alpha)) * (common // den)
-        for j, w in enumerate(convolve(traced, pascal_row(shift))):
+        for j, w in enumerate(convolve(poly, pascal_row(shift))):
             out[power][j] += scale * w
     return MultiPoly(("q", "y"), {(e, j): Fraction(c, common)
                                   for e, row in enumerate(out) for j, c in enumerate(row) if c})

@@ -153,6 +153,28 @@ def test_exit_1_malformed_json(capsys, tmp_path):
     assert "line" in error and "column" in error
 
 
+NESTED = '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def test_exit_1_deeply_nested_polytope(capsys, tmp_path):
+    # json.load raises RecursionError, a RuntimeError, which must not read as
+    # a broken invariant (exit 2)
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED)
+    code, out = run_cli(capsys, "--format", "json", "info", "--polytope", str(path))
+    assert code == 1
+    assert "nested too deeply" in json.loads(out)["error"]
+
+
+def test_exit_1_deeply_nested_weight(capsys, triangle_file, tmp_path):
+    path = tmp_path / "phi.json"
+    path.write_text(NESTED.replace("vertices", "terms"))
+    code, out = run_cli(capsys, "--format", "json", "gfun", "--polytope", triangle_file,
+                        "--phi", str(path))
+    assert code == 1
+    assert "nested too deeply" in json.loads(out)["error"]
+
+
 def test_exit_1_missing_file(capsys):
     code, out = run_cli(capsys, "info", "--polytope", "/does/not/exist.json")
     assert code == 1

@@ -1,6 +1,7 @@
 """Cyclotomic field arithmetic against a floating-point shadow."""
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from cyclotomic_reference import cyclotomic_by_division
 from latticegfun import CycloNumber, cyclo_root_of_unity
-from latticegfun.cyclotomic import _trace_numerator, cyclotomic_polynomial, euler_phi
+from latticegfun.cyclotomic import (_ramanujan_sums, _trace_numerator, cyclo_from_powers,
+                                    cyclotomic_polynomial, euler_phi, gmul)
 
 F = Fraction
 
@@ -169,3 +171,57 @@ def test_trace_is_the_sum_of_conjugates(order):
         total = sum((conjugate(field, k) for k in units), CycloNumber.from_rational(0, order))
         assert total.as_rational() is not None
         assert F(_trace_numerator(field), field.den) == total.as_rational(), (order, x)
+
+
+# --- the group ring Z[x]/(x^m - 1) ----------------------------------------
+
+
+def cyclic_schoolbook(a, b, m):
+    out = [0] * m
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % m] += x * y
+    return out
+
+
+@st.composite
+def group_ring_pair(draw):
+    """Two coefficient lists of one length m, on either side of gmul's
+    Kronecker cutoff at 48: all zero, small, or with entries beyond 2^64,
+    of either sign."""
+    m = draw(st.one_of(st.integers(1, 60), st.sampled_from([47, 48, 49, 97, 130])))
+    sizes = {"zero": st.just(0), "small": st.integers(-3, 3),
+             "huge": st.integers(-2 ** 90, 2 ** 90), "sparse": st.sampled_from([0, 0, 0, -1, 2])}
+    return [draw(st.lists(sizes[draw(st.sampled_from(sorted(sizes)))], min_size=m, max_size=m))
+            for _ in range(2)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(group_ring_pair())
+@example([[0] * 48, [5] * 48])
+@example([[2 ** 64 + 1] * 48, [-(2 ** 70)] * 48])
+@example([[-1] * 47, [-1] * 47])
+def test_gmul_matches_the_cyclic_schoolbook(pair):
+    a, b = pair
+    m = len(a)
+    copies = (list(a), list(b))
+    assert gmul(a, b, m) == cyclic_schoolbook(a, b, m)
+    assert (a, b) == copies
+
+
+def test_group_ring_trace_matches_the_field_trace():
+    # x -> zeta_m maps Z[x]/(x^m - 1) onto the ring of integers of Q(zeta_m),
+    # so sum_e c_e c_m(e) traces any representative of a product; a factor
+    # from the subring of order d | m enters by x^j -> x^(j m/d)
+    rng = random.Random(20)
+    for m in range(1, 61):
+        sums = _ramanujan_sums(m)
+        assert len(sums) == m and sums[0] == euler_phi(m)
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            a = [rng.randint(-9, 9) for _ in range(d)]
+            b = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(m)]
+            spread = [0] * m
+            spread[::m // d] = a
+            field = cyclo_from_powers(d, a).promote(m) * cyclo_from_powers(m, b)
+            traced = sum(c * s for c, s in zip(gmul(spread, b, m), sums))
+            assert traced == _trace_numerator(field), (m, d)

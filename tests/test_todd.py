@@ -829,11 +829,34 @@ def test_verify_high_index_cases(vertices):
 def test_apply_todd_large_prime_index_triangle():
     # vertex-cone indices 1, 997 and 1000: 1,996 parallelepiped points in 17
     # Galois orbits, one of them in the field of order 997 and degree 996.
-    # The face sums are out of reach here, so the y^0 part is checked
-    # against Pick's Ehrhart polynomial: area 498500, 1998 boundary points
+    # The y^0 part is Pick's Ehrhart polynomial: area 498500, 1998 boundary
+    # points
     G = apply_todd(build_polytope([(0, 0), (1000, 0), (0, 997)]))
     ehrhart = {exps: c for exps, c in G.terms.items() if exps[G.vars.index("y")] == 0}
     assert MultiPoly(G.vars, ehrhart) == 498500 * q ** 2 + 999 * q + 1
+
+
+def test_verify_large_prime_index_triangle():
+    # the same triangle against the face sums, whose scan takes about a second
+    assert verify_todd_formula(build_polytope([(0, 0), (1000, 0), (0, 997)]))
+
+
+def test_apply_todd_prime_index_9973_triangle(monkeypatch):
+    # an orbit of order 9973, so products of two cyclotomic scalars are
+    # Kronecker products in the group ring; the y^0 part is Pick's Ehrhart
+    # polynomial: area 49865000, 19974 boundary points
+    orders = []
+    original = todd.gmul
+
+    def recorded(a, b, m):
+        orders.append(m)
+        return original(a, b, m)
+
+    monkeypatch.setattr(todd, "gmul", recorded)
+    G = apply_todd(build_polytope([(0, 0), (10000, 0), (0, 9973)]))
+    assert 9973 in orders
+    ehrhart = {exps: c for exps, c in G.terms.items() if exps[G.vars.index("y")] == 0}
+    assert MultiPoly(G.vars, ehrhart) == 49865000 * q ** 2 + 9987 * q + 1
 
 
 @pytest.mark.parametrize("legs, weight", [((3, 4, 5, 7), (2, 0, 0, 0)),
@@ -890,9 +913,9 @@ def test_apply_todd_rejects_a_wrong_dimension_weight_before_the_scan(monkeypatch
 
 
 def test_apply_todd_convolves_no_fraction(monkeypatch, corpus3d):
-    # the operator runs on integer tables: each entry is an int or an
-    # integral cyclotomic number, and one Fraction per output coefficient is
-    # built at the end
+    # the operator runs on integer tables: each entry is an int or the integer
+    # coefficients of a group-ring element, and one Fraction per output
+    # coefficient is built at the end
     cases = [(build_polytope(HIGH_INDEX[1]), WeightPoly.monomial(3, (2, 0, 0)))]
     cases += [(P, WeightPoly.one(3)) for P in corpus3d if P.simple]
     expected = [apply_todd(P, phi) for P, phi in cases]
