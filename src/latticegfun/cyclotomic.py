@@ -379,12 +379,13 @@ def _ramanujan_sums(n: int) -> tuple[int, ...]:
 
 
 def gmul(a, b, m: int) -> list[int]:
-    """a * b in the group ring Z[x]/(x^m - 1), each as m integers: cyclic
-    schoolbook below length 48, else one big-integer product by Kronecker
+    """a * b in the group ring Z[x]/(x^m - 1), each as m integers: a cyclic
+    schoolbook over the nonzero entries when their count product is below
+    16 m (the measured crossover), else one big-integer product by Kronecker
     substitution, w bytes a slot, 2^(8w-1) above each entry and coefficient."""
-    if m < 48:
+    right = [(j, y) for j, y in enumerate(b) if y]
+    if (m - a.count(0)) * len(right) < 16 * m:
         out = [0] * (2 * m)
-        right = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
                 for j, y in right:

@@ -380,17 +380,6 @@ def _galois_orbits(gam: GammaSet) -> list[tuple[tuple, int]]:
     return orbits
 
 
-def _muladd(x, s, y, m: int):
-    """x * s + y in Z[C_m] = Z[x]/(x^m - 1), each m coefficients or an int n for n * 1."""
-    if isinstance(x, int):
-        x, s = s, x
-    x = x * s if isinstance(x, int) else [c * s for c in x] if isinstance(s, int) else gmul(x, s, m)
-    if isinstance(x, int) != isinstance(y, int):  # n * 1 adds n to the coefficient of x^0
-        x, y = (x, y) if isinstance(y, int) else (y, x)
-        return [x[0] + y, *x[1:]] if y else x
-    return x + y if isinstance(x, int) else list(map(operator.add, x, y))
-
-
 def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     """Apply the Todd operator summed over the parallelepiped points to the
     integral, set h = 0, and replace t by q(y+1) (README, "How the Todd
@@ -423,11 +412,14 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     scaled = {r: [s.numerator * (d // s.denominator) if isinstance(s, Fraction) else
                   [c * (d // s.den) for c in s.nums] + [0] * (r.denominator - len(s.nums))
                   for s, d in zip(row, dens)] for r, row in scalars.items()}  # D_k s_k
-    tables = []  # (mask of the facets with a_F != 1, rows in Z[C_m], m, c_m(e) for e < m)
-    for rho, m in orbits:  # x^j -> x^(j m/m0) takes Z[C_m0] into Z[C_m]
-        rows = [[s if isinstance(s, int) else [x for c in s for x in (c, *pad)]
-                 for s in scaled[r]] for r in rho for pad in [[0] * (m // r.denominator - 1)]]
-        tables.append((sum(1 << f for f, r in enumerate(rho) if r), rows, m, _ramanujan_sums(m)))
+    tables = []  # (mask of the facets with a_F != 1, rows, m, c_m(e) for e < m, the ring's 1)
+    for rho, m in orbits:  # x^j -> x^(j m/m0) takes Z[C_m0] into Z[C_m], and n to n * 1
+        lift = [0] * (m - 1)
+        rows = [[s if m < 3 else [s, *lift] if isinstance(s, int) else
+                 [x for c in s for x in (c, *pad)] for s in scaled[r]]
+                for r in rho for pad in [[0] * (m // r.denominator - 1)]]
+        tables.append((sum(1 << f for f, r in enumerate(rho) if r), rows, m, _ramanujan_sums(m),
+                       1 if m < 3 else [1, *lift]))
     terms = [(alpha, power, coeff, coeff.denominator * math.prod(dens[k] for k in alpha))
              for (*alpha, power), coeff in integral.terms.items()]  # vars (h_1..h_m, t)
     common = math.lcm(*[den for *_, den in terms])
@@ -436,22 +428,29 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
         support = [(f, k) for f, k in enumerate(alpha) if k]
         mask = sum(1 << f for f, _ in support)
         traced = [0] * (alpha.count(1) + 1)
-        for orbit_mask, rows, m, cm in tables:
+        for orbit_mask, rows, m, cm, one in tables:
             if orbit_mask & ~mask:  # some a_F != 1 meets s_0(a_F) = 0
                 continue
-            poly = [1]  # poly[j] is the coefficient of (-D_1 y)^j (y+1)^(i-j) after i pairs
-            for f, k in support:
+            poly = [one]  # poly[j] is the coefficient of (-D_1 y)^j (y+1)^(i-j) after i pairs
+            for f, k in support:  # D_1 (s_1 + (s_1 - 1) y) = s (y+1) - D_1 y for k = 1
                 s = rows[f][k]
-                if k == 1:  # D_1 (s_1 + (s_1 - 1) y) = s (y+1) - D_1 y
-                    poly = [c * s + b if m < 3 else _muladd(c, s, b, m)
-                            for c, b in zip(poly, [0, *poly])] + poly[-1:]
-                elif s if isinstance(s, int) else any(s):
-                    poly = [c * s if m < 3 else _muladd(c, s, 0, m) for c in poly]
+                if m < 3:  # rational roots only: plain integers
+                    if k == 1:
+                        poly = [c * s + b for c, b in zip(poly, [0, *poly])] + poly[-1:]
+                    elif s:
+                        poly = [c * s for c in poly]
+                    else:
+                        break
+                elif k == 1:
+                    poly = [gmul(poly[0], s, m), *[list(map(operator.add, gmul(c, s, m), b))
+                                                   for c, b in zip(poly[1:], poly)], poly[-1]]
+                elif any(s):
+                    poly = [gmul(c, s, m) for c in poly]
                 else:
                     break
             else:
                 for j, c in enumerate(poly):
-                    traced[j] += c * cm[0] if isinstance(c, int) else sum(map(operator.mul, c, cm))
+                    traced[j] += c * cm[0] if m < 3 else sum(map(operator.mul, c, cm))
         if not any(traced):
             continue
         poly = traced[:1]  # in powers of y; t^e = q^e (y+1)^e joins the (y+1) power

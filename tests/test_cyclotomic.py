@@ -187,8 +187,8 @@ def cyclic_schoolbook(a, b, m):
 @st.composite
 def group_ring_pair(draw):
     """Two coefficient lists of one length m, on either side of gmul's
-    Kronecker cutoff at 48: all zero, small, or with entries beyond 2^64,
-    of either sign."""
+    switch to Kronecker products (nonzero counts multiplying to 16 m): all
+    zero, small, sparse, or with entries beyond 2^64, of either sign."""
     m = draw(st.one_of(st.integers(1, 60), st.sampled_from([47, 48, 49, 97, 130])))
     sizes = {"zero": st.just(0), "small": st.integers(-3, 3),
              "huge": st.integers(-2 ** 90, 2 ** 90), "sparse": st.sampled_from([0, 0, 0, -1, 2])}
@@ -201,6 +201,7 @@ def group_ring_pair(draw):
 @example([[0] * 48, [5] * 48])
 @example([[2 ** 64 + 1] * 48, [-(2 ** 70)] * 48])
 @example([[-1] * 47, [-1] * 47])
+@example([[3] + [0] * 129, [-(2 ** 70)] * 130])
 def test_gmul_matches_the_cyclic_schoolbook(pair):
     a, b = pair
     m = len(a)
