@@ -70,15 +70,7 @@ class MultiPoly:
                 if len(exps) != width:
                     raise ValueError("exponent vector width does not match variables")
                 if coeff:
-                    key = tuple(exps)
-                    if key in clean:
-                        coeff = clean[key] + coeff
-                        if coeff:
-                            clean[key] = coeff
-                        else:
-                            del clean[key]
-                    else:
-                        clean[key] = coeff
+                    clean[tuple(exps)] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):

@@ -87,15 +87,18 @@ def _poly_pretty(poly: MultiPoly) -> str:
     return "  +  ".join(chunks) if chunks else "0"
 
 
-def _emit(payload: dict, fmt: str, pretty_keys: tuple[str, ...] = ()) -> None:
+def _emit(payload: dict, fmt: str) -> None:
+    """Print the payload as JSON, its polynomials by ``MultiPoly.to_json``, or
+    one line per key, a top-level polynomial laid out by ``_poly_pretty``."""
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                         default=MultiPoly.to_json))
         return
     for key, value in payload.items():
-        if key in pretty_keys and isinstance(value, dict) and "vars" in value:
-            print(f"{key}: {_poly_pretty(MultiPoly.from_json(value))}")
+        if isinstance(value, MultiPoly):
+            print(f"{key}: {_poly_pretty(value)}")
         else:
-            print(f"{key}: {json.dumps(value, sort_keys=True)}")
+            print(f"{key}: {json.dumps(value, sort_keys=True, default=MultiPoly.to_json)}")
 
 
 def _face_from_arg(P: Polytope, arg: str | None):
@@ -195,43 +198,43 @@ def _dispatch(args) -> int:
         wsp = weighted_sum_poly(P, face, phi)[face]
         payload = {
             "face": sorted(face.vertex_indices),
-            "closed": wsp.closed.to_json(),
-            "open": wsp.open.to_json(),
+            "closed": wsp.closed,
+            "open": wsp.open,
         }
-        _emit(payload, fmt, pretty_keys=("closed", "open"))
+        _emit(payload, fmt)
         return 0
 
     if args.command == "gfun":
         P = _load_polytope(args.polytope)
         phi = _load_phi(args.phi, P.ambient_dim)
         G = build_gfun(P, phi)
-        payload = {"gfun": G.poly.to_json()}
+        payload = {"gfun": G.poly}
         status = 0
         if args.check_reciprocity:
             ok = check_reciprocity(G)
             payload["reciprocity"] = ok
             if not ok:
-                payload["transformed"] = reciprocity_image(G).to_json()
+                payload["transformed"] = reciprocity_image(G)
                 status = 2
         if args.profile:
-            payload["profile"] = [layer.to_json() for layer in y_coefficient_profile(G)]
-        _emit(payload, fmt, pretty_keys=("gfun", "transformed"))
+            payload["profile"] = y_coefficient_profile(G)
+        _emit(payload, fmt)
         return status
 
     if args.command == "todd":
         P = _load_polytope(args.polytope)
         phi = _load_phi(args.phi, P.ambient_dim)
         result = apply_todd(P, phi)
-        payload = {"todd": result.to_json()}
+        payload = {"todd": result}
         status = 0
         if args.verify:
             G = build_gfun(P, phi)
             ok = result == G.poly
             payload["verified"] = ok
-            payload["gfun"] = G.poly.to_json()
+            payload["gfun"] = G.poly
             if not ok:
                 status = 2
-        _emit(payload, fmt, pretty_keys=("todd", "gfun"))
+        _emit(payload, fmt)
         return status
 
     if args.command == "gpoly":
@@ -242,16 +245,15 @@ def _dispatch(args) -> int:
         duals = {}
         for i in lattice.nonempty():
             face = lattice.faces[i]
-            duals[",".join(str(v) for v in sorted(face.vertex_indices))] = \
-                dual_g(P, face).to_json()
+            duals[",".join(str(v) for v in sorted(face.vertex_indices))] = dual_g(P, face)
         payload = {
-            "h_poly": h_polynomial(P).to_json(),
-            "f_poly": f.to_json(),
-            "g_poly": g.to_json(),
+            "h_poly": h_polynomial(P),
+            "f_poly": f,
+            "g_poly": g,
             "dual_g": duals,
             "master_duality": check_master_duality(poset),
         }
-        _emit(payload, fmt, pretty_keys=("h_poly", "f_poly", "g_poly"))
+        _emit(payload, fmt)
         return 0
 
     if args.command == "corpus":

@@ -16,7 +16,9 @@ kept.  Elements of different orders are merged by embedding both into the
 field of order ``lcm`` before any mixed arithmetic.  The trace down to Q
 is read off the numerators through Ramanujan sums, and the inverse is the
 product of the other Galois conjugates over the norm.  ``gmul`` multiplies
-in Z[x]/(x^N - 1), which x -> z maps onto the integers of the field.
+in Z[x]/(x^N - 1), which x -> z maps onto the integers of the field, and is
+the one product kernel: a field product pads both numerator lists to N
+entries, multiplies them by ``gmul`` and divides the result by ``Phi_N``.
 """
 from __future__ import annotations
 
@@ -233,13 +235,9 @@ class CycloNumber:
         if not isinstance(other, CycloNumber):
             return NotImplemented
         a, b, order = self._common(other)
-        conv = [0] * (2 * len(a.nums) - 1)
-        right = [(j, cb) for j, cb in enumerate(b.nums) if cb]
-        for i, ca in enumerate(a.nums):
-            if ca:
-                for j, cb in right:
-                    conv[i + j] += ca * cb
-        return _make(order, _reduce(conv, order), a.den * b.den)
+        pad = [0] * (order - len(a.nums))
+        return _make(order, _reduce(gmul([*a.nums, *pad], [*b.nums, *pad], order), order),
+                     a.den * b.den)
 
     __rmul__ = __mul__
 

@@ -213,12 +213,14 @@ def face_lattice(P: Polytope) -> FaceLattice:
                 queue.append(meet)
     found.add(frozenset())
 
+    # a face is one dimension above its facets, its smaller meets with the
+    # facets of P, so met first; the empty face lies in every facet: -1
+    dims = {}
+    for vset in sorted(found, key=len):
+        dims[vset] = 1 + max((dims[vset & fs] for fs in facet_sets if not vset <= fs),
+                             default=-2)
     faces = []
-    for vset in found:
-        if vset:
-            dim = affine_rank([P.vertices[i] for i in vset])
-        else:
-            dim = -1
+    for vset, dim in dims.items():
         containing = frozenset(i for i, fs in enumerate(facet_sets) if vset <= fs and vset)
         faces.append(Face(vset, dim, containing))
     faces.sort(key=lambda f: (f.dim, sorted(f.vertex_indices)))

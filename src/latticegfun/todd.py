@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from itertools import count, product
 from weakref import WeakKeyDictionary
 
-from .algebra import MultiPoly, bernoulli, convolve, pascal_row
+from .algebra import MultiPoly, bernoulli
 from .cyclotomic import (CycloNumber, _ramanujan_sums, cyclo_from_powers, cyclo_root_of_unity,
                          euler_phi, gmul)
 from .gfun import build_gfun
@@ -388,13 +388,16 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     On h^alpha, prod_F Todd(a_F, d/dh_F) followed by h = 0 keeps only the
     d^alpha term: c * t^e * h^alpha becomes c * t^e * alpha! * (sum over
     points of prod_F coeffs(a_F)[alpha_F]).  The integral is homogeneous of
-    degree n + deg phi, so no alpha_F exceeds the tables.  The points are
+    degree n + deg phi, so no alpha_F exceeds the tables.  The sum is built
+    in q and u = y + 1, where t = q u and coeffs[k] is s_k u^k but
+    (s_1 - 1) u + 1 at k = 1, and taken to powers of y once.  The points are
     summed by Galois orbits, each as the trace down to Q of a representative's
-    product (y+1)^(sum of alpha_F != 1) * prod_{alpha_F != 1} s_{alpha_F}(a_F)
-    * prod_{alpha_F = 1} (s_1 (y+1) - y), the second factor taken in integers
-    in Z[x]/(x^m - 1), m the orbit's order, with s_k scaled by D_k, the lcm
-    of its denominators over every root met, and traced by Ramanujan sums.
-    s_0(a) = 0 for a != 1 skips each orbit with an a_F != 1 off alpha's support.
+    product u^(sum of alpha_F != 1) * prod_{alpha_F != 1} s_{alpha_F}(a_F)
+    * prod_{alpha_F = 1} ((s_1 - 1) u + 1), the second factor taken in integers
+    in Z[x]/(x^m - 1), m the orbit's order, with s_k (s_1 - 1 at k = 1) scaled
+    by D_k, the lcm of its denominators over every root met, and traced by
+    Ramanujan sums.  s_0(a) = 0 for a != 1 skips each orbit with an a_F != 1
+    off alpha's support.
     """
     if phi is None:
         phi = WeightPoly.one(P.ambient_dim)
@@ -405,7 +408,8 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     if integral.is_zero():  # a zero weight: nothing needs a coefficient table
         return MultiPoly(("q", "y"))
     order = integral.degree()
-    scalars = {r: todd_coeffs(None, order, exponent=r).scalars
+    scalars = {r: [s - 1 if k == 1 else s
+                   for k, s in enumerate(todd_coeffs(None, order, exponent=r).scalars)]
                for r in dict.fromkeys(r for rho, _ in orbits for r in rho)}
     dens = [math.lcm(*[s.den if isinstance(s, CycloNumber) else s.denominator for s in col])
             for col in zip(*scalars.values())]  # D_0 = 1
@@ -423,7 +427,8 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     terms = [(alpha, power, coeff, coeff.denominator * math.prod(dens[k] for k in alpha))
              for (*alpha, power), coeff in integral.terms.items()]  # vars (h_1..h_m, t)
     common = math.lcm(*[den for *_, den in terms])
-    out = [[0] * (order + 1) for _ in range(order + 1)]  # [q][y] over common
+    d1 = dens[1] if order else 1
+    out = [[0] * (order + 1) for _ in range(order + 1)]  # [q][u] over common
     for alpha, power, coeff, den in terms:
         support = [(f, k) for f, k in enumerate(alpha) if k]
         mask = sum(1 << f for f, _ in support)
@@ -431,19 +436,19 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
         for orbit_mask, rows, m, cm, one in tables:
             if orbit_mask & ~mask:  # some a_F != 1 meets s_0(a_F) = 0
                 continue
-            poly = [one]  # poly[j] is the coefficient of (-D_1 y)^j (y+1)^(i-j) after i pairs
-            for f, k in support:  # D_1 (s_1 + (s_1 - 1) y) = s (y+1) - D_1 y for k = 1
+            poly = [one]  # poly[j] is the coefficient of D_1^(i-j) u^j after i factors A u + D_1
+            for f, k in support:
                 s = rows[f][k]
                 if m < 3:  # rational roots only: plain integers
                     if k == 1:
-                        poly = [c * s + b for c, b in zip(poly, [0, *poly])] + poly[-1:]
+                        poly = [c + b * s for c, b in zip([*poly, 0], [0, *poly])]
                     elif s:
                         poly = [c * s for c in poly]
                     else:
                         break
                 elif k == 1:
-                    poly = [gmul(poly[0], s, m), *[list(map(operator.add, gmul(c, s, m), b))
-                                                   for c, b in zip(poly[1:], poly)], poly[-1]]
+                    poly = [poly[0], *[list(map(operator.add, c, gmul(b, s, m)))
+                                       for c, b in zip(poly[1:], poly)], gmul(poly[-1], s, m)]
                 elif any(s):
                     poly = [gmul(c, s, m) for c in poly]
                 else:
@@ -451,15 +456,13 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
             else:
                 for j, c in enumerate(poly):
                     traced[j] += c * cm[0] if m < 3 else sum(map(operator.mul, c, cm))
-        if not any(traced):
-            continue
-        poly = traced[:1]  # in powers of y; t^e = q^e (y+1)^e joins the (y+1) power
-        for j, w in enumerate(traced[1:], 1):
-            poly = [a + b for a, b in zip(poly, [0, *poly])] + [poly[-1] + w * (-dens[1]) ** j]
+        # t^e = q^e u^e, and the alpha_F != 1 factors carry u^alpha_F
         shift = power + sum(k for k in alpha if k != 1)
         scale = coeff.numerator * math.prod(map(math.factorial, alpha)) * (common // den)
-        for j, w in enumerate(convolve(poly, pascal_row(shift))):
-            out[power][j] += scale * w
+        for j, w in enumerate(traced):
+            out[power][shift + j] += scale * w * d1 ** (len(traced) - 1 - j)
+    out = [[sum(math.comb(p, j) * c for p, c in enumerate(row)) for j in range(order + 1)]
+           for row in out]  # u^p = sum_j C(p, j) y^j
     return MultiPoly(("q", "y"), {(e, j): Fraction(c, common)
                                   for e, row in enumerate(out) for j, c in enumerate(row) if c})
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticegfun import cli
+from latticegfun import (GFunction, MultiPoly, WeightPoly, build_polytope, cli, polytope,
+                         reciprocity_image, wsum)
 
 PYRAMID = {"vertices": [[0, 0, 0], [1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]]}
 TRIANGLE = {"vertices": [[0, 0], [2, 0], [0, 1]]}
@@ -82,6 +83,23 @@ def test_ehrhart_pretty(capsys, pyramid_file):
     code, out = run_cli(capsys, "ehrhart", "--polytope", pyramid_file)
     assert code == 0
     assert "closed: 4/3 q^3 + 4 q^2 + 11/3 q + 1" in out
+
+
+# sha256 of the pretty stdout on the pyramid, taken while the payload still
+# held each polynomial's JSON: top-level polynomials laid out, the profile
+# list and the dual_g map printed as JSON
+PRETTY_DIGESTS = [
+    (["gfun", "--check-reciprocity", "--profile"],
+     "0994f26dd3b324e1c3962ffd513c0ce249396fc64ee9b355ec06c2d447245c32"),
+    (["gpoly"], "c0baa3a775e8711ad063dcfaf6065e401037dc4695f569b78f61277d50e26203"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PRETTY_DIGESTS)
+def test_pretty_output_digest(capsys, pyramid_file, argv, digest):
+    code, out = run_cli(capsys, *argv, "--polytope", pyramid_file)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_wsum_face_selection(capsys, triangle_file):
@@ -276,7 +294,6 @@ def test_ehrhart_is_wsum_of_the_polytope(capsys, tmp_path):
 
 
 def test_exit_2_on_reciprocity_failure(capsys, triangle_file, monkeypatch):
-    from latticegfun import GFunction, MultiPoly, WeightPoly, build_polytope, reciprocity_image
     q, y = MultiPoly.variable("q"), MultiPoly.variable("y")
     broken = GFunction(q * y, 2, 0, build_polytope(TRIANGLE["vertices"]), WeightPoly.one(2))
     monkeypatch.setattr(cli, "build_gfun", lambda P, phi: broken)
@@ -290,7 +307,6 @@ def test_exit_2_on_reciprocity_failure(capsys, triangle_file, monkeypatch):
 
 def test_exit_2_on_a_broken_hull(capsys, triangle_file, monkeypatch):
     # the facet y >= 0 moved inward by one leaves the origin outside it
-    from latticegfun import polytope
     hull = polytope._hull
 
     def shifted(pts, n):
@@ -308,7 +324,6 @@ def test_exit_2_on_a_broken_hull(capsys, triangle_file, monkeypatch):
 
 def test_exit_2_on_a_gap_in_the_face_sum_scan(capsys, pyramid_file, monkeypatch):
     # the pyramid's dilate q = 2 loses (0, 0, 1), the middle of its line z = 0..2
-    from latticegfun import wsum
     real = wsum.iter_lattice_points
 
     def drop_one(P, F, dilate, *args):
@@ -324,7 +339,6 @@ def test_exit_2_on_a_gap_in_the_face_sum_scan(capsys, pyramid_file, monkeypatch)
 
 def test_exit_2_on_forced_mismatch(capsys, triangle_file, monkeypatch):
     # force the verification to disagree to exercise the invariant path
-    from latticegfun import MultiPoly
     monkeypatch.setattr(cli, "apply_todd", lambda P, phi: MultiPoly.const(0))
     code, out = run_cli(capsys, "--format", "json", "todd", "--polytope",
                         triangle_file, "--verify")

@@ -6,8 +6,8 @@ import pytest
 
 from latticegfun import (GFunction, GradedPoset, MultiPoly, WeightPoly, build_gfun,
                          check_reciprocity, cli, cross_polytope, cross_polytope_gfun, dual_g,
-                         gessel_cube_g, gfun, h_polynomial, iter_lattice_points,
-                         reciprocity_image, y_coefficient_profile)
+                         ehrhart_polynomial, gessel_cube_g, gfun, h_polynomial,
+                         iter_lattice_points, reciprocity_image, y_coefficient_profile)
 from latticegfun.gfun import _cleared_dual_factor
 
 F = Fraction
@@ -73,7 +73,6 @@ def test_forms_agree_by_construction(pyramid, right_triangle, octahedron):
 
 
 def test_constant_and_leading_terms_are_ehrhart(pyramid):
-    from latticegfun import ehrhart_polynomial
     G = build_gfun(pyramid)
     wsp = ehrhart_polynomial(pyramid)
     layers = G.poly.coefficients_in("y")
@@ -138,7 +137,6 @@ def test_dehn_sommerville_specialization(unit_square, unit_cube, right_triangle,
 def face_identity_holds(P):
     """For every face F: (y+1)^dim * g_dual(-y) equals the cleared sum of
     (y+1)^dim(E) (-y)^codim(E) g_dual_E(-1/y) over faces E above F."""
-    from latticegfun.gfun import _cleared_dual_factor
     lat = P.face_lattice
     n = P.ambient_dim
     for i in lat.nonempty():

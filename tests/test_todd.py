@@ -131,7 +131,6 @@ def test_parallelepiped_count_equals_index(corpus2d, simplex3):
 def test_gamma_set_matches_box_scan(right_triangle, simplex3, corpus2d, corpus3d):
     # oracle: the union over every cone of the fan, the zero cone and the
     # lower cones included, of the box-scanned parallelepiped points
-    from latticegfun import build_polytope
     shapes = [right_triangle, build_polytope([(0, 0), (6, 0), (0, 5)]), simplex3,
               build_polytope([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1)]),
               next(P for P in corpus2d if P.simple), next(P for P in corpus3d if P.simple)]
@@ -535,7 +534,6 @@ def test_square_integral_at_h0(unit_square):
 
 
 def test_integral_matches_box_volume():
-    from latticegfun import build_polytope
     box = build_polytope([(a, b) for a in (0, 3) for b in (0, 2)])
     si = symbolic_integral(box, WeightPoly.one(2))
     at = si.poly.substitute({n: 0 for n in h_variable_names(box)})
@@ -693,7 +691,6 @@ def test_apply_todd_requires_simple(pyramid):
 def test_verify_high_index_cones():
     # cone indices 7, 7, 21: the cancellation runs through roots of unity
     # of order up to 21
-    from latticegfun import build_polytope
     sharp = build_polytope([(0, 0), (5, 2), (2, 5)])
     fan = normal_fan(sharp)
     assert sorted(c.index for c in fan.maximal_cones()) == [7, 7, 21]
@@ -702,7 +699,6 @@ def test_verify_high_index_cones():
 
 
 def test_verify_translated_and_negative_shapes():
-    from latticegfun import build_polytope
     tri = build_polytope([(-3, -2), (-1, -2), (-3, -1)])
     assert verify_todd_formula(tri)
     simp = build_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, -3)])
@@ -919,14 +915,16 @@ def test_apply_todd_convolves_no_fraction(monkeypatch, corpus3d):
     cases = [(build_polytope(HIGH_INDEX[1]), WeightPoly.monomial(3, (2, 0, 0)))]
     cases += [(P, WeightPoly.one(3)) for P in corpus3d if P.simple]
     expected = [apply_todd(P, phi) for P, phi in cases]
-    original = todd.convolve
+    original, calls = todd.gmul, []
 
-    def integral_only(a, b):
-        assert not any(isinstance(c, Fraction) for c in (*a, *b)), (a, b)
-        return original(a, b)
+    def integral_only(a, b, m):
+        assert all(type(c) is int for c in (*a, *b)), (a, b)
+        calls.append(m)
+        return original(a, b, m)
 
-    monkeypatch.setattr(todd, "convolve", integral_only)
+    monkeypatch.setattr(todd, "gmul", integral_only)
     assert [apply_todd(P, phi) for P, phi in cases] == expected
+    assert calls
 
 
 # sha256 of the JSON list of apply_todd(P, phi).to_json() for each shape and
