@@ -36,54 +36,27 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"malformed JSON in {path!r}: nested too deeply")
 
 
-def _load_polytope(path: str) -> Polytope:
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "vertices" not in obj:
-        raise ValueError(f"{path!r} must be a JSON object with a 'vertices' key")
-    return build_polytope(obj["vertices"])
-
-
-def _load_phi(path: str | None, nvars: int) -> WeightPoly:
-    if path is None:
-        return WeightPoly.one(nvars)
-    return WeightPoly.from_json(_load_json(path), nvars)
-
-
 def _poly_pretty(poly: MultiPoly) -> str:
-    """Group by descending y-power, then print the q-coefficients with
-    descending powers, matching the usual display layout."""
+    """Lay the terms out by descending y-power, then by descending q-power:
+    one chunk of q-terms per power of y, matching the usual display layout."""
     if not set(poly.vars) <= {"q", "y"}:
         return str(poly)
-    layers = poly.coefficients_in("y")
-    if not layers:
-        return "0"
+    layers: dict[int, list] = {}
+    for exps, c in poly.terms.items():
+        power = dict(zip(poly.vars, exps))
+        layers.setdefault(power.get("y", 0), []).append((power.get("q", 0), c))
     chunks = []
     for p in sorted(layers, reverse=True):
-        layer = layers[p]
         terms = []
-        qparts = layer.coefficients_in("q")
-        for i in sorted(qparts, reverse=True):
-            c = qparts[i].constant_value()
-            if not c:
-                continue
+        for i, c in sorted(layers[p], reverse=True):
             mag = scalar_to_str(abs(c))
             body = "" if i == 0 else ("q" if i == 1 else f"q^{i}")
-            if body and mag == "1":
-                piece = body
-            elif body:
-                piece = f"{mag} {body}"
-            else:
-                piece = mag
+            piece = mag if not body else body if mag == "1" else f"{mag} {body}"
             terms.append(("- " if c < 0 else "+ ") + piece)
-        if not terms:
-            continue
         inner = " ".join(terms)
         inner = inner[2:] if inner.startswith("+ ") else "-" + inner[2:]
-        if p == 0:
-            chunks.append(inner)
-        else:
-            ylabel = "y" if p == 1 else f"y^{p}"
-            chunks.append(f"({inner}) {ylabel}")
+        ylabel = "" if p == 0 else ("y" if p == 1 else f"y^{p}")
+        chunks.append(f"({inner}) {ylabel}" if ylabel else inner)
     return "  +  ".join(chunks) if chunks else "0"
 
 
@@ -118,153 +91,112 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    # --format is accepted before or after the subcommand; it has no default
+    # of its own, so a subcommand never overwrites one given before it
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "pretty"), default=argparse.SUPPRESS)
+    polytope = _Parser(add_help=False, parents=[fmt])
+    polytope.add_argument("--polytope", required=True)
+    weighted = _Parser(add_help=False, parents=[polytope])
+    weighted.add_argument("--phi")
+
     parser = _Parser(
-        prog="latticegfun",
+        prog="latticegfun", parents=[fmt],
         description="Exact lattice-point generating functions and Todd-operator summation")
-    parser.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    # also accepted after the subcommand
-    shared = _Parser(add_help=False)
-    shared.add_argument("--format", choices=("json", "pretty"),
-                        default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_info = sub.add_parser("info", parents=[shared],
-                            help="f-vector, simplicity, volume")
-    p_info.add_argument("--polytope", required=True)
-
-    p_ehr = sub.add_parser("ehrhart", parents=[shared],
-                           help="closed and interior counting polynomials")
-    p_ehr.add_argument("--polytope", required=True)
-    p_ehr.set_defaults(phi=None, face=None)  # wsum of the polytope with weight 1
-
-    p_wsum = sub.add_parser("wsum", parents=[shared], help="weighted sums of one face")
-    p_wsum.add_argument("--polytope", required=True)
-    p_wsum.add_argument("--phi")
-    p_wsum.add_argument("--face", help="comma-separated vertex indices; default: the polytope")
-
-    p_gfun = sub.add_parser("gfun", parents=[shared],
-                            help="two-variable generating function")
-    p_gfun.add_argument("--polytope", required=True)
-    p_gfun.add_argument("--phi")
-    p_gfun.add_argument("--check-reciprocity", action="store_true")
-    p_gfun.add_argument("--profile", action="store_true")
-
-    p_todd = sub.add_parser("todd", parents=[shared],
-                            help="Todd operator applied to the deformed integral")
-    p_todd.add_argument("--polytope", required=True)
-    p_todd.add_argument("--phi")
-    p_todd.add_argument("--verify", action="store_true")
-
-    p_gpoly = sub.add_parser("gpoly", parents=[shared],
-                             help="f/g/h polynomials and master duality")
-    p_gpoly.add_argument("--polytope", required=True)
-
-    p_corpus = sub.add_parser("corpus", parents=[shared],
-                              help="seeded random lattice polytopes")
-    p_corpus.add_argument("--seed", type=int, required=True)
-    p_corpus.add_argument("--count", type=int, required=True)
-    p_corpus.add_argument("--dim", type=int, required=True)
-    p_corpus.add_argument("--max-coord", type=int, default=3)
+    sub.add_parser("info", parents=[polytope], help="f-vector, simplicity, volume")
+    p = sub.add_parser("ehrhart", parents=[polytope],
+                       help="closed and interior counting polynomials")
+    p.set_defaults(phi=None, face=None)  # wsum of the polytope with weight 1
+    p = sub.add_parser("wsum", parents=[weighted], help="weighted sums of one face")
+    p.add_argument("--face", help="comma-separated vertex indices; default: the polytope")
+    p = sub.add_parser("gfun", parents=[weighted], help="two-variable generating function")
+    p.add_argument("--check-reciprocity", action="store_true")
+    p.add_argument("--profile", action="store_true")
+    p = sub.add_parser("todd", parents=[weighted],
+                       help="Todd operator applied to the deformed integral")
+    p.add_argument("--verify", action="store_true")
+    sub.add_parser("gpoly", parents=[polytope], help="f/g/h polynomials and master duality")
+    p = sub.add_parser("corpus", parents=[fmt], help="seeded random lattice polytopes")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--max-coord", type=int, default=3)
 
     try:
-        return _dispatch(parser.parse_args(argv))
+        args = parser.parse_args(argv, argparse.Namespace(format="pretty"))
+        payload, status = _dispatch(args)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
     except RuntimeError as exc:
         print(json.dumps({"error": str(exc), "kind": "invariant-violation"}))
         return 2
+    _emit(payload, args.format)
+    return status
 
 
-def _dispatch(args) -> int:
-    fmt = args.format
+def _dispatch(args) -> tuple[dict, int]:
+    """The payload of one parsed call and its exit status."""
+    if args.command == "corpus":
+        if args.count > MAX_CORPUS_COUNT:
+            raise ValueError(f"corpus count must be at most {MAX_CORPUS_COUNT}")
+        polys = random_corpus(args.seed, args.count, args.dim, args.max_coord)
+        return {"polytopes": [P.to_json() for P in polys]}, 0
+
+    obj = _load_json(args.polytope)
+    if not isinstance(obj, dict) or "vertices" not in obj:
+        raise ValueError(f"{args.polytope!r} must be a JSON object with a 'vertices' key")
+    P = build_polytope(obj["vertices"])
     if args.command == "info":
-        P = _load_polytope(args.polytope)
-        payload = {
+        return {
             "ambient_dim": P.ambient_dim,
             "vertices": [list(v) for v in P.vertices],
             "facets": [{"normal": list(h.normal), "offset": h.offset} for h in P.halfspaces],
             "f_vector": list(P.face_lattice.f_vector()),
             "simple": P.simple,
             "volume": scalar_to_str(volume(P)),
-        }
-        _emit(payload, fmt)
-        return 0
-
-    if args.command in ("ehrhart", "wsum"):
-        P = _load_polytope(args.polytope)
-        phi = _load_phi(args.phi, P.ambient_dim)
-        face = _face_from_arg(P, args.face)
-        wsp = weighted_sum_poly(P, face, phi)[face]
-        payload = {
-            "face": sorted(face.vertex_indices),
-            "closed": wsp.closed,
-            "open": wsp.open,
-        }
-        _emit(payload, fmt)
-        return 0
-
-    if args.command == "gfun":
-        P = _load_polytope(args.polytope)
-        phi = _load_phi(args.phi, P.ambient_dim)
-        G = build_gfun(P, phi)
-        payload = {"gfun": G.poly}
-        status = 0
-        if args.check_reciprocity:
-            ok = check_reciprocity(G)
-            payload["reciprocity"] = ok
-            if not ok:
-                payload["transformed"] = reciprocity_image(G)
-                status = 2
-        if args.profile:
-            payload["profile"] = y_coefficient_profile(G)
-        _emit(payload, fmt)
-        return status
-
-    if args.command == "todd":
-        P = _load_polytope(args.polytope)
-        phi = _load_phi(args.phi, P.ambient_dim)
-        result = apply_todd(P, phi)
-        payload = {"todd": result}
-        status = 0
-        if args.verify:
-            G = build_gfun(P, phi)
-            ok = result == G.poly
-            payload["verified"] = ok
-            payload["gfun"] = G.poly
-            if not ok:
-                status = 2
-        _emit(payload, fmt)
-        return status
+        }, 0
 
     if args.command == "gpoly":
-        P = _load_polytope(args.polytope)
-        poset = GradedPoset.from_face_lattice(P.face_lattice)
-        f, g = fg_polynomials(poset)
         lattice = P.face_lattice
-        duals = {}
-        for i in lattice.nonempty():
-            face = lattice.faces[i]
-            duals[",".join(str(v) for v in sorted(face.vertex_indices))] = dual_g(P, face)
-        payload = {
+        poset = GradedPoset.from_face_lattice(lattice)
+        f, g = fg_polynomials(poset)
+        faces = [lattice.faces[i] for i in lattice.nonempty()]
+        duals = {",".join(map(str, sorted(F.vertex_indices))): dual_g(P, F) for F in faces}
+        return {
             "h_poly": h_polynomial(P),
             "f_poly": f,
             "g_poly": g,
             "dual_g": duals,
             "master_duality": check_master_duality(poset),
-        }
-        _emit(payload, fmt)
-        return 0
+        }, 0
 
-    if args.command == "corpus":
-        if args.count > MAX_CORPUS_COUNT:
-            raise ValueError(f"corpus count must be at most {MAX_CORPUS_COUNT}")
-        polys = random_corpus(args.seed, args.count, args.dim, args.max_coord)
-        payload = {"polytopes": [P.to_json() for P in polys]}
-        _emit(payload, fmt)
-        return 0
+    n = P.ambient_dim
+    phi = WeightPoly.one(n) if args.phi is None else WeightPoly.from_json(_load_json(args.phi), n)
+    if args.command in ("ehrhart", "wsum"):
+        face = _face_from_arg(P, args.face)
+        wsp = weighted_sum_poly(P, face, phi)[face]
+        return {"face": sorted(face.vertex_indices), "closed": wsp.closed, "open": wsp.open}, 0
 
-    raise ValueError(f"unknown command {args.command!r}")
+    if args.command == "todd":
+        result = apply_todd(P, phi)
+        if not args.verify:
+            return {"todd": result}, 0
+        G = build_gfun(P, phi)
+        ok = result == G.poly
+        return {"todd": result, "verified": ok, "gfun": G.poly}, 0 if ok else 2
+
+    G = build_gfun(P, phi)  # gfun
+    payload, status = {"gfun": G.poly}, 0
+    if args.check_reciprocity:
+        payload["reciprocity"] = ok = check_reciprocity(G)
+        if not ok:
+            payload["transformed"] = reciprocity_image(G)
+            status = 2
+    if args.profile:
+        payload["profile"] = y_coefficient_profile(G)
+    return payload, status
 
 
 if __name__ == "__main__":

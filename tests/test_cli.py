@@ -85,19 +85,34 @@ def test_ehrhart_pretty(capsys, pyramid_file):
     assert "closed: 4/3 q^3 + 4 q^2 + 11/3 q + 1" in out
 
 
-# sha256 of the pretty stdout on the pyramid, taken while the payload still
-# held each polynomial's JSON: top-level polynomials laid out, the profile
-# list and the dual_g map printed as JSON
+# sha256 of the pretty stdout, taken while the payload still held each
+# polynomial's JSON (the first two) or before the pretty printer read the
+# terms directly (the rest): top-level polynomials laid out, polynomials in q
+# alone and constants, the zero polynomial as 0, and the profile list and the
+# dual_g map printed as JSON
 PRETTY_DIGESTS = [
-    (["gfun", "--check-reciprocity", "--profile"],
+    (["gfun", "--polytope", "pyramid.json", "--check-reciprocity", "--profile"],
      "0994f26dd3b324e1c3962ffd513c0ce249396fc64ee9b355ec06c2d447245c32"),
-    (["gpoly"], "c0baa3a775e8711ad063dcfaf6065e401037dc4695f569b78f61277d50e26203"),
+    (["gpoly", "--polytope", "pyramid.json"],
+     "c0baa3a775e8711ad063dcfaf6065e401037dc4695f569b78f61277d50e26203"),
+    (["ehrhart", "--polytope", "pyramid.json"],
+     "552fc08efbf1777f77510b878090054acc3b8641ed8f34b69e1325027afdd775"),
+    (["wsum", "--polytope", "pyramid.json", "--face", "0"],
+     "606d5e3f40ccde5319c40c8462900c30268cba7148e76eeb4d40f1f2ca894335"),
+    (["todd", "--polytope", "triangle.json", "--verify"],
+     "5f81e5dacd08a494e9bb75a1264a231ddef861f708b77dfe706c22677fa6cdbf"),
+    (["gfun", "--polytope", "pyramid.json", "--phi", "zero.json"],
+     "b4ac888ac9073504babc2680f6f188034bb395b6b2819a85a9818949a81637ab"),
 ]
+PRETTY_INPUTS = {"pyramid.json": PYRAMID, "triangle.json": TRIANGLE,
+                 "zero.json": {"vars": 3, "terms": [{"coeff": "0", "exps": [1, 0, 0]}]}}
 
 
 @pytest.mark.parametrize("argv, digest", PRETTY_DIGESTS)
-def test_pretty_output_digest(capsys, pyramid_file, argv, digest):
-    code, out = run_cli(capsys, *argv, "--polytope", pyramid_file)
+def test_pretty_output_digest(capsys, tmp_path, argv, digest):
+    for name, content in PRETTY_INPUTS.items():
+        write_input(tmp_path / name, content)
+    code, out = run_cli(capsys, *(str(tmp_path / a) if a in PRETTY_INPUTS else a for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -391,11 +406,16 @@ def test_usage_errors_exit_1_with_json(capsys, argv):
     assert captured.err == ""
 
 
-def test_help_still_exits_0(capsys):
+@pytest.mark.parametrize("command", ["info", "ehrhart", "wsum", "gfun", "todd", "gpoly",
+                                     "corpus"])
+def test_help_still_exits_0(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["todd", "--help"])
+        cli.main([command, "--help"])
     assert exc.value.code == 0
-    assert "--polytope" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--format" in out
+    assert ("--polytope" in out) == (command != "corpus")
+    assert ("--phi" in out) == (command in ("wsum", "gfun", "todd"))
 
 
 # --- fuzzing ----------------------------------------------------------
@@ -458,13 +478,10 @@ def invocations(draw):
         return ["corpus", "--seed", str(draw(st.integers(0, 99))),
                 "--count", str(draw(st.integers(-1, 3))), "--dim", str(draw(st.integers(1, 4))),
                 "--max-coord", str(draw(st.integers(0, 3)))], {}
-    # 3-D Todd inputs are left out: a simplex in this coordinate range has
-    # cone index 1849 and runs apply_todd for minutes (ROADMAP item 4)
-    max_dim = 2 if command == "todd" else 3
-    files = {"polytope.json": draw(polytope_files(max_dim))}
+    files = {"polytope.json": draw(polytope_files(3))}
     argv = [command, "--polytope", "polytope.json"]
     if command in ("wsum", "gfun", "todd") and draw(st.booleans()):
-        files["phi.json"] = draw(weight_files(max_dim))
+        files["phi.json"] = draw(weight_files(3))
         argv += ["--phi", "phi.json"]
     if command == "wsum" and draw(st.booleans()):
         face = draw(st.one_of(st.lists(st.integers(-1, 6), max_size=4).map(
