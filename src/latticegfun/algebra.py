@@ -37,10 +37,7 @@ def scalar_from_str(text: str) -> Fraction:
 
 def scalar_to_str(value: Fraction) -> str:
     """Serialize a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def _coerce(coeff):
@@ -54,8 +51,9 @@ class MultiPoly:
 
     ``terms`` maps exponent tuples (one entry per variable in ``vars``) to
     nonzero coefficients.  Coefficients are rationals, or cyclotomic numbers
-    when roots of unity flow through a computation.  Instances are immutable;
-    all operations return new polynomials.
+    when roots of unity flow through a computation.  The constructor alone
+    normalises (``int`` to ``Fraction``, zero terms dropped), so operations
+    hand it raw sums and products.  Instances are immutable.
     """
 
     __slots__ = ("vars", "terms")
@@ -80,22 +78,19 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value) -> MultiPoly:
-        value = _coerce(value)
-        if not value:
-            return cls((), {})
         return cls((), {(): value})
 
     @classmethod
     def variable(cls, name: str) -> MultiPoly:
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     @classmethod
     def zero(cls) -> MultiPoly:
-        return cls((), {})
+        return cls()
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1) -> MultiPoly:
-        return cls(tuple(variables), {tuple(exps): _coerce(coeff)})
+        return cls(variables, {tuple(exps): coeff})
 
     # -- structure ----------------------------------------------------
 
@@ -104,26 +99,19 @@ class MultiPoly:
 
     def constant_value(self):
         """The value of a constant polynomial (zero term included)."""
-        for exps, coeff in self.terms.items():
-            if any(exps):
-                raise ValueError("polynomial is not constant")
-        for coeff in self.terms.values():
-            return coeff
-        return Fraction(0)
+        if any(any(exps) for exps in self.terms):
+            raise ValueError("polynomial is not constant")
+        return self.terms.get((0,) * len(self.vars), Fraction(0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=-1)
 
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
             return 0 if self.terms else -1
-        if not self.terms:
-            return -1
         i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
@@ -157,11 +145,7 @@ class MultiPoly:
         variables, left, right = self._align(other)
         out = dict(left)
         for exps, coeff in right.items():
-            total = out.get(exps, 0) + coeff
-            if total:
-                out[exps] = total
-            else:
-                out.pop(exps, None)
+            out[exps] = out.get(exps, 0) + coeff
         return MultiPoly(variables, out)
 
     __radd__ = __add__
@@ -179,20 +163,13 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            other = _coerce(other)
-            if not other:
-                return MultiPoly(self.vars, {})
             return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         variables, left, right = self._align(other)
         out = {}
         for e1, c1 in left.items():
             for e2, c2 in right.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                total = out.get(key, 0) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2
         return MultiPoly(variables, out)
 
     __rmul__ = __mul__
@@ -200,7 +177,6 @@ class MultiPoly:
     def __truediv__(self, other):
         if isinstance(other, MultiPoly):
             other = other.constant_value()
-        other = _coerce(other)
         if not other:
             raise ZeroDivisionError("division of a polynomial by zero")
         return MultiPoly(self.vars, {e: c / other for e, c in self.terms.items()})
@@ -232,32 +208,20 @@ class MultiPoly:
     # -- substitution and coefficients ---------------------------------
 
     def substitute(self, mapping: dict) -> MultiPoly:
-        """Replace some variables by polynomials or scalars; others remain."""
-        polys = {}
-        for var, value in mapping.items():
-            polys[var] = value if isinstance(value, MultiPoly) else MultiPoly.const(value)
+        """Replace some variables by polynomials or scalars; others remain.
+        A scalar is made a constant polynomial first, so its powers stay
+        polynomial powers (a negative exponent raises ``ValueError``)."""
+        polys = {var: value if isinstance(value, MultiPoly) else MultiPoly.const(value)
+                 for var, value in mapping.items()}
         kept = tuple(v for v in self.vars if v not in polys)
-        result = MultiPoly(kept, {})
-        power_cache: dict[tuple[str, int], MultiPoly] = {}
-
-        def cached_power(var, e):
-            key = (var, e)
-            if key not in power_cache:
-                power_cache[key] = polys[var] ** e
-            return power_cache[key]
-
+        result = MultiPoly(kept)
         for exps, coeff in self.terms.items():
-            kept_exps = []
-            factor = None
+            term = MultiPoly.monomial(
+                kept, [e for var, e in zip(self.vars, exps) if var not in polys], coeff)
             for var, e in zip(self.vars, exps):
-                if var in polys:
-                    if e:
-                        p = cached_power(var, e)
-                        factor = p if factor is None else factor * p
-                else:
-                    kept_exps.append(e)
-            term = MultiPoly(kept, {tuple(kept_exps): coeff})
-            result = result + (term if factor is None else term * factor)
+                if var in polys and e:
+                    term = term * polys[var] ** e
+            result = result + term
         return result
 
     def evaluate(self, mapping: dict):
@@ -305,9 +269,11 @@ class MultiPoly:
         variables = tuple(obj["vars"])
         terms = {}
         for item in obj["terms"]:
-            exps = tuple(int(e) for e in item["exps"])
+            exps = tuple(item["exps"])
+            if any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
+                raise ValueError(f"exponents must be integers, not {list(exps)!r}")
             coeff = scalar_from_str(item["coeff"])
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            terms[exps] = terms.get(exps, 0) + coeff
         return cls(variables, terms)
 
     def __repr__(self):
@@ -323,13 +289,10 @@ class MultiPoly:
             for var, e in zip(self.vars, exps):
                 if e == 1:
                     factors.append(var)
-                elif e > 1:
+                elif e:
                     factors.append(f"{var}^{e}")
             body = "*".join(factors)
-            if isinstance(coeff, Fraction):
-                cstr = scalar_to_str(coeff)
-            else:
-                cstr = f"({coeff})"
+            cstr = str(coeff) if isinstance(coeff, Fraction) else f"({coeff})"
             if body:
                 parts.append(body if cstr == "1" else f"{cstr}*{body}")
             else:

@@ -46,7 +46,7 @@ class GradedPoset:
             for i in bel:
                 if self.ranks[i] >= self.ranks[j]:
                     raise ValueError("poset is not ranked: order violates rank")
-                covered = not any(i in self.below[z] and z in bel for z in range(len(self.ranks)))
+                covered = not any(i in self.below[z] for z in bel)
                 if covered and self.ranks[j] != self.ranks[i] + 1:
                     raise ValueError("poset is not ranked: cover skips a rank")
 

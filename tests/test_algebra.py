@@ -68,6 +68,31 @@ def test_json_round_trip():
     assert MultiPoly.from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize("exponent", [2.5, True, "2", None])
+def test_from_json_rejects_non_integer_exponents(exponent):
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        MultiPoly.from_json({"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": [exponent, 0]}]})
+
+
+def test_from_json_keeps_negative_exponents():
+    # to_json emits them for a reciprocity image
+    laurent = MultiPoly(("x", "y"), {(-1, 2): F(3)})
+    assert MultiPoly.from_json(laurent.to_json()).terms == {(-1, 2): F(3)}
+
+
+def test_negative_exponents_are_printed():
+    p = MultiPoly(("x", "y"), {(-1, 2): F(3), (0, -2): F(-1, 2)})
+    assert str(p) == "3*x^-1*y^2 + -1/2*y^-2"
+    assert repr(p) == "MultiPoly(3*x^-1*y^2 + -1/2*y^-2)"
+
+
+def test_substituting_a_scalar_for_a_negative_power_raises():
+    # the scalar becomes a constant polynomial, whose powers are nonnegative,
+    # so no float such as 2 ** -1 ever enters a coefficient
+    with pytest.raises(ValueError, match="nonnegative"):
+        MultiPoly(("x",), {(-1,): F(1)}).substitute({"x": 2})
+
+
 def test_interpolate_known_values():
     q = MultiPoly.variable("q")
     assert interpolate([(0, 1), (1, 4), (2, 9)], 2) == q ** 2 + 2 * q + 1

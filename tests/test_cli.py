@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticegfun import (GFunction, MultiPoly, WeightPoly, build_polytope, cli, polytope,
-                         reciprocity_image, wsum)
+from latticegfun import (GFunction, MultiPoly, WeightPoly, apply_todd, build_polytope, cli,
+                         polytope, reciprocity_image, wsum)
 
 PYRAMID = {"vertices": [[0, 0, 0], [1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]]}
 TRIANGLE = {"vertices": [[0, 0], [2, 0], [0, 1]]}
@@ -77,6 +77,19 @@ def test_todd_verify(capsys, triangle_file):
     payload = json.loads(out)
     assert payload["verified"] is True
     assert payload["todd"] == payload["gfun"]
+
+
+def test_todd_without_verify_emits_only_the_operator_result(capsys, triangle_file):
+    code, out = run_cli(capsys, "--format", "json", "todd", "--polytope", triangle_file)
+    assert code == 0
+    assert json.loads(out) == {"todd": apply_todd(build_polytope(TRIANGLE["vertices"])).to_json()}
+
+
+def test_wsum_unknown_face_exits_1(capsys, triangle_file):
+    code, out = run_cli(capsys, "--format", "json", "wsum", "--polytope", triangle_file,
+                        "--face", "9")
+    assert code == 1
+    assert json.loads(out) == {"error": "no face has vertex indices [9]"}
 
 
 def test_ehrhart_pretty(capsys, pyramid_file):

@@ -147,6 +147,14 @@ def test_equal_elements_of_different_orders_hash_alike():
     assert hash(cyclo_root_of_unity(1, 2)) == hash(F(-1)) == hash(-1)
 
 
+def test_exponents_at_or_above_the_order_fold():
+    assert cyclo_from_powers(5, [0] * 7 + [1]) == cyclo_root_of_unity(2, 5)
+
+
+def test_negative_root_denominator_flips_both_signs():
+    assert cyclo_root_of_unity(1, -4) == cyclo_root_of_unity(3, 4)
+
+
 def conjugate(x, k):
     """sigma_k(x): z -> z^k applied to the power-basis coordinates of x."""
     return sum((F(c, x.den) * cyclo_root_of_unity(k * e, x.order) for e, c in enumerate(x.nums)),

@@ -72,10 +72,15 @@ def test_g_degree_bound(pyramid, unit_cube, octahedron, corpus2d, corpus3d):
         assert g.degree_in("x") <= P.ambient_dim // 2
 
 
-def test_non_ranked_poset_rejected():
-    # rank jump of two between bottom and top
-    with pytest.raises(ValueError, match="not ranked"):
-        GradedPoset([0, 2], [set(), {0}])
+@pytest.mark.parametrize("ranks, below, reason", [
+    ([0, 0], [set(), set()], "no unique rank-0 bottom"),
+    ([0, 1, 1], [set(), {0}, {0}], "no unique top"),
+    ([0, 1, 1], [set(), {0}, {0, 1}], "order violates rank"),
+    ([0, 2], [set(), {0}], "cover skips a rank"),
+], ids=["two-bottoms", "two-maximal", "order-violates-rank", "cover-skips-a-rank"])
+def test_non_ranked_poset_rejected(ranks, below, reason):
+    with pytest.raises(ValueError, match=f"not ranked: {reason}"):
+        GradedPoset(ranks, below)
 
 
 def test_dual_g_facet_and_top(pyramid):
