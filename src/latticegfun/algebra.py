@@ -17,6 +17,7 @@ from functools import cache
 ExactScalar = Fraction
 
 _VAR_RE = re.compile(r"^(.*?)(\d*)$")
+_SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def var_sort_key(name: str) -> tuple[str, int]:
@@ -28,11 +29,14 @@ def var_sort_key(name: str) -> tuple[str, int]:
 
 
 def scalar_from_str(text: str) -> Fraction:
-    """Parse a rational from its serialized form ``"p/q"`` or ``"p"``."""
+    """Parse a rational from the form ``scalar_to_str`` writes, ``"p/q"`` or
+    ``"p"`` (``-?[0-9]+(/[0-9]+)?``); anything else raises ``ValueError``."""
+    if not isinstance(text, str) or not _SCALAR_RE.fullmatch(text):
+        raise ValueError(f"a coefficient must be a string 'p' or 'p/q', not {text!r:.40}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {text!r:.40}")
 
 
 def scalar_to_str(value: Fraction) -> str:
@@ -256,25 +260,16 @@ class MultiPoly:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = []
-        for exps in sorted(self.terms):
-            coeff = self.terms[exps]
-            if not isinstance(coeff, Fraction):
-                raise ValueError("only rational-coefficient polynomials serialize to JSON")
-            terms.append({"coeff": scalar_to_str(coeff), "exps": list(exps)})
-        return {"vars": list(self.vars), "terms": terms}
+        return {"vars": list(self.vars), "terms": terms_to_json(self.terms)}
 
     @classmethod
     def from_json(cls, obj: dict) -> MultiPoly:
-        variables = tuple(obj["vars"])
-        terms = {}
-        for item in obj["terms"]:
-            exps = tuple(item["exps"])
-            if any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
-                raise ValueError(f"exponents must be integers, not {list(exps)!r}")
-            coeff = scalar_from_str(item["coeff"])
-            terms[exps] = terms.get(exps, 0) + coeff
-        return cls(variables, terms)
+        """Read ``{"vars": [name, ...], "terms": [...]}``; negative exponents are kept."""
+        names = obj.get("vars") if isinstance(obj, dict) else None
+        if not isinstance(names, list) or not all(isinstance(v, str) for v in names) \
+                or len(set(names)) < len(names):
+            raise ValueError("a polynomial needs a 'vars' list of distinct names")
+        return cls(names, terms_from_json(obj.get("terms"), len(names)))
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -298,6 +293,32 @@ class MultiPoly:
             else:
                 parts.append(cstr)
         return " + ".join(parts)
+
+
+def terms_to_json(terms: dict) -> list:
+    """The JSON term list ``[{"coeff": "p/q", "exps": [...]}, ...]`` of an
+    exponent-vector -> rational map, sorted by exponent vector."""
+    if not all(isinstance(c, Fraction) for c in terms.values()):
+        raise ValueError("only rational-coefficient polynomials serialize to JSON")
+    return [{"coeff": scalar_to_str(terms[exps]), "exps": list(exps)} for exps in sorted(terms)]
+
+
+def terms_from_json(items, width: int) -> dict:
+    """The exponent-vector -> Fraction map of a term list as ``terms_to_json``
+    writes it, repeated exponent vectors summed.  Anything but a list of
+    objects, each with an ``exps`` list of ``width`` integers and a ``coeff``
+    string read by ``scalar_from_str``, raises ``ValueError``."""
+    if not isinstance(items, list):
+        raise ValueError("'terms' must be a list")
+    terms = {}
+    for item in items:
+        exps = item.get("exps") if isinstance(item, dict) else None
+        if not isinstance(exps, list) or len(exps) != width \
+                or any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
+            raise ValueError(f"exponents must be integers, {width} per term, not {exps!r:.40}")
+        exps = tuple(exps)
+        terms[exps] = terms.get(exps, 0) + scalar_from_str(item.get("coeff"))
+    return terms
 
 
 def interpolate(nodes, degree: int) -> MultiPoly:

@@ -132,7 +132,15 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(json.dumps({"error": str(exc), "kind": "invariant-violation"}))
         return 2
-    _emit(payload, args.format)
+    # exact results may pass CPython's int-to-str limit: lifted for the output only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(payload, args.format)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return status
 
 

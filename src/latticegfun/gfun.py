@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import MultiPoly, convolve, pascal_row, poly_from_list, poly_to_list
+from .algebra import MultiPoly, convolve, pascal_row, poly_to_list
 from .facepoly import dual_g, gessel_cube_g
 from .polytope import Polytope, build_polytope, volume
 from .wsum import WeightPoly, weighted_sum_poly
@@ -24,11 +24,6 @@ class GFunction(namedtuple("GFunction", "poly n d polytope phi")):
     """An assembled generating function with its provenance."""
 
     __slots__ = ()
-
-
-def _cleared_dual_factor(g_poly: MultiPoly, codim: int) -> MultiPoly:
-    """(-y)^codim * g(-1/y) expanded as a polynomial in y."""
-    return poly_from_list("y" if codim else None, _cleared(poly_to_list(g_poly), codim))
 
 
 def _cleared(g: list, codim: int) -> list:

@@ -245,7 +245,7 @@ def scan_box(lo, hi, constraints):
     whole as a line ``zip(*map(repeat, prefix), range(first, last + 1))``,
     and the lines are chained, so no bytecode runs per point.  An empty
     box (n = 0) holds the point () if every offset is >= 0.  Face dilates
-    and cone parallelepipeds are both enumerated here.
+    are enumerated here; cone parallelepipeds are not (see ``todd.gamma_set``).
     """
     n = len(lo)
     if not n:

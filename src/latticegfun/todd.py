@@ -164,11 +164,6 @@ class ToddCoeffs(namedtuple("ToddCoeffs", "scalars")):
         return out
 
 
-# acceptance criterion 6 imports this to build its expected rows
-def _inv_scalar(v):
-    return v.inverse() if isinstance(v, CycloNumber) else 1 / Fraction(v)
-
-
 @lru_cache(maxsize=None)
 def _todd_sums(m: int, k: int) -> tuple[tuple[int, ...], Fraction]:
     """Integers N_j (j < m) and a scale c with s_k(a) = c sum_j N_j a^j for

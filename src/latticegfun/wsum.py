@@ -32,11 +32,11 @@ import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby, repeat, zip_longest
+from itertools import chain, groupby, repeat, zip_longest
 from operator import itemgetter, mul
 
-from .algebra import (MultiPoly, interpolate, poly_from_list, poly_to_list, scalar_from_str,
-                      scalar_to_str)
+from .algebra import (MultiPoly, interpolate, poly_from_list, poly_to_list, terms_from_json,
+                      terms_to_json)
 from .polytope import Face, Polytope, iter_lattice_points
 
 
@@ -51,8 +51,9 @@ class WeightPoly:
     def __init__(self, poly: MultiPoly, nvars: int):
         self.poly = poly
         self.nvars = nvars
-        for exps in poly.terms:
-            _check_exponents(exps)
+        for e in chain.from_iterable(poly.terms):
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+                raise ValueError(f"weight exponents must be nonnegative integers, got {e!r}")
         if not poly.is_homogeneous():
             raise ValueError("weight polynomial must be homogeneous")
         names = [f"x{i + 1}" for i in range(nvars)]
@@ -77,9 +78,7 @@ class WeightPoly:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def to_json(self) -> dict:
-        terms = [{"coeff": scalar_to_str(self.terms[exps]), "exps": list(exps)}
-                 for exps in sorted(self.terms)]
-        return {"vars": self.nvars, "terms": terms}
+        return {"vars": self.nvars, "terms": terms_to_json(self.terms)}
 
     @classmethod
     def from_json(cls, obj: dict, expected_vars: int | None = None) -> WeightPoly:
@@ -93,30 +92,11 @@ class WeightPoly:
             raise ValueError("weight 'vars' must be a positive integer")
         if expected_vars is not None and nvars != expected_vars:
             raise ValueError("weight polynomial dimension does not match polytope")
-        if not isinstance(obj["terms"], list):
-            raise ValueError("weight 'terms' must be a list")
         names = tuple(f"x{i + 1}" for i in range(nvars))
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for item in obj["terms"]:
-            if not isinstance(item, dict) or not isinstance(item.get("exps"), list) \
-                    or not isinstance(item.get("coeff"), str):
-                raise ValueError("each weight term needs an 'exps' list and a 'coeff' string")
-            exps = _check_exponents(tuple(item["exps"]))
-            if len(exps) != nvars:
-                raise ValueError("weight exponent width does not match vars")
-            coeff = scalar_from_str(item["coeff"])
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return cls(MultiPoly(names, terms), nvars)
+        return cls(MultiPoly(names, terms_from_json(obj["terms"], nvars)), nvars)
 
     def __repr__(self):
         return f"WeightPoly({self.poly})"
-
-
-def _check_exponents(exps: tuple) -> tuple:
-    for e in exps:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            raise ValueError(f"weight exponents must be nonnegative integers, got {e!r}")
-    return exps
 
 
 class WeightedSumPoly(namedtuple("WeightedSumPoly", "face closed open")):

@@ -27,6 +27,13 @@ def test_scalar_strings():
     assert scalar_from_str("-5") == F(-5)
 
 
+@pytest.mark.parametrize("text", [3, None, " 1/2", "1/2\n", "0.5", "1e5000", "+1", "\u0663"])
+def test_scalar_from_str_reads_only_what_scalar_to_str_writes(text):
+    # Fraction alone would read all but the first two, "1e5000" as 10**5000
+    with pytest.raises(ValueError, match="a coefficient must be a string"):
+        scalar_from_str(text)
+
+
 @settings(max_examples=60, deadline=None)
 @given(poly_strategy(), poly_strategy(), poly_strategy())
 def test_ring_laws(p, r, s):
@@ -72,6 +79,23 @@ def test_json_round_trip():
 def test_from_json_rejects_non_integer_exponents(exponent):
     with pytest.raises(ValueError, match="exponents must be integers"):
         MultiPoly.from_json({"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": [exponent, 0]}]})
+
+
+@pytest.mark.parametrize("doc", [
+    {"vars": "xy", "terms": [{"coeff": "1", "exps": [1, 2]}]},
+    {"vars": [1, 2], "terms": []},
+    {"vars": ["x", "x"], "terms": [{"coeff": "1", "exps": [1, 2]}]},  # x*x^2 times x gave x^3
+    {"vars": ["x"], "terms": [{"coeff": 3, "exps": [1]}]},
+    {"vars": ["x"], "terms": [{"exps": [1]}]},
+    {"vars": ["x"], "terms": [{"coeff": "1"}]},
+    {"vars": ["x"], "terms": [[1]]},
+    {"vars": ["x"], "terms": 5},
+    {"vars": ["x"]},
+    [["x"], []],
+])
+def test_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        MultiPoly.from_json(doc)
 
 
 def test_from_json_keeps_negative_exponents():

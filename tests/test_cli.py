@@ -232,6 +232,9 @@ def test_exit_1_missing_file(capsys):
     {"vars": 2, "terms": [{"coeff": "1", "exps": [True, 1]}]},
     {"vars": 2, "terms": [{"coeff": "1", "exps": [1.5, 0]}]},
     {"vars": 2, "terms": [{"coeff": "1/0", "exps": [1, 0]}]},
+    {"vars": 2, "terms": [{"coeff": 3, "exps": [1, 0]}]},
+    {"vars": 2, "terms": [{"coeff": "0.5", "exps": [1, 0]}]},
+    {"vars": 2, "terms": [{"coeff": "1e5000", "exps": [1, 0]}]},  # 10**5000 would not print
     {"vars": 1000000, "terms": []},
     DIRECTORY,
 ])
@@ -244,6 +247,26 @@ def test_exit_1_bad_weight(capsys, triangle_file, tmp_path, weight):
     assert code == 1
     assert "error" in json.loads(out)
     assert "Traceback" not in out + err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_todd_prints_numbers_past_the_int_to_str_limit(capsys, tmp_path):
+    # the result's numerators run past the 4,300 digits that CPython converts
+    # by default; the limit is lifted for the output only, then restored
+    vertices = [[0, 0], [10 ** 1500, 0], [0, 10 ** 1500]]
+    poly_path, phi_path = tmp_path / "polytope.json", tmp_path / "phi.json"
+    write_input(poly_path, {"vertices": vertices})
+    write_input(phi_path, {"vars": 2, "terms": [{"coeff": "1", "exps": [2, 0]}]})
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "--format", "json", "todd", "--polytope", str(poly_path),
+                        "--phi", str(phi_path))
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    expected = apply_todd(build_polytope(vertices), WeightPoly.monomial(2, (2, 0)))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out) == {"todd": expected.to_json()}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_weight_vars_checked_against_dimension_first(capsys, triangle_file, tmp_path):

@@ -106,6 +106,18 @@ def test_inverse_and_division():
         (a - a).inverse()
 
 
+def test_rational_divided_by_a_cyclotomic_number():
+    a = 2 + 3 * cyclo_root_of_unity(1, 5)
+    assert 1 / a == a.inverse()
+    assert F(3, 4) / a == F(3, 4) * a.inverse()
+
+
+def test_repr_of_an_irrational_element_lists_its_powers():
+    z5 = cyclo_root_of_unity(1, 5)
+    assert repr(1 + F(2, 3) * z5 ** 2) == "CycloNumber[5](1*z5^0 + 2/3*z5^2)"
+    assert repr(CycloNumber.from_rational(F(3, 4), 6)) == "CycloNumber(3/4)"
+
+
 small_roots = st.tuples(st.integers(min_value=0, max_value=11),
                         st.integers(min_value=1, max_value=12))
 scaled_root = st.tuples(small_roots, st.fractions(min_value=-3, max_value=3, max_denominator=4))

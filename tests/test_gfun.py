@@ -8,7 +8,8 @@ from latticegfun import (GFunction, GradedPoset, MultiPoly, WeightPoly, build_gf
                          check_reciprocity, cli, cross_polytope, cross_polytope_gfun, dual_g,
                          ehrhart_polynomial, gessel_cube_g, gfun, h_polynomial,
                          iter_lattice_points, reciprocity_image, y_coefficient_profile)
-from latticegfun.gfun import _cleared_dual_factor
+
+from formula_helpers import cleared_dual_factor
 
 F = Fraction
 q = MultiPoly.variable("q")
@@ -147,7 +148,7 @@ def face_identity_holds(P):
             if lat.leq(i, j):
                 other = lat.faces[j]
                 right = right + (y + 1) ** other.dim * \
-                    _cleared_dual_factor(dual_g(P, other), n - other.dim)
+                    cleared_dual_factor(dual_g(P, other), n - other.dim)
         if left != right:
             return False
     return True
@@ -229,7 +230,7 @@ def test_assembly_check_catches_a_perturbed_open_sum(monkeypatch, pyramid):
 def test_degree_bound_check_catches_a_long_g_list(monkeypatch, pyramid):
     x = MultiPoly.variable("x")
     with pytest.raises(RuntimeError, match="dual-face polynomial exceeds its degree bound"):
-        _cleared_dual_factor(1 + x ** 3, 2)
+        cleared_dual_factor(1 + x ** 3, 2)
     monkeypatch.setattr(gfun, "dual_g", lambda P, F: 1 + x ** (P.ambient_dim - F.dim + 1))
     with pytest.raises(RuntimeError, match="dual-face polynomial exceeds its degree bound"):
         build_gfun(pyramid)

@@ -15,8 +15,8 @@ from latticegfun import (CycloNumber, GammaSet, MultiPoly, WeightPoly, apply_tod
                          todd, todd_coeffs, verify_todd_formula)
 from latticegfun.cyclotomic import euler_phi
 from latticegfun.linalg import det
-from latticegfun.todd import _inv_scalar
 
+from formula_helpers import inv_scalar
 from integral_reference import triangulation_integral
 from linalg_reference import inverse, rank, solve
 
@@ -313,7 +313,7 @@ def eulerian(n, a):
 def reference_row(a, k):
     """-a * A_(k-1)(a) * (y+1)^k / ((k-1)! (a-1)^k), the sample-coefficient
     pattern, valid for k >= 2."""
-    scalar = (-1) * a * eulerian(k - 1, a) * _inv_scalar((a - 1) ** k) * F(1, math.factorial(k - 1))
+    scalar = (-1) * a * eulerian(k - 1, a) * inv_scalar((a - 1) ** k) * F(1, math.factorial(k - 1))
     return scalar * (y + 1) ** k
 
 
@@ -325,7 +325,7 @@ def test_todd_coeffs_sample_rows(order):
     assert tc.coeffs[0].is_zero()
     # k = 1: the series gives -(1 + a y)/(a - 1); the k >= 2 rows follow
     # the Eulerian pattern
-    assert tc.coeffs[1] == -(MultiPoly.const(1) + a * y) * _inv_scalar(a - 1)
+    assert tc.coeffs[1] == -(MultiPoly.const(1) + a * y) * inv_scalar(a - 1)
     for k in range(2, 5):
         assert tc.coeffs[k] == reference_row(a, k)
 
@@ -334,7 +334,7 @@ def test_todd_coeffs_order5_row():
     # k = 5 row with the degree-3 Eulerian polynomial 1 + 11a + 11a^2 + a^3
     a = cyclo_root_of_unity(1, 3)
     scalar = (-1) * a * (1 + 11 * a + 11 * a * a + a ** 3) * \
-        _inv_scalar((a - 1) ** 5) * F(1, math.factorial(4))
+        inv_scalar((a - 1) ** 5) * F(1, math.factorial(4))
     assert todd_coeffs(a, 5).coeffs[5] == scalar * (y + 1) ** 5
 
 
@@ -346,7 +346,7 @@ def test_todd_coeffs_eulerian_normalization():
         for k, expected in ((2, 1 + 0 * a), (3, 1 + a), (4, 1 + 4 * a + a * a)):
             ck = tc.coeffs[k]
             lead = ck.coefficient("y", k).constant_value()  # c = lead*(y+1)^k
-            got = -math.factorial(k - 1) * (a - 1) ** k * lead * _inv_scalar(a)
+            got = -math.factorial(k - 1) * (a - 1) ** k * lead * inv_scalar(a)
             assert got == expected, (order, k)
 
 
@@ -364,7 +364,7 @@ def quotient_todd_coeffs(a, order):
     for j in range(1, order + 1):
         scalar = F((-1) ** (j + 1), math.factorial(j)) * a
         dens.append(scalar * yp1 ** j)
-    inv0 = MultiPoly.const(_inv_scalar(1 - a))
+    inv0 = MultiPoly.const(inv_scalar(1 - a))
     inverse = [inv0]
     for k in range(1, order + 1):
         acc = MultiPoly.zero()
@@ -411,7 +411,7 @@ def test_one_over_one_minus_a_needs_no_euclid(monkeypatch):
     roots = [(F(num, den), cyclo_root_of_unity(num, den)) for num, den in
              ((1, 3), (2, 5), (5, 21), (7, 30), (1, 43), (500, 997), (29, 30), (996, 997))]
     roots.append((F(1, 2), F(-1)))
-    expected = [_inv_scalar(1 - a) for _, a in roots]
+    expected = [inv_scalar(1 - a) for _, a in roots]
     monkeypatch.setattr(CycloNumber, "inverse", refuse_inverse)
     for (r, a), inv in zip(roots, expected):
         assert todd_coeffs(a, 4).scalars[1] == inv, r
