@@ -60,18 +60,22 @@ def _poly_pretty(poly: MultiPoly) -> str:
     return "  +  ".join(chunks) if chunks else "0"
 
 
+def _to_json(value):
+    """The JSON form of a polynomial (``MultiPoly.to_json``) or a rational."""
+    return value.to_json() if isinstance(value, MultiPoly) else scalar_to_str(value)
+
+
 def _emit(payload: dict, fmt: str) -> None:
-    """Print the payload as JSON, its polynomials by ``MultiPoly.to_json``, or
-    one line per key, a top-level polynomial laid out by ``_poly_pretty``."""
+    """Print the payload as JSON, its polynomials and rationals by ``_to_json``,
+    or one line per key, a top-level polynomial laid out by ``_poly_pretty``."""
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                         default=MultiPoly.to_json))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_to_json))
         return
     for key, value in payload.items():
         if isinstance(value, MultiPoly):
             print(f"{key}: {_poly_pretty(value)}")
         else:
-            print(f"{key}: {json.dumps(value, sort_keys=True, default=MultiPoly.to_json)}")
+            print(f"{key}: {json.dumps(value, sort_keys=True, default=_to_json)}")
 
 
 def _face_from_arg(P: Polytope, arg: str | None):
@@ -163,7 +167,7 @@ def _dispatch(args) -> tuple[dict, int]:
             "facets": [{"normal": list(h.normal), "offset": h.offset} for h in P.halfspaces],
             "f_vector": list(P.face_lattice.f_vector()),
             "simple": P.simple,
-            "volume": scalar_to_str(volume(P)),
+            "volume": volume(P),
         }, 0
 
     if args.command == "gpoly":

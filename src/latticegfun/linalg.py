@@ -63,18 +63,6 @@ def mat_rank(rows) -> int:
     return len(_reduce(m, len(m[0]) if m else 0)[0])
 
 
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of the given points (-1 if empty)."""
-    points = list(points)
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    if not diffs:
-        return 0
-    return mat_rank(diffs)
-
-
 def det(rows) -> int:
     m = [list(row) for row in rows]
     pivots, d, sign = _reduce(m, len(m))

@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
+from operator import and_
 
-from .linalg import affine_rank, det, mat_rank, nullspace_vector
+from .linalg import det, mat_rank, nullspace_vector
 
 
 class HalfSpace(namedtuple("HalfSpace", "normal offset")):
@@ -113,51 +114,47 @@ def build_polytope(points) -> Polytope:
     """Build a lattice polytope from integer points.
 
     Duplicates and non-extreme points are dropped.  The facets come from
-    ``_hull``, sorted by (normal, offset), so they do not depend on the
-    order of the input; the vertices are the input points on n facets with
-    independent normals, sorted.  A point outside a facet breaks the hull
-    and raises ``RuntimeError``.
+    ``_hull``, which rejects lower-dimensional input, sorted by (normal,
+    offset), so they do not depend on the order of the input.  A vertex is
+    an input point that is the only one on all the facets through it, read
+    from each facet's mask of the points on it; the vertices are sorted.
+    A point outside a facet breaks the hull and raises ``RuntimeError``.
     """
     if not isinstance(points, (list, tuple)):
         raise ValueError("vertices must be a list of coordinate lists")
-    pts = []
     for p in points:
         if not isinstance(p, (list, tuple)) or not p:
             raise ValueError("each vertex must be a nonempty list of coordinates")
-        tp = tuple(p)
-        for x in tp:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError("vertices must be lattice points")
-        if tp not in pts:
-            pts.append(tp)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in p):
+            raise ValueError("vertices must be lattice points")
+    pts = list(dict.fromkeys(map(tuple, points)))
     if not pts:
         raise ValueError("polytope not full-dimensional")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ValueError("vertices must share one ambient dimension")
-    if affine_rank(pts) != n:
-        raise ValueError("polytope not full-dimensional")
 
-    facets = sorted(_hull(pts, n), key=lambda h: (h.normal, h.offset))
-    vertices = []
-    for p in pts:
+    facets = sorted(_hull(pts, n))
+    masks = [0] * len(facets)  # masks[j]: the points on facet j
+    for i, p in enumerate(pts):
         values = [h.value(p) for h in facets]
         if min(values) < 0:
             h = facets[values.index(min(values))]
             raise RuntimeError(f"hull invariant violated: point {p} is outside facet {h}")
-        active = [h.normal for h, v in zip(facets, values) if v == 0]
-        if len(active) >= n and mat_rank(active) == n:
-            vertices.append(p)
-    vertices.sort()
+        masks = [m | (v == 0) << i for m, v in zip(masks, values)]
+    # the facets through a vertex meet in it alone; -1 has every bit
+    vertices = sorted(p for i, p in enumerate(pts)
+                      if reduce(and_, [m for m in masks if m >> i & 1], -1) == 1 << i)
     return Polytope(vertices, facets)
 
 
 def _hull(pts, n) -> list[HalfSpace]:
-    """The facets of the hull of distinct lattice points spanning Z^n, by
-    double description over the integers (README, "How the hull is built"):
-    from a simplex of the first independent points, each further point
+    """The facets of the hull of distinct lattice points in Z^n, by double
+    description over the integers (README, "How the hull is built"): from
+    a simplex of the first affinely independent points, each further point
     beyond some facets replaces them by the facets through it and the
     ridges between adjacent facets it is beyond and strictly beneath.
+    Fewer than n + 1 independent points raise ``ValueError``.
     """
     rows, simplex = [], [0]
     for i in range(1, len(pts)):
@@ -165,6 +162,8 @@ def _hull(pts, n) -> list[HalfSpace]:
         if len(simplex) <= n and mat_rank(rows + [row]) > len(rows):
             rows.append(row)
             simplex.append(i)
+    if len(simplex) <= n:
+        raise ValueError("polytope not full-dimensional")
     facets = []  # (halfspace, mask of the points on it)
     for out in simplex:
         on = [i for i in simplex if i != out]

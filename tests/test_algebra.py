@@ -1,11 +1,14 @@
 """Exact scalar, polynomial, interpolation, and Bernoulli tests."""
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticegfun import MultiPoly, bernoulli, interpolate, scalar_from_str, scalar_to_str
+from latticegfun import (CycloNumber, MultiPoly, bernoulli, interpolate, scalar_from_str,
+                         scalar_to_str)
+from latticegfun.algebra import terms_to_json
 
 F = Fraction
 
@@ -195,3 +198,19 @@ def test_division_by_scalar_only():
         (2 * x) / 0
     with pytest.raises(ValueError):
         (2 * x) / x
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MultiPoly(("x",), {(1, 2): 1}), "exponent vector width does not match variables"),
+    (lambda: MultiPoly.variable("x").evaluate({}), "no value supplied for variable 'x'"),
+    (lambda: terms_to_json({(1,): CycloNumber(3, [1, 2])}),
+     "only rational-coefficient polynomials serialize to JSON"),
+    (lambda: interpolate([], -1), "interpolation degree must be nonnegative"),
+], ids=["exponent-width", "evaluate-unbound", "cyclotomic-json", "negative-degree"])
+def test_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_zero_polynomial_prints_as_0():
+    assert str(MultiPoly()) == "0"

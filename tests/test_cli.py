@@ -269,6 +269,25 @@ def test_todd_prints_numbers_past_the_int_to_str_limit(capsys, tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_info_prints_a_volume_past_the_int_to_str_limit(capsys, tmp_path, fmt):
+    # the volume 10^4400 / 2 has 4,400 digits; it is written by the emitter,
+    # after the limit is lifted, not while the payload is built
+    path = tmp_path / "polytope.json"
+    write_input(path, {"vertices": [[0, 0], [10 ** 2200, 0], [0, 10 ** 2200]]})
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "--format", fmt, "info", "--polytope", str(path))
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        volume = json.dumps(str(10 ** 4400 // 2))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    line = f'"volume":{volume}' if fmt == "json" else f"volume: {volume}\n"
+    assert line in out
+
+
 def test_weight_vars_checked_against_dimension_first(capsys, triangle_file, tmp_path):
     # the term's width is wrong too, but the declared vars is compared with
     # the polytope's dimension before any term is read or name is built

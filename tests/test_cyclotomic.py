@@ -2,6 +2,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -246,3 +247,14 @@ def test_group_ring_trace_matches_the_field_trace():
             field = cyclo_from_powers(d, a).promote(m) * cyclo_from_powers(m, b)
             traced = sum(c * s for c, s in zip(gmul(spread, b, m), sums))
             assert traced == _trace_numerator(field), (m, d)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cyclotomic_polynomial(0), "cyclotomic order must be positive"),
+    (lambda: CycloNumber(0, [1]), "cyclotomic order must be positive"),
+    (lambda: CycloNumber(3, [1, 2, 3]), "coordinate vector too long for this order"),
+    (lambda: cyclo_root_of_unity(1, 4).promote(6), "can only promote into a multiple order"),
+], ids=["polynomial-order-0", "order-0", "too-long", "promote-non-multiple"])
+def test_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

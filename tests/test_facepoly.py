@@ -1,4 +1,5 @@
 """f/g/h polynomials, dual faces, master duality, and the g identity."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,11 @@ def test_fg_polynomials_vars_at_low_rank():
     f, g = fg_polynomials(edge)
     assert f.to_json() == {"vars": [], "terms": [{"coeff": "1", "exps": []}]}
     assert g.to_json() == {"vars": ["x"], "terms": [{"coeff": "1", "exps": [0]}]}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gessel_cube_g(-1), "dimension must be nonnegative"),
+], ids=["gessel-negative-dimension"])
+def test_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

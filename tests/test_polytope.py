@@ -1,5 +1,6 @@
 """Polytope construction, face lattice, and lattice point enumeration."""
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -168,8 +169,14 @@ def test_non_extreme_points_removed():
 
 
 def test_build_errors():
-    with pytest.raises(ValueError, match="not full-dimensional"):
-        build_polytope([(0, 0), (1, 1), (2, 2)])
+    # collinear in 2-D, one point, coplanar in 3-D, in the hyperplane
+    # x1 + x2 + x3 = x4 in 4-D: fewer than n + 1 independent points
+    for points in ([(0, 0), (1, 1), (2, 2)], [(3,)],
+                   [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],
+                   [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 3),
+                    (2, 1, 0, 3)]):
+        with pytest.raises(ValueError, match="^polytope not full-dimensional$"):
+            build_polytope(points)
     with pytest.raises(ValueError, match="lattice points"):
         build_polytope([(0.5, 0), (1, 0), (0, 1)])
 
@@ -312,3 +319,16 @@ def test_json_round_trip(pyramid):
     clone = build_polytope(pyramid.to_json()["vertices"])
     assert clone.vertices == pyramid.vertices
     assert clone.halfspaces == pyramid.halfspaces
+
+
+SIMPLEX2 = build_polytope([(0, 0), (1, 0), (0, 1)])
+EMPTY_FACE = SIMPLEX2.face_lattice.faces[SIMPLEX2.face_lattice.empty_index]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_polytope([]), "polytope not full-dimensional"),
+    (lambda: iter_lattice_points(SIMPLEX2, EMPTY_FACE, 1), "the empty face has no dilates"),
+], ids=["no-points", "empty-face-dilate"])
+def test_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

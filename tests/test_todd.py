@@ -3,6 +3,7 @@ integration, and the end-to-end operator identity."""
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -944,3 +945,20 @@ def test_apply_todd_json_digest():
                     WeightPoly.monomial(n, (2,) + (0,) * (n - 1))):
             out.append(apply_todd(P, phi).to_json())
     assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == TODD_DIGEST
+
+
+PYRAMID = build_polytope([(0, 0, 0), (1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])
+TRIANGLE = build_polytope([(0, 0), (2, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: todd_coeffs(F(1), -1), "truncation order must be nonnegative"),
+    (lambda: todd_coeffs("x", 3), "a must be a rational or cyclotomic number"),
+    (lambda: symbolic_integral(PYRAMID, WeightPoly.one(3)),
+     "normal fan machinery requires a simple polytope"),
+    (lambda: symbolic_integral(TRIANGLE, WeightPoly.one(3)),
+     "weight polynomial dimension does not match polytope"),
+], ids=["negative-order", "non-number", "non-simple", "weight-width"])
+def test_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Weighted counting polynomials of dilated faces and reciprocity."""
 import hashlib
 import json
+import re
 from fractions import Fraction
 from itertools import groupby
 
@@ -360,3 +361,18 @@ def test_partial_weight_face_sums_match_brute_force(phi):
             brute = sum(phi.poly.evaluate({v: x for v, x in zip(names, point)
                                            if v in phi.poly.vars}) for point in pts)
             assert poly.evaluate({"q": qq}) == brute, (qq, phi.poly)
+
+
+TRIANGLE = build_polytope([(0, 0), (1, 0), (0, 1)])
+EMPTY_FACE = TRIANGLE.face_lattice.faces[TRIANGLE.face_lattice.empty_index]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: weighted_sum_poly(TRIANGLE, EMPTY_FACE, WeightPoly.one(2)),
+     "weighted sums need a nonempty face"),
+    (lambda: WeightPoly(MultiPoly.variable("y"), 1), "unexpected weight variable 'y'"),
+    (lambda: WeightPoly.from_json({"vars": 2}), "a weight needs the keys 'vars' and 'terms'"),
+], ids=["empty-face", "variable-y", "no-terms-key"])
+def test_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
