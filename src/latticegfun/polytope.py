@@ -12,7 +12,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, repeat
-from operator import and_
+from operator import and_, mul
+from weakref import WeakKeyDictionary
 
 from .linalg import det, mat_rank, nullspace_vector
 
@@ -23,7 +24,7 @@ class HalfSpace(namedtuple("HalfSpace", "normal offset")):
     __slots__ = ()
 
     def value(self, point):
-        return sum(a * b for a, b in zip(point, self.normal)) + self.offset
+        return sum(map(mul, point, self.normal)) + self.offset
 
 
 class Face(namedtuple("Face", "vertex_indices dim containing_facets")):
@@ -233,46 +234,61 @@ def is_simple(P: Polytope) -> bool:
     return all(len(lat.faces[i].containing_facets) == n for i in lat.faces_of_dim(0))
 
 
-def scan_box(lo, hi, constraints):
+def scan_box(lo, hi, constraints, shadows=()):
     """Yield the integer points of the box lo <= x <= hi, in lexicographic
     order, that meet every constraint ``(normal, offset)``, an integer pair
     meaning <normal, x> + offset >= 0.  Each coordinate is solved as an
-    interval: the constraints bound it given the coordinates before it and
-    the most the box lets the ones after it add, so no value is tried that
-    has no extension.  One loop over a stack of levels walks the first
-    n - 1 coordinates; each nonempty interval of the last one is handed out
-    whole as a line ``zip(*map(repeat, prefix), range(first, last + 1))``,
-    and the lines are chained, so no bytecode runs per point.  An empty
-    box (n = 0) holds the point () if every offset is >= 0.  Face dilates
-    are enumerated here; cone parallelepipeds are not (see ``todd.gamma_set``).
+    interval given the ones before it, from one list per level built once
+    per call: for d < len(shadows), ``shadows[d]`` alone, constraints on
+    coordinates 0..d whose real solutions are the projection of those of
+    the box and the constraints; after that, the constraints with nonzero
+    coefficient there, given the most the box lets later coordinates add.
+    So each level leaves every constraint room, and one left out of a level
+    for its coefficient 0 can fail only at level 0, where it is checked
+    before the scan; an integer point of a rational shadow may still have
+    no extension.  One loop over a stack of levels walks the first n - 1
+    coordinates and hands out each nonempty interval of the last whole, as
+    a line ``zip(*map(repeat, prefix), range(first, last + 1))``; the lines
+    are chained, so no bytecode runs per point.  An empty box (n = 0) holds
+    the point () if every offset is >= 0.  Face dilates are enumerated
+    here; cone parallelepipeds are not (see ``todd.gamma_set``).
     """
-    n = len(lo)
+    n, ns = len(lo), len(shadows)
     if not n:
         return iter([()] if all(c >= 0 for _, c in constraints) else [])
-    columns = [[u[d] for u, _ in constraints] for d in range(n)]
-    # reach[d][ci]: the largest value coordinates d..n-1 can add to normal ci
-    reach = [[0] * len(constraints) for _ in range(n + 1)]
+    # rows: each level's (normal, offset + reach), the later levels first, so
+    # a level's partial sums are a prefix of them that its own rows end;
+    # reach[ci]: the most the coordinates after the level can add to normal ci
+    rows, columns, reach = [], [None] * n, [0] * len(constraints)
+    below, above = [[] for _ in range(n)], [[] for _ in range(n)]  # (row, |a|)
     for d in range(n - 1, -1, -1):
-        reach[d] = [r + max(a * lo[d], a * hi[d]) for r, a in zip(reach[d + 1], columns[d])]
+        columns[d] = [u[d] for u, _ in rows]  # coordinate d in the later rows
+        level = shadows[d] if d < ns else [(u, c + r) for (u, c), r in zip(constraints, reach)]
+        for u, c in level:
+            if u[d]:
+                (below if u[d] > 0 else above)[d].append((len(rows), abs(u[d])))
+                rows.append((u, c))
+            elif c < 0 and not d:
+                return iter(())
+        if d > ns:
+            reach = [r + u[d] * (hi[d] if u[d] > 0 else lo[d])
+                     for r, (u, _) in zip(reach, constraints)]
 
     def lines():
         # levels[d]: (values left for coordinate d, partial sums before it);
         # prefix[d]: the value drawn for coordinate d
-        prefix, levels, partial = [], [], [c for _, c in constraints]
+        prefix, levels, partial = [], [], [c for _, c in rows]
         while True:
             d = len(levels)
             first, last = lo[d], hi[d]
-            for a, p, r in zip(columns[d], partial, reach[d + 1]):
-                s = p + r  # a * x + s >= 0 is what the constraint needs
-                if a > 0:
-                    if -(s // a) > first:
-                        first = -(s // a)
-                elif a < 0:
-                    if s // -a < last:
-                        last = s // -a
-                elif s < 0:
-                    first, last = 1, 0  # no value fits
-                    break
+            for i, a in below[d]:  # a * x + partial[i] >= 0
+                x = -(partial[i] // a)
+                if x > first:
+                    first = x
+            for i, a in above[d]:  # -a * x + partial[i] >= 0
+                x = partial[i] // a
+                if x < last:
+                    last = x
             if d < n - 1:
                 levels.append((iter(range(first, last + 1)), partial))
             elif first <= last:
@@ -296,17 +312,16 @@ def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False)
 
     A facet containing the face gives <u, x> + q*c >= 0 and its negation;
     every other facet gives <u, x> + q*c >= 0 closed, or <u, x> + q*c - 1
-    >= 0 for the relative interior.  The points come from ``scan_box``
-    over the bounding box of q*face; bad arguments raise ``ValueError`` at
-    the call, before any point is produced.
+    >= 0 for the relative interior.  The points come from ``scan_box`` over
+    the bounding box of q*face, with the face's shadows times q when closed;
+    bad arguments raise ``ValueError`` at the call, before any point.
     """
     if not isinstance(q, int) or isinstance(q, bool) or q <= 0:
         raise ValueError("dilation must be positive")
     if face.dim < 0:
         raise ValueError("the empty face has no dilates")
-    verts = [P.vertices[i] for i in face.vertex_indices]
-    lo = [q * min(v[k] for v in verts) for k in range(P.ambient_dim)]
-    hi = [q * max(v[k] for v in verts) for k in range(P.ambient_dim)]
+    box, shadows = _face_frame(P, face)
+    lo, hi = [q * a for a, _ in box], [q * b for _, b in box]
     constraints = []
     for idx, h in enumerate(P.halfspaces):
         qc = q * h.offset
@@ -314,7 +329,29 @@ def iter_lattice_points(P: Polytope, face: Face, q: int, interior: bool = False)
             constraints += [(h.normal, qc), (tuple(-a for a in h.normal), -qc)]
         else:
             constraints.append((h.normal, qc - 1 if interior else qc))
-    return scan_box(lo, hi, constraints)
+    shadows = () if interior else [[(u, q * c) for u, c in level] for level in shadows]
+    return scan_box(lo, hi, constraints, shadows)
+
+
+def _face_frame(P: Polytope, face: Face):
+    """A face's bounding box, as (min, max) per coordinate, and the facets of
+    its shadows, its projections onto coordinates 0..d for d < n - 1, up to
+    the first that is not full-dimensional (no later one is); the one on
+    coordinate 0 is the box's own interval.  Kept per face while P lives."""
+    frames = _frames.setdefault(P, {})
+    if face.vertex_indices not in frames:
+        verts = [P.vertices[i] for i in sorted(face.vertex_indices)]
+        shadows = [[]] if P.ambient_dim > 1 else []
+        for d in range(2, P.ambient_dim):
+            try:
+                shadows.append(_hull(list(dict.fromkeys(v[:d] for v in verts)), d))
+            except ValueError:
+                break
+        frames[face.vertex_indices] = [(min(c), max(c)) for c in zip(*verts)], shadows
+    return frames[face.vertex_indices]
+
+
+_frames: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def pulling_triangulation(P: Polytope, anchor: str = "min"):

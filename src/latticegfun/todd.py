@@ -126,6 +126,7 @@ def gamma_set(fan: NormalFan) -> GammaSet:
     """
     P = fan.polytope
     found: dict[tuple[int, ...], tuple] = {}
+    zero = Fraction(0)  # the exponent of every facet off a point's cone
 
     for cone in fan.maximal_cones():
         rows = list(zip(*cone.generators))  # columns are generators
@@ -138,7 +139,7 @@ def gamma_set(fan: NormalFan) -> GammaSet:
                 raise RuntimeError(f"produced point {point} is outside the parallelepiped "
                                    f"of the cone on facets {cone.facet_indices}")
             placed = dict(zip(cone.facet_indices, rho))
-            exponents = tuple([placed.get(f, Fraction(0)) for f in range(len(P.halfspaces))])
+            exponents = tuple([placed.get(f, zero) for f in range(len(P.halfspaces))])
             if found.setdefault(point, exponents) != exponents:
                 raise RuntimeError("support function disagrees between cones")
 

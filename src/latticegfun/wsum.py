@@ -12,9 +12,10 @@ The scan comes in lexicographic order and is read a line at a time: the
 points sharing a prefix form a run prefix x [first, last].  On it a facet
 whose normal ends in a = 0 is tight on all of the run or none of it, any
 other at most at one end, since its value is >= 0 on the run and linear in
-x_n.  So each monomial of phi is summed over the whole run in one step
-into the bucket of the run's flat tight facets, and only the tight ends
-move to their own buckets, where the integer sums accumulate.  A run with
+x_n.  The facets are split so once per dilate; a bucket is keyed by the
+bitmask of its tight facets and accumulates integer sums.  Each monomial
+of phi is summed over the run's inner points in one step into the flat
+tight facets' bucket, and each tight end into its own.  A run with
 a gap is a broken invariant and raises RuntimeError.  The open sums of G
 are its own bucket.  F is scanned at q = 1..dim F + deg phi + 1; each face
 G is interpolated once, at its first dim G + deg phi + 1 nodes, and its
@@ -122,7 +123,7 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
         raise ValueError("weight polynomial dimension does not match polytope")
     faces = [G for G in P.face_lattice.faces
              if G.dim >= 0 and G.vertex_indices <= F.vertex_indices]
-    key_of = {G: tuple(sorted(G.containing_facets)) for G in faces}
+    key_of = {G: sum(1 << i for i in G.containing_facets) for G in faces}
     subfaces = {G: [H for H in faces if H.vertex_indices <= G.vertex_indices] for G in faces}
     prefix_exps = [exps[:-1] for exps in phi.terms]  # each monomial as x'^α' x_n^e
     last_exps = [exps[-1] for exps in phi.terms]
@@ -132,34 +133,44 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
     last_q = F.dim + phi.degree + 1
     values = {G: [] for G in faces}  # den times each face's open sum, per q
     for q in range(1, last_q + 1):
-        facets = [(i, u[:-1], u[-1], -q * c) for i, (u, c) in enumerate(P.halfspaces)]
-        buckets: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * len(last_exps))
+        # on a run outer x {y} x [first, last], facet i with normal (u, s, a)
+        # reads a * x_n = r - s * y, r = -q c - <u, outer> found once per outer;
+        # its bit 1 << i marks it in the masks that key the buckets
+        facets = [(1 << i, u[:-2], u[-2] if len(u) > 1 else 0, u[-1], -q * c)
+                  for i, (u, c) in enumerate(P.halfspaces)]
+        flats, ends, outer = [f for f in facets if not f[3]], [f for f in facets if f[3]], None
+        buckets: dict[int, list[int]] = defaultdict(lambda: [0] * len(last_exps))
         for prefix, line in groupby(iter_lattice_points(P, F, q), itemgetter(slice(0, -1))):
             line = list(line)
             first, last = line[0][-1], line[-1][-1]
             if last - first + 1 != len(line):  # the scan ascends, so this is a gap
                 raise RuntimeError(f"lattice scan of the dilate q = {q} has a gap "
                                    f"on the line {prefix}")
-            # facet i is tight where a * x_n = r: on all of the run or none when
-            # a = 0, else at most at one end, as it is >= 0 and linear on the run
-            flat, tight = [], {}
-            for i, u, a, c in facets:
-                r = c - sum(map(mul, u, prefix))
-                if not a:
-                    if not r:
-                        flat.append(i)
-                elif r == a * first or r == a * last:
-                    tight.setdefault(r // a, []).append(i)
+            if prefix[:-1] != outer:
+                outer = prefix[:-1]
+                flat_at = [(bit, c - sum(map(mul, u, outer)), s) for bit, u, s, _, c in flats]
+                end_at = [(bit, c - sum(map(mul, u, outer)), s, a) for bit, u, s, a, c in ends]
+            y = prefix[-1] if prefix else 0
+            flat = at_first = at_last = 0
+            for bit, r, s in flat_at:
+                if r == s * y:
+                    flat |= bit
+            for bit, r, s, a in end_at:
+                r -= s * y
+                if r == a * first:
+                    at_first |= bit
+                elif r == a * last:
+                    at_last |= bit
             heads = [math.prod(map(pow, prefix, exps)) for exps in prefix_exps]
-            sums = buckets[tuple(flat)]
+            inner = range(first + (at_first > 0), last + (at_last == 0))  # the run off tight ends
+            sums = buckets[flat]
             for j, e in enumerate(last_exps):
-                sums[j] += heads[j] * (sum(map(pow, range(first, last + 1), repeat(e)))
-                                       if e else len(line))
-            for x, ids in tight.items():  # move each tight end to its own bucket
-                own = buckets[tuple(sorted(flat + ids))]
-                for j, e in enumerate(last_exps):
-                    own[j] += heads[j] * x ** e
-                    sums[j] -= heads[j] * x ** e
+                sums[j] += heads[j] * (sum(map(pow, inner, repeat(e))) if e else len(inner))
+            for x, tight in (first, at_first), (last, at_last):
+                if tight:
+                    own = buckets[flat | tight]
+                    for j, e in enumerate(last_exps):
+                        own[j] += heads[j] * x ** e
         for G in faces:
             values[G].append(sum(map(mul, coeffs, buckets.get(key_of[G], ()))))
 

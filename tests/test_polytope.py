@@ -260,6 +260,37 @@ def test_scan_box_matches_filtered_product(case):
     assert list(scan_box(lo, hi, constraints)) == expected
 
 
+def test_scan_box_zero_normal_with_negative_offset_is_empty():
+    # a constraint that bounds no coordinate fails everywhere or nowhere
+    assert list(scan_box([0, 0], [2, 2], [((0, 0), -1)])) == []
+    assert list(scan_box([0, 0], [2, 2], [((0, 0), -1), ((1, 1), 0)])) == []
+    assert len(list(scan_box([0, 0], [2, 2], [((0, 0), 0)]))) == 9
+
+
+def test_face_scans_match_the_filtered_box(corpus2d, corpus3d, unit_cube):
+    """Every nonempty face's dilates, closed and open, against its bounding
+    box filtered by the facet inequalities, in the same order.  The unit
+    cube's facet x1 = 0 projects to a point on x1 and to a segment on
+    (x1, x2), so its scan has no shadow past coordinate 1."""
+    cube4 = build_polytope(list(product((0, 1), repeat=4)))
+    for P in [*corpus2d, *corpus3d, unit_cube, cube4, cross_polytope(4)]:
+        lat = P.face_lattice
+        for face in map(lat.faces.__getitem__, lat.nonempty()):
+            columns = list(zip(*(P.vertices[j] for j in face.vertex_indices)))
+            for q, interior in product((1, 2, 3), (False, True)):
+                box = product(*(range(q * min(c), q * max(c) + 1) for c in columns))
+                expected = [x for x in box if all(
+                    h.value(x) + (q - 1) * h.offset == 0 if i in face.containing_facets
+                    else h.value(x) + (q - 1) * h.offset >= interior
+                    for i, h in enumerate(P.halfspaces))]
+                assert list(iter_lattice_points(P, face, q, interior)) == expected
+    lat = unit_cube.face_lattice
+    (x1_zero,) = [f for f in map(lat.faces.__getitem__, lat.faces_of_dim(2))
+                  if all(unit_cube.vertices[j][0] == 0 for j in f.vertex_indices)]
+    assert list(iter_lattice_points(unit_cube, x1_zero, 2)) == \
+        [(0, y, z) for y in range(3) for z in range(3)]
+
+
 def test_unit_square_counts(unit_square):
     top = unit_square.top_face()
     assert len(list(iter_lattice_points(unit_square, top, 2))) == 9
