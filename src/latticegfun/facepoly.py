@@ -2,13 +2,14 @@
 
 Implements the h-polynomial transform of the f-vector, the recursive
 f/g-polynomial pair of a ranked (Eulerian) poset on integer lists, dual
-face g-polynomials, and the palindromy ("master duality") check.
+face g-polynomials, and the palindromy ("master duality") check.  One
+function, ``_fg_lists``, runs the f/g recursion for every poset here.
 
 The g-polynomial of the dual face is computed purely combinatorially from
-the reversed interval [F, P] of the face poset, for every F in one pass
-over the reversed face lattice.  It never constructs the polar polytope
-geometrically: g depends only on the poset, and polar duals of lattice
-polytopes need not be lattice polytopes.
+the reversed interval [F, P] of the face poset, for every F in one run of
+that recursion over the reversed face lattice.  It never constructs the
+polar polytope geometrically: g depends only on the poset, and polar duals
+of lattice polytopes need not be lattice polytopes.
 """
 from __future__ import annotations
 
@@ -56,12 +57,8 @@ class GradedPoset:
     @classmethod
     def from_face_lattice(cls, lattice: FaceLattice) -> GradedPoset:
         """The full face poset including the empty face (rank 0)."""
-        ranks = [f.rank for f in lattice.faces]
-        below = []
-        for j in range(len(lattice.faces)):
-            below.append({i for i in range(len(lattice.faces))
-                          if i != j and lattice.leq(i, j)})
-        return cls(ranks, below)
+        return cls([f.rank for f in lattice.faces],
+                   _proper_subsets([f.vertex_indices for f in lattice.faces]))
 
     @classmethod
     def reversed_interval(cls, lattice: FaceLattice, low: int) -> GradedPoset:
@@ -70,51 +67,60 @@ class GradedPoset:
         Ranks become codimensions, the polytope sits at the bottom, and the
         chosen face is the top element.
         """
-        members = lattice.interval(low, lattice.top_index)
-        n = lattice.faces[lattice.top_index].dim
-        ranks = [n - lattice.faces[i].dim for i in members]
-        below = []
-        for j, fj in enumerate(members):
-            below.append({i for i, fi in enumerate(members)
-                          if fi != fj and lattice.leq(fj, fi)})
-        return cls(ranks, below)
+        top = lattice.faces[lattice.top_index]
+        faces = [lattice.faces[i] for i in lattice.interval(low, lattice.top_index)]
+        # the vertices a face misses shrink as the face grows
+        return cls([top.dim - f.dim for f in faces],
+                   _proper_subsets([top.vertex_indices - f.vertex_indices for f in faces]))
+
+
+def _proper_subsets(sets) -> list[set[int]]:
+    """Strict inclusion as ``below`` sets: entry j holds the index of every
+    proper subset of ``sets[j]``."""
+    return [{i for i, small in enumerate(sets) if small < big} for big in sets]
+
+
+def _fg_lists(ranks, below) -> tuple[list[list[int]], list[int]]:
+    """Integer g-list of every element of a ranked poset, and the f-list of
+    the last element in rank order (the top of a ``GradedPoset``).
+
+    An element of rank n + 1 has f = sum of g(b)·(x-1)^(n - rank b) over
+    the elements b below it, and its g keeps the first floor(n/2)+1
+    coefficient differences of f; the bottom has f = g = [1].
+    """
+    g: list = [None] * len(ranks)
+    for e in sorted(range(len(ranks)), key=ranks.__getitem__):
+        n = ranks[e] - 1
+        f = [0] * (n + 1) or [1]  # the bottom (n = -1) has nothing below
+        for b in below[e]:
+            for k, c in enumerate(convolve(g[b], pascal_row(n - ranks[b], -1))):
+                f[k] += c
+        g[e] = f[:1] + [f[k] - f[k - 1] for k in range(1, n // 2 + 1)]
+    return g, f
 
 
 def fg_polynomials(Q: GradedPoset) -> tuple[MultiPoly, MultiPoly]:
-    """The recursive f- and g-polynomials of a ranked poset.
-
-    For an element of rank r+1, f is the sum of g of every strictly
-    smaller element times (x-1)^(r - rank), and g keeps the first
-    floor(r/2)+1 coefficient differences of f.
-    """
-    g: dict[int, list[int]] = {}
-    for e in sorted(range(len(Q)), key=lambda i: Q.ranks[i]):  # the top comes last
-        f, g[e] = _fg_step(Q.ranks[e] - 1, [(g[b], Q.ranks[b]) for b in Q.below[e]])
+    """The f- and g-polynomials of the top of a ranked poset, from
+    ``_fg_lists``: in x for f above rank 1 and for g above rank 0, else
+    constants over no variables."""
+    g, f = _fg_lists(Q.ranks, Q.below)
     rank = Q.ranks[Q.top]
     return (poly_from_list("x" if rank > 1 else None, f),
             poly_from_list("x" if rank else None, g[Q.top]))
 
 
-def _fg_step(n: int, lower) -> tuple[list[int], list[int]]:
-    """Integer f- and g-lists of an element of rank n + 1 from the pairs
-    (g-list, rank) of the elements below it; ([1], [1]) at rank 0."""
-    if n < 0:
-        return [1], [1]
-    f = [0] * (n + 1)
-    for g, rank in lower:
-        for k, c in enumerate(convolve(g, pascal_row(n - rank, -1))):
-            f[k] += c
-    return f, f[:1] + [f[k] - f[k - 1] for k in range(1, n // 2 + 1)]
+def _resum(coeffs) -> list:
+    """Coefficient list of the sum of coeffs[k]·(x-1)^k."""
+    out = [0] * len(coeffs)
+    for k, a in enumerate(coeffs):
+        for j, c in enumerate(pascal_row(k, -1)):
+            out[j] += a * c
+    return out
 
 
 def h_polynomial(P: Polytope) -> MultiPoly:
     """h(P, t): the f-vector resummed in powers of (t - 1)."""
-    t = MultiPoly.variable("t")
-    fvec = P.face_lattice.f_vector()
-    total = MultiPoly.zero()
-    for k, fk in enumerate(fvec):
-        total = total + fk * (t - 1) ** k
-    return total
+    return poly_from_list("t", _resum(P.face_lattice.f_vector()))
 
 
 def dual_g(P: Polytope, F: Face) -> MultiPoly:
@@ -122,21 +128,19 @@ def dual_g(P: Polytope, F: Face) -> MultiPoly:
 
     Returns 1 at once when F lies on exactly codim F facets: the interval
     is then Boolean and the dual face a simplex.  That covers F = P and
-    every face of a simple polytope.  Any other face reads a table filled
-    by one top-down pass over the whole reversed lattice, in which the
-    lower interval of F is the reversed [F, P].
+    every face of a simple polytope.  Any other face reads a table that
+    ``_fg_lists`` fills in one run over the whole reversed lattice (rank
+    n - dim), in which the lower interval of F is the reversed [F, P].
     """
     if len(F.containing_facets) == P.ambient_dim - F.dim:
         # same variable tuple as fg_polynomials gives for these intervals
         return MultiPoly.const(1) if F.dim == P.ambient_dim else MultiPoly(("x",), {(0,): 1})
     lattice = P.face_lattice
     if lattice not in _dual_g_tables:
-        faces, n, g = lattice.faces, P.ambient_dim, {}
-        for i in sorted(range(len(faces)), key=lambda k: -faces[k].dim):
-            g[i] = _fg_step(n - faces[i].dim - 1, [
-                (g[j], n - faces[j].dim) for j in g
-                if faces[i].vertex_indices < faces[j].vertex_indices])[1]
-        _dual_g_tables[lattice] = {i: poly_from_list("x", g[i]) for i in g}
+        faces, top = lattice.faces, lattice.faces[lattice.top_index].vertex_indices
+        g, _ = _fg_lists([P.ambient_dim - f.dim for f in faces],
+                         _proper_subsets([top - f.vertex_indices for f in faces]))
+        _dual_g_tables[lattice] = [poly_from_list("x", gi) for gi in g]
     return _dual_g_tables[lattice][lattice.index_of(F.vertex_indices)]
 
 
@@ -144,32 +148,27 @@ _dual_g_tables: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def check_master_duality(Q: GradedPoset) -> bool:
-    """True when the f-polynomial is palindromic."""
-    f, _ = fg_polynomials(Q)
-    n = Q.ranks[Q.top] - 1
-    coeffs = {k: c.constant_value() for k, c in f.coefficients_in("x").items()}
-    return all(coeffs.get(k, Fraction(0)) == coeffs.get(n - k, Fraction(0))
-               for k in range(n + 1))
+    """True when the f-polynomial of the top is palindromic."""
+    _, f = _fg_lists(Q.ranks, Q.below)
+    return f == f[::-1]
 
 
 def gessel_cube_g(n: int) -> MultiPoly:
-    """Closed form of the g-polynomial of the n-dimensional cube."""
+    """Closed form of the g-polynomial of the n-dimensional cube; a
+    constant over no variables below dimension 2."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    x = MultiPoly.variable("x")
-    total = MultiPoly.zero()
-    for k in range(n // 2 + 1):
-        coeff = Fraction(math.comb(n, k) * math.comb(2 * n - 2 * k, n), n - k + 1)
-        total = total + coeff * (x - 1) ** k
-    return total
+    return poly_from_list("x" if n > 1 else None, _resum(
+        [Fraction(math.comb(n, k) * math.comb(2 * n - 2 * k, n), n - k + 1)
+         for k in range(n // 2 + 1)]))
 
 
 def cube_face_poset(n: int) -> GradedPoset:
     """The face poset of the n-cube built combinatorially.
 
     Faces are words over {0, 1, *}; containment fixes the free positions.
-    Keeps the poset constructible for dimensions where a geometric scan
-    would be too slow.
+    It needs no hull, so checking ``fg_polynomials`` on it against
+    ``gessel_cube_g`` tests the recursion apart from the geometry.
     """
     words = [()]
     for _ in range(n):

@@ -87,7 +87,7 @@ def reciprocity_image(G: GFunction) -> MultiPoly:
         key = list(exps)
         if yi is not None:
             key[yi] = total_deg - exps[yi]
-        out[tuple(key)] = Fraction((-1) ** (i + total_deg)) * coeff
+        out[tuple(key)] = -coeff if (i + total_deg) % 2 else coeff
     return MultiPoly(poly.vars, out)
 
 

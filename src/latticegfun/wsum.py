@@ -209,9 +209,9 @@ def check_ehrhart_macdonald(P: Polytope) -> bool:
 
 
 def check_weighted_reciprocity(P: Polytope, phi: WeightPoly) -> bool:
-    """Closed sum at -q equals the signed open sum at q."""
+    """Closed sum at -q, times (-1)^(deg phi + n), equals the open sum at q."""
     top = P.top_face()
     wsp = weighted_sum_poly(P, top, phi)[top]
-    sign = (-1) ** (phi.degree + P.ambient_dim)
-    negated = {exps: (-1) ** sum(exps) * c for exps, c in wsp.closed.terms.items()}
-    return MultiPoly(wsp.closed.vars, negated) == sign * wsp.open
+    parity = phi.degree + P.ambient_dim
+    flipped = {e: -c if (sum(e) + parity) % 2 else c for e, c in wsp.closed.terms.items()}
+    return MultiPoly(wsp.closed.vars, flipped) == wsp.open

@@ -212,5 +212,15 @@ def test_rejections(call, message):
         call()
 
 
+def test_degree_in_an_absent_variable():
+    assert (MultiPoly.variable("x") + 1).degree_in("y") == 0
+    assert MultiPoly().degree_in("y") == -1
+
+
+def test_multipoly_is_immutable():
+    with pytest.raises(AttributeError, match="^MultiPoly is immutable$"):
+        MultiPoly.variable("x").terms = {}
+
+
 def test_zero_polynomial_prints_as_0():
     assert str(MultiPoly()) == "0"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticegfun import (GFunction, MultiPoly, WeightPoly, apply_todd, build_polytope, cli,
-                         polytope, reciprocity_image, wsum)
+                         gfun, polytope, reciprocity_image, wsum)
 
 PYRAMID = {"vertices": [[0, 0, 0], [1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]]}
 TRIANGLE = {"vertices": [[0, 0], [2, 0], [0, 1]]}
@@ -324,6 +324,13 @@ def test_corpus_bad_count_exits_1(capsys, argv):
     assert "Traceback" not in out + err
 
 
+def test_corpus_bad_max_coord_exits_1(capsys):
+    code, out = run_cli(capsys, "--format", "json", "corpus", "--seed", "1",
+                        "--count", "3", "--dim", "2", "--max-coord", "9")
+    assert code == 1
+    assert json.loads(out) == {"error": "corpus coordinates must stay within 1..5"}
+
+
 @pytest.mark.parametrize("polytope", [
     5,
     {"vertices": 5},
@@ -389,6 +396,16 @@ def test_exit_2_on_a_broken_hull(capsys, triangle_file, monkeypatch):
     assert json.loads(out) == {
         "error": "hull invariant violated: point (0, 0) is outside facet "
                  "HalfSpace(normal=(0, 1), offset=-1)",
+        "kind": "invariant-violation"}
+
+
+def test_exit_2_on_a_wrong_volume_profile(capsys, triangle_file, monkeypatch):
+    monkeypatch.setattr(gfun, "volume", lambda P: 7)
+    code, out = run_cli(capsys, "--format", "json", "gfun", "--polytope", triangle_file,
+                        "--profile")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "leading coefficient does not match the volume profile",
         "kind": "invariant-violation"}
 
 

@@ -45,6 +45,12 @@ def test_corpus_rejects_negative_count_and_exhausted_box():
     assert len(random_corpus(1, 5, 2, 1)) == 5
 
 
+@pytest.mark.parametrize("max_coord", [0, 6])
+def test_corpus_rejects_coordinates_outside_1_to_5(max_coord):
+    with pytest.raises(ValueError, match=r"^corpus coordinates must stay within 1\.\.5$"):
+        random_corpus(1, 3, 2, max_coord)
+
+
 def test_corpus_is_full_dimensional(corpus2d, corpus3d):
     for P in corpus2d:
         assert P.ambient_dim == 2 and len(P.vertices) >= 3

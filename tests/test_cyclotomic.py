@@ -1,6 +1,7 @@
 """Cyclotomic field arithmetic against a floating-point shadow."""
 import cmath
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -103,6 +104,7 @@ def test_inverse_and_division():
     a = 2 + 3 * z5 - z5 ** 3
     assert a * a.inverse() == 1
     assert (a / a) == 1
+    assert a ** -3 == (a ** 3).inverse()
     with pytest.raises(ZeroDivisionError):
         (a - a).inverse()
 
@@ -111,6 +113,18 @@ def test_rational_divided_by_a_cyclotomic_number():
     a = 2 + 3 * cyclo_root_of_unity(1, 5)
     assert 1 / a == a.inverse()
     assert F(3, 4) / a == F(3, 4) * a.inverse()
+
+
+def test_foreign_operands_and_writes_are_refused():
+    z5 = cyclo_root_of_unity(1, 5)
+    for op in (operator.add, operator.sub, operator.truediv):
+        with pytest.raises(TypeError):
+            op(z5, "1")
+        with pytest.raises(TypeError):
+            op("1", z5)
+    assert (z5 == "1") is False
+    with pytest.raises(AttributeError, match="^CycloNumber is immutable$"):
+        z5.order = 10
 
 
 def test_repr_of_an_irrational_element_lists_its_powers():

@@ -1,4 +1,5 @@
 """f/g/h polynomials, dual faces, master duality, and the g identity."""
+import itertools
 import re
 from fractions import Fraction
 
@@ -201,6 +202,29 @@ def test_fg_polynomials_vars_at_low_rank():
     f, g = fg_polynomials(edge)
     assert f.to_json() == {"vars": [], "terms": [{"coeff": "1", "exps": []}]}
     assert g.to_json() == {"vars": ["x"], "terms": [{"coeff": "1", "exps": [0]}]}
+
+
+def dense_json(var, coeffs):
+    """The JSON of a polynomial in at most one variable, lowest power first."""
+    return {"vars": [var] if var else [],
+            "terms": [{"coeff": str(c), "exps": [k] if var else []} for k, c in enumerate(coeffs)]}
+
+
+# to_json pins the variable tuple too, which == ignores: the cube g is a
+# constant over no variables below dimension 2, and h is always in t
+@pytest.mark.parametrize("n, var, coeffs", [
+    (0, None, [1]), (1, None, [1]), (2, "x", [1, 1]), (3, "x", [1, 4]),
+    (4, "x", [1, 11, 2]), (5, "x", [1, 26, 15]), (6, "x", [1, 57, 69, 5]),
+])
+def test_gessel_cube_g_json(n, var, coeffs):
+    assert gessel_cube_g(n).to_json() == dense_json(var, coeffs)
+
+
+def test_h_polynomial_json(segment, unit_square, pyramid):
+    cube4 = build_polytope(list(itertools.product((0, 1), repeat=4)))
+    for P, coeffs in [(segment, [1, 1]), (unit_square, [1, 2, 1]), (pyramid, [1, 1, 2, 1]),
+                      (cube4, [1, 4, 6, 4, 1])]:
+        assert h_polynomial(P).to_json() == dense_json("t", coeffs)
 
 
 @pytest.mark.parametrize("call, message", [

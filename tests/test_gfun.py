@@ -236,6 +236,20 @@ def test_degree_bound_check_catches_a_long_g_list(monkeypatch, pyramid):
         build_gfun(pyramid)
 
 
+def test_profile_check_catches_a_wrong_volume(monkeypatch, right_triangle):
+    G = build_gfun(right_triangle)
+    monkeypatch.setattr(gfun, "volume", lambda P: F(7))
+    with pytest.raises(RuntimeError,
+                       match="^leading coefficient does not match the volume profile$"):
+        y_coefficient_profile(G)
+
+
+def test_cross_polytope_check_catches_a_wrong_cube_g(monkeypatch):
+    monkeypatch.setattr(gfun, "gessel_cube_g", lambda n: MultiPoly.const(2))
+    with pytest.raises(RuntimeError, match="^cross-polytope dual face does not match the cube$"):
+        cross_polytope_gfun(3)
+
+
 def test_cli_gfun_exits_2_on_a_perturbed_open_sum(monkeypatch, capsys, tmp_path, pyramid):
     path = tmp_path / "pyramid.json"
     path.write_text(json.dumps(pyramid.to_json()))
