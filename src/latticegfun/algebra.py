@@ -388,6 +388,15 @@ def pascal_row(k: int, sign: int = 1) -> tuple[int, ...]:
     return tuple(sign ** (k - j) * math.comb(k, j) for j in range(k + 1))
 
 
+def resum(coeffs, sign: int) -> list:
+    """Coefficient list of the sum of coeffs[k]·(x + sign)^k."""
+    out = [0] * len(coeffs)
+    for k, a in enumerate(coeffs):
+        for j, c in enumerate(pascal_row(k, sign)):
+            out[j] += a * c
+    return out
+
+
 # cache holds the B_1 = -1/2 family; only the k = 1 value differs between
 # the two sign conventions
 _bernoulli_cache: list[Fraction] = [Fraction(1)]

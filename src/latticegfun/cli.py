@@ -81,7 +81,12 @@ def _emit(payload: dict, fmt: str) -> None:
 def _face_from_arg(P: Polytope, arg: str | None):
     if arg is None:
         return P.top_face()
-    indices = frozenset(int(x) for x in arg.split(",") if x != "")
+    indices = set()
+    for entry in filter(None, arg.split(",")):
+        try:
+            indices.add(int(entry))
+        except ValueError:
+            raise ValueError(f"--face entry {entry!r} is not an integer") from None
     lattice = P.face_lattice
     try:
         return lattice.faces[lattice.index_of(indices)]

@@ -13,19 +13,24 @@ of lattice polytopes need not be lattice polytopes.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from weakref import WeakKeyDictionary
 
-from .algebra import MultiPoly, convolve, pascal_row, poly_from_list
+from .algebra import MultiPoly, convolve, pascal_row, poly_from_list, resum
 from .polytope import Face, FaceLattice, Polytope
 
 
 class GradedPoset:
     """A finite ranked poset with a unique bottom element of rank 0.
 
-    ``below[i]`` is the set of elements strictly below i.  Construction
-    validates gradedness: covering steps must raise the rank by exactly 1.
+    ``below[i]`` is the set of elements strictly below i: the whole strict
+    order, transitively closed.  Construction checks for one bottom of rank
+    0 and one top, ranks rising along the order, and each j covered one
+    rank down: nothing in ``below[j]`` lies outside its covers (the elements
+    of rank(j) - 1 below it) and their ``below`` sets.  That costs one set
+    difference per element, with no test per pair.
     """
 
     def __init__(self, ranks, below):
@@ -37,22 +42,17 @@ class GradedPoset:
         bottoms = [i for i, b in enumerate(self.below) if not b]
         if len(bottoms) != 1 or self.ranks[bottoms[0]] != 0:
             raise ValueError("poset is not ranked: no unique rank-0 bottom")
-        tops = [i for i in range(len(self.ranks))
-                if all(j in self.below[i] for j in range(len(self.ranks)) if j != i)]
+        tops = [i for i, b in enumerate(self.below) if len(b) == len(self.below) - 1]
         if len(tops) != 1:
             raise ValueError("poset is not ranked: no unique top")
-        self.bottom = bottoms[0]
         self.top = tops[0]
         for j, bel in enumerate(self.below):
-            for i in bel:
-                if self.ranks[i] >= self.ranks[j]:
-                    raise ValueError("poset is not ranked: order violates rank")
-                covered = not any(i in self.below[z] for z in bel)
-                if covered and self.ranks[j] != self.ranks[i] + 1:
-                    raise ValueError("poset is not ranked: cover skips a rank")
-
-    def __len__(self):
-        return len(self.ranks)
+            rank = self.ranks[j]
+            if any(self.ranks[i] >= rank for i in bel):
+                raise ValueError("poset is not ranked: order violates rank")
+            covers = [i for i in bel if self.ranks[i] == rank - 1]
+            if bel.difference(covers, *(self.below[i] for i in covers)):
+                raise ValueError("poset is not ranked: cover skips a rank")
 
     @classmethod
     def from_face_lattice(cls, lattice: FaceLattice) -> GradedPoset:
@@ -109,18 +109,9 @@ def fg_polynomials(Q: GradedPoset) -> tuple[MultiPoly, MultiPoly]:
             poly_from_list("x" if rank else None, g[Q.top]))
 
 
-def _resum(coeffs) -> list:
-    """Coefficient list of the sum of coeffs[k]·(x-1)^k."""
-    out = [0] * len(coeffs)
-    for k, a in enumerate(coeffs):
-        for j, c in enumerate(pascal_row(k, -1)):
-            out[j] += a * c
-    return out
-
-
 def h_polynomial(P: Polytope) -> MultiPoly:
     """h(P, t): the f-vector resummed in powers of (t - 1)."""
-    return poly_from_list("t", _resum(P.face_lattice.f_vector()))
+    return poly_from_list("t", resum(P.face_lattice.f_vector(), -1))
 
 
 def dual_g(P: Polytope, F: Face) -> MultiPoly:
@@ -158,31 +149,22 @@ def gessel_cube_g(n: int) -> MultiPoly:
     constant over no variables below dimension 2."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    return poly_from_list("x" if n > 1 else None, _resum(
+    return poly_from_list("x" if n > 1 else None, resum(
         [Fraction(math.comb(n, k) * math.comb(2 * n - 2 * k, n), n - k + 1)
-         for k in range(n // 2 + 1)]))
+         for k in range(n // 2 + 1)], -1))
 
 
 def cube_face_poset(n: int) -> GradedPoset:
     """The face poset of the n-cube built combinatorially.
 
-    Faces are words over {0, 1, *}; containment fixes the free positions.
-    It needs no hull, so checking ``fg_polynomials`` on it against
-    ``gessel_cube_g`` tests the recursion apart from the geometry.
+    Faces are words over {0, 1, *}; the faces of a word fix some of its
+    free positions.  It needs no hull, so checking ``fg_polynomials`` on it
+    against ``gessel_cube_g`` tests the recursion apart from the geometry.
     """
-    words = [()]
-    for _ in range(n):
-        words = [w + (c,) for w in words for c in ("0", "1", "*")]
-    elements = [None] + words  # index 0 is the empty face
-
-    def contains(big, small) -> bool:
-        return all(b == "*" or b == s for b, s in zip(big, small))
-
-    ranks = [0] + [w.count("*") + 1 for w in words]
-    below: list[set[int]] = [set() for _ in elements]
-    for j in range(1, len(elements)):
-        below[j].add(0)
-        for i in range(1, len(elements)):
-            if i != j and contains(elements[j], elements[i]):
-                below[j].add(i)
-    return GradedPoset(ranks, below)
+    words = list(itertools.product("01*", repeat=n))
+    index = {w: i for i, w in enumerate(words, 1)}  # index 0 is the empty face
+    below: list[set[int]] = [set()]
+    for w in words:
+        faces = itertools.product(*["01*" if c == "*" else c for c in w])
+        below.append({0, *(index[v] for v in faces if v != w)})
+    return GradedPoset([0] + [w.count("*") + 1 for w in words], below)

@@ -361,8 +361,11 @@ def pulling_triangulation(P: Polytope, anchor: str = "min"):
     ``anchor="max"``) over the triangulations of its facets missing that
     vertex.  The result is a list of vertex-index tuples of length n+1.
     Only the face lattice is consulted, so the same triangulation is valid
-    for any small deformation of the facets.
+    for any small deformation of the facets.  Any other ``anchor`` raises
+    ``ValueError``.
     """
+    if anchor not in ("min", "max"):
+        raise ValueError(f"anchor must be 'min' or 'max', not {anchor!r}")
     lat = P.face_lattice
     pick = min if anchor == "min" else max
     memo: dict[int, list[tuple[int, ...]]] = {}

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from itertools import count, product
 from weakref import WeakKeyDictionary
 
-from .algebra import MultiPoly, bernoulli
+from .algebra import MultiPoly, bernoulli, resum
 from .cyclotomic import (CycloNumber, _ramanujan_sums, cyclo_from_powers, cyclo_root_of_unity,
                          euler_phi, gmul)
 from .gfun import build_gfun
@@ -457,8 +457,7 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
         scale = coeff.numerator * math.prod(map(math.factorial, alpha)) * (common // den)
         for j, w in enumerate(traced):
             out[power][shift + j] += scale * w * d1 ** (len(traced) - 1 - j)
-    out = [[sum(math.comb(p, j) * c for p, c in enumerate(row)) for j in range(order + 1)]
-           for row in out]  # u^p = sum_j C(p, j) y^j
+    out = [resum(row, 1) for row in out]  # u = y + 1
     return MultiPoly(("q", "y"), {(e, j): Fraction(c, common)
                                   for e, row in enumerate(out) for j, c in enumerate(row) if c})
 

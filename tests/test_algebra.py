@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from latticegfun import (CycloNumber, MultiPoly, bernoulli, interpolate, scalar_from_str,
                          scalar_to_str)
-from latticegfun.algebra import terms_to_json
+from latticegfun.algebra import resum, terms_to_json
 
 F = Fraction
 
@@ -176,6 +176,16 @@ def test_interpolate_inverts_evaluation(coeffs):
     deg = len(coeffs) - 1
     nodes = [(i, poly.evaluate({"q": i})) for i in range(deg + 1)]
     assert interpolate(nodes, deg) == poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rationals, max_size=7), st.sampled_from([-1, 1]))
+def test_resum_expands_powers_of_x_plus_sign(coeffs, sign):
+    out = resum(coeffs, sign)
+    assert len(out) == len(coeffs)
+    for x in range(-2, 3):
+        assert sum(c * x ** j for j, c in enumerate(out)) == \
+            sum(c * (x + sign) ** k for k, c in enumerate(coeffs))
 
 
 def test_bernoulli_values():

@@ -92,6 +92,13 @@ def test_wsum_unknown_face_exits_1(capsys, triangle_file):
     assert json.loads(out) == {"error": "no face has vertex indices [9]"}
 
 
+def test_wsum_face_entry_not_an_integer_exits_1(capsys, triangle_file):
+    code, out = run_cli(capsys, "--format", "json", "wsum", "--polytope", triangle_file,
+                        "--face", "0,x")
+    assert code == 1
+    assert json.loads(out) == {"error": "--face entry 'x' is not an integer"}
+
+
 def test_ehrhart_pretty(capsys, pyramid_file):
     code, out = run_cli(capsys, "ehrhart", "--polytope", pyramid_file)
     assert code == 0

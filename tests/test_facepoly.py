@@ -79,7 +79,14 @@ def test_g_degree_bound(pyramid, unit_cube, octahedron, corpus2d, corpus3d):
     ([0, 1, 1], [set(), {0}, {0}], "no unique top"),
     ([0, 1, 1], [set(), {0}, {0, 1}], "order violates rank"),
     ([0, 2], [set(), {0}], "cover skips a rank"),
-], ids=["two-bottoms", "two-maximal", "order-violates-rank", "cover-skips-a-rank"])
+    # below[2] = {1} leaves out the bottom under 1: the order is not
+    # transitively closed, and the top's bottom lies under none of its covers
+    ([0, 1, 2, 3], [set(), {0}, {1}, {0, 1, 2}], "cover skips a rank"),
+    # the top has two covers of rank 2 and the atom 3 under neither
+    ([0, 1, 1, 1, 2, 2, 3], [set(), {0}, {0}, {0}, {0, 1}, {0, 2}, {0, 1, 2, 3, 4, 5}],
+     "cover skips a rank"),
+], ids=["two-bottoms", "two-maximal", "order-violates-rank", "cover-skips-a-rank",
+        "not-transitively-closed", "cover-beside-two-covers"])
 def test_non_ranked_poset_rejected(ranks, below, reason):
     with pytest.raises(ValueError, match=f"not ranked: {reason}"):
         GradedPoset(ranks, below)
@@ -135,9 +142,26 @@ def test_gessel_closed_form():
 
 
 def test_gessel_matches_recursion():
-    for n in range(6):
+    for n in range(8):
         _, g = fg_polynomials(cube_face_poset(n))
         assert g == gessel_cube_g(n), n
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_cube_face_poset_is_the_cube_face_lattice(n):
+    P = build_polytope(list(itertools.product((0, 1), repeat=n)))
+    lattice, Q = P.face_lattice, cube_face_poset(n)
+    # element 0 of Q is the empty face, then the words in product order;
+    # each word goes to the face holding the cube vertices it matches
+    words = itertools.product("01*", repeat=n)
+    image = [lattice.empty_index] + [
+        lattice.index_of(i for i, v in enumerate(P.vertices)
+                         if all(c == "*" or int(c) == x for c, x in zip(w, v)))
+        for w in words]
+    assert sorted(image) == list(range(len(lattice.faces)))
+    R = poset_of(P)
+    assert [R.ranks[k] for k in image] == list(Q.ranks)
+    assert [{image[i] for i in b} for b in Q.below] == [R.below[k] for k in image]
 
 
 def test_gessel_matches_geometry(unit_cube, unit_square):

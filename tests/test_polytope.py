@@ -359,7 +359,8 @@ EMPTY_FACE = SIMPLEX2.face_lattice.faces[SIMPLEX2.face_lattice.empty_index]
 @pytest.mark.parametrize("call, message", [
     (lambda: build_polytope([]), "polytope not full-dimensional"),
     (lambda: iter_lattice_points(SIMPLEX2, EMPTY_FACE, 1), "the empty face has no dilates"),
-], ids=["no-points", "empty-face-dilate"])
+    (lambda: pulling_triangulation(SIMPLEX2, "foo"), "anchor must be 'min' or 'max', not 'foo'"),
+], ids=["no-points", "empty-face-dilate", "unknown-anchor"])
 def test_rejections(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
