@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from operator import mul
+
+from .linalg import mat_inverse
 
 #: Arbitrary-precision rational scalar used throughout the package.
 #: Always stored in lowest terms with positive denominator.
@@ -326,11 +329,12 @@ def interpolate(nodes, degree: int) -> MultiPoly:
 
     Returns the unique polynomial of degree at most ``degree`` through the
     given ``(abscissa, value)`` pairs, ints or Fractions read as given (any
-    other type, ``bool`` included, raises ``TypeError``), via Newton divided
-    differences over the integers: with the abscissas scaled by ``xscale``
-    to integers, each divided difference times ``scale`` (the values'
-    common denominator times the Vandermonde product) is an integer.  The
-    expanded Newton form is one polynomial in ``q``, constant at degree 0.
+    other type, ``bool`` included, raises ``TypeError``).  With the
+    abscissas scaled by ``xscale`` to integers and the values by their
+    common denominator, each coefficient is an integer dot product with a
+    row of the exact inverse Vandermonde matrix of the scaled abscissas,
+    cached per abscissa tuple.  The result is one polynomial in ``q``,
+    constant at degree 0.
     """
     if degree < 0:
         raise ValueError("interpolation degree must be nonnegative")
@@ -344,21 +348,20 @@ def interpolate(nodes, degree: int) -> MultiPoly:
         raise ValueError("degenerate interpolation nodes")
 
     xscale = math.lcm(*(x.denominator for x, _ in nodes))
-    xs = [x.numerator * (xscale // x.denominator) for x, _ in nodes]
-    scale = math.lcm(*(y.denominator for _, y in nodes)) * \
-        math.prod(b - a for i, a in enumerate(xs) for b in xs[i + 1:])
-    coeffs = [y.numerator * (scale // y.denominator) for _, y in nodes]
-    for level in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // (xs[i] - xs[i - level])
-
-    dense = [coeffs[-1]]
-    for i in range(len(nodes) - 2, -1, -1):
-        # dense <- dense * (q - xs[i]) + coeffs[i]
-        dense = [coeffs[i] - xs[i] * dense[0]] + \
-            [a - xs[i] * b for a, b in zip(dense, dense[1:])] + [dense[-1]]
+    rows, det = _inverse_vandermonde(tuple(x.numerator * (xscale // x.denominator)
+                                           for x, _ in nodes))
+    yscale = math.lcm(*(y.denominator for _, y in nodes))
+    ys = [y.numerator * (yscale // y.denominator) for _, y in nodes]
     return poly_from_list("q" if degree else None,
-                          [Fraction(c * xscale ** k, scale) for k, c in enumerate(dense)])
+                          [Fraction(sum(map(mul, row, ys)) * xscale ** k, det * yscale)
+                           for k, row in enumerate(rows)])
+
+
+@lru_cache(maxsize=16)
+def _inverse_vandermonde(xs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(rows, det)``, tuples, with rows / det the inverse of [x^k]: row k gives q^k."""
+    rows, det = mat_inverse([[x ** k for k in range(len(xs))] for x in xs])
+    return tuple(map(tuple, rows)), det
 
 
 def poly_from_list(var: str | None, coeffs) -> MultiPoly:

@@ -124,8 +124,7 @@ def dual_g(P: Polytope, F: Face) -> MultiPoly:
     n - dim), in which the lower interval of F is the reversed [F, P].
     """
     if len(F.containing_facets) == P.ambient_dim - F.dim:
-        # same variable tuple as fg_polynomials gives for these intervals
-        return MultiPoly.const(1) if F.dim == P.ambient_dim else MultiPoly(("x",), {(0,): 1})
+        return _BOOLEAN_TOP if F.dim == P.ambient_dim else _BOOLEAN
     lattice = P.face_lattice
     if lattice not in _dual_g_tables:
         faces, top = lattice.faces, lattice.faces[lattice.top_index].vertex_indices
@@ -136,6 +135,8 @@ def dual_g(P: Polytope, F: Face) -> MultiPoly:
 
 
 _dual_g_tables: WeakKeyDictionary = WeakKeyDictionary()
+# g of a Boolean [F, P], shared, in fg_polynomials' variables: F = P, then F < P
+_BOOLEAN_TOP, _BOOLEAN = MultiPoly.const(1), MultiPoly(("x",), {(0,): 1})
 
 
 def check_master_duality(Q: GradedPoset) -> bool:

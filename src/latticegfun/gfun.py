@@ -6,7 +6,9 @@ equivalent assemblies exist: the closed-face form, where the dual-face
 factor is evaluated at -1/y and the formal 1/y is cleared through the
 (-y)^codim prefactor, and the interior form built from relative-interior
 sums with the factor at -y.  Every build computes both, each in a dense
-[q-power][y-power] table from integer y-lists, and insists they agree.
+[q-power][y-power] table, and insists they agree.  The y-lists depend on
+a face only through its dimension and dual g-list, so the faces of one
+such class add their q-lists first and the class multiplies once.
 """
 from __future__ import annotations
 
@@ -49,23 +51,31 @@ def build_gfun(P: Polytope, phi: WeightPoly | None = None) -> GFunction:
     sums = weighted_sum_poly(P, P.top_face(), phi)
     den = math.lcm(*(c.denominator for wsp in sums.values()
                      for poly in (wsp.closed, wsp.open) for c in poly.terms.values()))
-    closed_table = [[0] * (n + 1) for _ in range(n + d + 1)]
-    open_table = [[0] * (n + 1) for _ in range(n + d + 1)]
+    classes: dict[tuple, tuple[list[int], list[int]]] = {}  # (dim, g) -> q-lists
     for face, wsp in sums.items():
-        g = [int(c) for c in poly_to_list(dual_g(P, face))]
-        for table, y_list, q_poly in (
-                (closed_table, _cleared(g, n - face.dim), wsp.closed),
-                (open_table, [(-1) ** j * c for j, c in enumerate(g)], wsp.open)):
-            y_list = convolve(pascal_row(face.dim), y_list)
+        g = tuple(int(c) for c in poly_to_list(dual_g(P, face)))
+        q_lists = classes.setdefault((face.dim, g), ([0] * (n + d + 1), [0] * (n + d + 1)))
+        for q_list, q_poly in zip(q_lists, (wsp.closed, wsp.open)):
             for exps, c in q_poly.terms.items():
-                row, c = table[sum(exps)], c.numerator * (den // c.denominator)
+                q_list[sum(exps)] += c.numerator * (den // c.denominator)
+    closed_table, open_table = ([[0] * (n + 1) for _ in range(n + d + 1)] for _ in range(2))
+    for (dim, g), (closed_q, open_q) in classes.items():
+        for table, y_list, q_list in (
+                (closed_table, _cleared(list(g), n - dim), closed_q),
+                (open_table, [(-1) ** j * c for j, c in enumerate(g)], open_q)):
+            y_list = convolve(pascal_row(dim), y_list)
+            for row, c in zip(table, q_list):
                 for j, b in enumerate(y_list):
                     row[j] += c * b
 
     # both tables still lack the common factor (y+1)^d, by which multiplying
     # is injective, so comparing them first is the same check
     if closed_table != open_table:
-        raise RuntimeError("closed-face and interior assemblies disagree")
+        i, j, c, e = next((i, j, c, e) for i, rows in enumerate(zip(closed_table, open_table))
+                          for j, (c, e) in enumerate(zip(*rows)) if c != e)
+        raise RuntimeError(f"closed-face and interior assemblies disagree at [{i}][{j}] (q^{i} "
+                           f"y^{j} before the factor (y+1)^{d}): closed {Fraction(c, den)}, "
+                           f"interior {Fraction(e, den)}")
     terms = {(i, j): Fraction(c, den) for i, row in enumerate(closed_table)
              for j, c in enumerate(convolve(row, pascal_row(d))) if c}
     return GFunction(MultiPoly(("q", "y"), terms), n, d, P, phi)

@@ -9,23 +9,26 @@ the disjoint union of the relative interiors of its nonempty faces, and a
 point in the relative interior of q*G is tight on exactly the facets that
 contain G, so the set of tight facets names the face a point belongs to.
 The scan comes in lexicographic order and is read a line at a time: the
-points sharing a prefix form a run prefix x [first, last].  On it a facet
-whose normal ends in a = 0 is tight on all of the run or none of it, any
-other at most at one end, since its value is >= 0 on the run and linear in
-x_n.  The facets are split so once per dilate; a bucket is keyed by the
-bitmask of its tight facets and accumulates integer sums.  Each monomial
-of phi is summed over the run's inner points in one step into the flat
-tight facets' bucket, and each tight end into its own.  A run with
-a gap is a broken invariant and raises RuntimeError.  The open sums of G
-are its own bucket.  F is scanned at q = 1..dim F + deg phi + 1; each face
-G is interpolated once, at its first dim G + deg phi + 1 nodes, and its
-dense coefficient list is checked at every further node by Horner's rule.
-The closed list of G is the sum of the open lists of the faces of G, which
-at q = 0 gives phi(0) by Euler's relation: sum (-1)^dim H = 1 over the
-nonempty faces H of G, and phi(0) = 0 when deg phi > 0.  phi is scaled to
-integer coefficients, and the node values, the Horner checks and the
-closed sums run on integer lists over one denominator: Fractions appear
-only out of interpolation and in the returned polynomials.
+points sharing a prefix (outer, y) form a run of x_n over [first, last].
+A facet whose normal ends in a = 0 (flat) is tight on all of the run or
+none of it; its value is >= 0 on the run and linear in x_n, so one with
+a > 0 (lower) can be tight only at first and one with a < 0 (upper) only
+at last.  The facets are split so once per dilate, and once per outer the
+flat ones give a mask tight for every y and a table y -> mask, the others
+their end tests, and each monomial its outer head.  A bucket, keyed by the
+bitmask of its tight facets, accumulates integer sums: each monomial over
+the run's inner points in one step into the flat facets' bucket, each
+tight end into its own, a one-point run's two ends folded into one.  A run
+with a gap is a broken invariant and raises RuntimeError.  The open sums
+of G are its own bucket.  F is scanned at q = 1..dim F + deg phi + 1; each
+face G is interpolated once, at its first dim G + deg phi + 1 nodes, and
+checked at every further node by Horner's rule.  The closed list of G is
+the sum of the open lists of the faces of G, which at q = 0 gives phi(0)
+by Euler's relation: sum (-1)^dim H = 1 over the nonempty faces H of G,
+and phi(0) = 0 when deg phi > 0.  phi is scaled to integer coefficients,
+and the node values, the Horner checks and the closed sums are integers
+over one denominator: Fractions appear only out of interpolation and in
+the returned polynomials.
 """
 from __future__ import annotations
 
@@ -125,7 +128,9 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
              if G.dim >= 0 and G.vertex_indices <= F.vertex_indices]
     key_of = {G: sum(1 << i for i in G.containing_facets) for G in faces}
     subfaces = {G: [H for H in faces if H.vertex_indices <= G.vertex_indices] for G in faces}
-    prefix_exps = [exps[:-1] for exps in phi.terms]  # each monomial as x'^α' x_n^e
+    # each monomial as outer^α'' y^e_y x_n^e, the scanned point being (outer, y, x_n)
+    outer_exps = [exps[:-2] for exps in phi.terms]
+    y_exps = [exps[-2] if len(exps) > 1 else 0 for exps in phi.terms]
     last_exps = [exps[-1] for exps in phi.terms]
     den = math.lcm(*(c.denominator for c in phi.terms.values()))
     coeffs = [c.numerator * (den // c.denominator) for c in phi.terms.values()]
@@ -133,13 +138,13 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
     last_q = F.dim + phi.degree + 1
     values = {G: [] for G in faces}  # den times each face's open sum, per q
     for q in range(1, last_q + 1):
-        # on a run outer x {y} x [first, last], facet i with normal (u, s, a)
-        # reads a * x_n = r - s * y, r = -q c - <u, outer> found once per outer;
-        # its bit 1 << i marks it in the masks that key the buckets
-        facets = [(1 << i, u[:-2], u[-2] if len(u) > 1 else 0, u[-1], -q * c)
-                  for i, (u, c) in enumerate(P.halfspaces)]
-        flats, ends, outer = [f for f in facets if not f[3]], [f for f in facets if f[3]], None
-        buckets: dict[int, list[int]] = defaultdict(lambda: [0] * len(last_exps))
+        # on a run (outer, y) x [first, last] facet i, normal (u, s, a), bit 1 << i,
+        # reads a * x_n = r - s * y, r = -q c - <u, outer> found once per outer
+        flats, lowers, uppers = by_sign = [], [], []
+        for i, (u, c) in enumerate(P.halfspaces):  # by_sign[-1] is uppers
+            by_sign[(u[-1] > 0) - (u[-1] < 0)].append(
+                (1 << i, u[:-2], u[-2] if len(u) > 1 else 0, u[-1], -q * c))
+        buckets, outer = defaultdict(lambda: [0] * len(last_exps)), None  # mask -> sums
         for prefix, line in groupby(iter_lattice_points(P, F, q), itemgetter(slice(0, -1))):
             line = list(line)
             first, last = line[0][-1], line[-1][-1]
@@ -148,34 +153,41 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
                                    f"on the line {prefix}")
             if prefix[:-1] != outer:
                 outer = prefix[:-1]
-                flat_at = [(bit, c - sum(map(mul, u, outer)), s) for bit, u, s, _, c in flats]
-                end_at = [(bit, c - sum(map(mul, u, outer)), s, a) for bit, u, s, a, c in ends]
+                always, flat_at = 0, {}  # flat facets tight for every y, and per y
+                for bit, u, s, _, c in flats:
+                    r = c - sum(map(mul, u, outer))
+                    always |= 0 if s or r else bit
+                    if s and not r % s:
+                        flat_at[r // s] = flat_at.get(r // s, 0) | bit
+                lower_at = [(bit, c - sum(map(mul, u, outer)), s, a) for bit, u, s, a, c in lowers]
+                upper_at = [(bit, c - sum(map(mul, u, outer)), s, a) for bit, u, s, a, c in uppers]
+                outer_heads = [math.prod(map(pow, outer, exps)) for exps in outer_exps]
             y = prefix[-1] if prefix else 0
-            flat = at_first = at_last = 0
-            for bit, r, s in flat_at:
-                if r == s * y:
-                    flat |= bit
-            for bit, r, s, a in end_at:
-                r -= s * y
-                if r == a * first:
+            at_first = at_last = 0
+            for bit, r, s, a in lower_at:
+                if r - s * y == a * first:
                     at_first |= bit
-                elif r == a * last:
+            for bit, r, s, a in upper_at:
+                if r - s * y == a * last:
                     at_last |= bit
-            heads = [math.prod(map(pow, prefix, exps)) for exps in prefix_exps]
+            if first == last:  # one point: both ends are the same point
+                at_first, at_last = at_first | at_last, 0
+            flat = always | flat_at.get(y, 0)
             inner = range(first + (at_first > 0), last + (at_last == 0))  # the run off tight ends
             sums = buckets[flat]
+            low = buckets[flat | at_first] if at_first else None
+            high = buckets[flat | at_last] if at_last else None
             for j, e in enumerate(last_exps):
-                sums[j] += heads[j] * (sum(map(pow, inner, repeat(e))) if e else len(inner))
-            for x, tight in (first, at_first), (last, at_last):
-                if tight:
-                    own = buckets[flat | tight]
-                    for j, e in enumerate(last_exps):
-                        own[j] += heads[j] * x ** e
+                head = outer_heads[j] * y ** y_exps[j]
+                sums[j] += head * (sum(map(pow, inner, repeat(e))) if e else len(inner))
+                if low:
+                    low[j] += head * first ** e
+                if high:
+                    high[j] += head * last ** e
         for G in faces:
             values[G].append(sum(map(mul, coeffs, buckets.get(key_of[G], ()))))
 
-    # each open list interpolated from den-scaled integer values, then held
-    # as integers over one common denominator common * den
+    # open lists interpolated from den-scaled values, then held as integers over common * den
     origin = phi.at_origin()
     origin = origin.numerator * (den // origin.denominator)
     lists = {}
@@ -187,8 +199,12 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
     for G, cs in lists.items():
         lists[G] = cs = [c.numerator * (common // c.denominator) for c in cs]
         for q in range(G.dim + phi.degree + 1, last_q + 1):
-            if reduce(lambda v, c: v * q + c, reversed(cs), 0) != values[G][q - 1] * common:
-                raise RuntimeError("degree assumption violated")
+            value = reduce(lambda v, c: v * q + c, reversed(cs), 0)
+            if value != values[G][q - 1] * common:
+                raise RuntimeError(f"degree assumption violated on the face "
+                                   f"{sorted(G.vertex_indices)} at q = {q}: interpolated "
+                                   f"{Fraction(value, common * den)}, scanned "
+                                   f"{Fraction(values[G][q - 1], den)}")
 
     def poly(G, cs):
         return poly_from_list("q" if G.dim + phi.degree else None,

@@ -169,6 +169,29 @@ def test_interpolate_reads_int_values_over_their_own_denominator():
     assert interpolate([(F(0), F(3)), (F(2, 2), F(10, 2))], 1) == 2 * q + 3
 
 
+abscissas = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(abscissas, min_size=1, max_size=5, unique=True).flatmap(
+    lambda xs: st.tuples(st.just(xs), *[st.lists(rationals, min_size=len(xs),
+                                                 max_size=len(xs))] * 2, st.booleans())))
+def test_interpolate_cache_keeps_each_call_its_own(case):
+    # two value vectors on one abscissa tuple share the cached inverse
+    # Vandermonde; each result still evaluates back to its own values
+    xs, first, second, swap = case
+    deg = len(xs) - 1
+    for ys in (second, first) if swap else (first, second):
+        poly = interpolate(list(zip(xs, ys)), deg)
+        assert [poly.evaluate({"q": x}) for x in xs] == ys
+    with pytest.raises(ValueError, match="degenerate interpolation nodes"):
+        interpolate(list(zip(xs + xs[:1], first + first[:1])), deg + 1)
+    with pytest.raises(ValueError, match="need exactly degree"):
+        interpolate(list(zip(xs, first)), deg + 1)
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        interpolate([(float(xs[0]), first[0])] + list(zip(xs[1:], first[1:])), deg)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=7))
 def test_interpolate_inverts_evaluation(coeffs):

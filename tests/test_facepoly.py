@@ -116,10 +116,15 @@ def test_dual_g_cube_vertex(unit_cube):
 
 
 def test_dual_g_trivial_for_simple(unit_cube, simplex3, corpus2d):
+    # the Boolean shortcut shares two immutable constants: one for F = P,
+    # one over x for every other face
+    results = []  # all held, so no id is reused
     for P in [unit_cube, simplex3, *[Q for Q in corpus2d if Q.simple]]:
         lat = P.face_lattice
         for i in lat.nonempty():
-            assert dual_g(P, lat.faces[i]) == 1
+            results.append(dual_g(P, lat.faces[i]))
+            assert results[-1] == 1
+    assert len({id(g) for g in results}) == 2
 
 
 def test_dual_g_matches_reversed_interval(pyramid, corpus2d, corpus3d):

@@ -1,5 +1,6 @@
 """Assembly of G(q, y), its functional equation, and derived profiles."""
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -222,9 +223,19 @@ def perturb_one_open(monkeypatch):
 
 
 def test_assembly_check_catches_a_perturbed_open_sum(monkeypatch, pyramid):
+    expected = build_gfun(pyramid).poly
     perturb_one_open(monkeypatch)
-    with pytest.raises(RuntimeError, match="closed-face and interior assemblies disagree"):
+    with pytest.raises(RuntimeError, match="closed-face and interior assemblies disagree") as info:
         build_gfun(pyramid)
+    # the perturbation adds q to one open sum, so the first entry off is in
+    # the row of q^1; with weight 1 there is no (y+1)^d factor, and the
+    # untouched closed side reads G's own coefficient there
+    m = re.fullmatch(r"closed-face and interior assemblies disagree at \[1\]\[(\d)\] "
+                     r"\(q\^1 y\^\1 before the factor \(y\+1\)\^0\): "
+                     r"closed (\S+), interior (\S+)", str(info.value))
+    assert m, str(info.value)
+    j, closed, interior = int(m.group(1)), F(m.group(2)), F(m.group(3))
+    assert closed == expected.terms.get((1, j), 0) != interior
 
 
 def test_degree_bound_check_catches_a_long_g_list(monkeypatch, pyramid):

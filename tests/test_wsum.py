@@ -174,9 +174,16 @@ def test_a_gap_in_a_line_is_an_invariant_failure(monkeypatch, pyramid):
 
 def test_degree_check_catches_a_missing_point(monkeypatch, pyramid):
     top = pyramid.top_face()
+    dropped = next(iter(iter_lattice_points(pyramid, top, top.dim + 1)))
     drop_one_point_at(monkeypatch, top.dim + 1)
-    with pytest.raises(RuntimeError, match="degree assumption violated"):
+    with pytest.raises(RuntimeError, match="degree assumption violated") as info:
         weighted_sum_poly(pyramid, top, WeightPoly.one(3))
+    # the dropped first point (-4, -4, 4) is the vertex (-1, -1, 1) dilated,
+    # whose open count is 1 at every q and is read 0 at q = 4
+    m = re.fullmatch(r"degree assumption violated on the face \[(\d+)\] at q = 4: "
+                     r"interpolated 1, scanned 0", str(info.value))
+    assert m, str(info.value)
+    assert tuple(4 * x for x in pyramid.vertices[int(m.group(1))]) == dropped
 
 
 def test_degree_check_catches_a_missing_point_under_a_rational_weight(monkeypatch, pyramid):
@@ -246,6 +253,11 @@ def face_sum_cases(draw):
           {"vars": 3, "terms": [{"coeff": "5/4", "exps": [0, 1, 1]}]}, 7))
 @example(([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)],
           {"vars": 4, "terms": []}, 3))  # (0, 0, 0, 1), (2, 0, 0, -1), ...
+# the apex (0, 0) of q*triangle is a one-point line tight on a facet with
+# u_n > 0 and one with u_n < 0 at once; a weight nonzero there counts it once
+@example(([(0, 0), (2, -1), (2, 1)], {"vars": 2, "terms": [{"coeff": "1", "exps": [0, 0]}]}, 0))
+@example(([(0, 0, 0), (2, 0, -1), (2, 0, 1), (2, 2, 0)],
+          {"vars": 3, "terms": [{"coeff": "1", "exps": [0, 0, 0]}]}, 0))
 def test_per_line_classification_matches_the_reference(case):
     # the reference tests every point against every facet and sums Fractions
     pts, phi_json, pick = case
