@@ -3,7 +3,8 @@
 Implements the h-polynomial transform of the f-vector, the recursive
 f/g-polynomial pair of a ranked (Eulerian) poset on integer lists, dual
 face g-polynomials, and the palindromy ("master duality") check.  One
-function, ``_fg_lists``, runs the f/g recursion for every poset here.
+function, ``_fg_lists``, runs the f/g recursion for every poset here, and
+every face order it is given is the face lattice's ``below`` or ``above``.
 
 The g-polynomial of the dual face is computed purely combinatorially from
 the reversed interval [F, P] of the face poset, for every F in one run of
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 from weakref import WeakKeyDictionary
 
 from .algebra import MultiPoly, convolve, pascal_row, poly_from_list, resum
@@ -57,27 +59,26 @@ class GradedPoset:
     @classmethod
     def from_face_lattice(cls, lattice: FaceLattice) -> GradedPoset:
         """The full face poset including the empty face (rank 0)."""
-        return cls([f.rank for f in lattice.faces],
-                   _proper_subsets([f.vertex_indices for f in lattice.faces]))
+        return cls([f.rank for f in lattice.faces], lattice.below)
 
     @classmethod
     def reversed_interval(cls, lattice: FaceLattice, low: int) -> GradedPoset:
         """The interval [low, top] of the face lattice with order reversed.
 
         Ranks become codimensions, the polytope sits at the bottom, and the
-        chosen face is the top element.
+        chosen face is the top element; the order is ``above``, reindexed.
         """
-        top = lattice.faces[lattice.top_index]
-        faces = [lattice.faces[i] for i in lattice.interval(low, lattice.top_index)]
-        # the vertices a face misses shrink as the face grows
-        return cls([top.dim - f.dim for f in faces],
-                   _proper_subsets([top.vertex_indices - f.vertex_indices for f in faces]))
+        members = sorted(lattice.above[low] | {low})
+        index = {j: k for k, j in enumerate(members)}
+        n = lattice.faces[lattice.top_index].dim
+        return cls([n - lattice.faces[j].dim for j in members],
+                   [{index[i] for i in lattice.above[j]} for j in members])
 
-
-def _proper_subsets(sets) -> list[set[int]]:
-    """Strict inclusion as ``below`` sets: entry j holds the index of every
-    proper subset of ``sets[j]``."""
-    return [{i for i, small in enumerate(sets) if small < big} for big in sets]
+    @cached_property
+    def _fg(self) -> tuple[list[list[int]], list[int]]:
+        """``_fg_lists`` of this poset, run once for ``fg_polynomials`` and
+        ``check_master_duality`` both."""
+        return _fg_lists(self.ranks, self.below)
 
 
 def _fg_lists(ranks, below) -> tuple[list[list[int]], list[int]]:
@@ -103,7 +104,7 @@ def fg_polynomials(Q: GradedPoset) -> tuple[MultiPoly, MultiPoly]:
     """The f- and g-polynomials of the top of a ranked poset, from
     ``_fg_lists``: in x for f above rank 1 and for g above rank 0, else
     constants over no variables."""
-    g, f = _fg_lists(Q.ranks, Q.below)
+    g, f = Q._fg
     rank = Q.ranks[Q.top]
     return (poly_from_list("x" if rank > 1 else None, f),
             poly_from_list("x" if rank else None, g[Q.top]))
@@ -121,15 +122,14 @@ def dual_g(P: Polytope, F: Face) -> MultiPoly:
     is then Boolean and the dual face a simplex.  That covers F = P and
     every face of a simple polytope.  Any other face reads a table that
     ``_fg_lists`` fills in one run over the whole reversed lattice (rank
-    n - dim), in which the lower interval of F is the reversed [F, P].
+    n - dim, order ``above``), in which the lower interval of F is the
+    reversed [F, P].
     """
     if len(F.containing_facets) == P.ambient_dim - F.dim:
         return _BOOLEAN_TOP if F.dim == P.ambient_dim else _BOOLEAN
     lattice = P.face_lattice
     if lattice not in _dual_g_tables:
-        faces, top = lattice.faces, lattice.faces[lattice.top_index].vertex_indices
-        g, _ = _fg_lists([P.ambient_dim - f.dim for f in faces],
-                         _proper_subsets([top - f.vertex_indices for f in faces]))
+        g, _ = _fg_lists([P.ambient_dim - f.dim for f in lattice.faces], lattice.above)
         _dual_g_tables[lattice] = [poly_from_list("x", gi) for gi in g]
     return _dual_g_tables[lattice][lattice.index_of(F.vertex_indices)]
 
@@ -141,7 +141,7 @@ _BOOLEAN_TOP, _BOOLEAN = MultiPoly.const(1), MultiPoly(("x",), {(0,): 1})
 
 def check_master_duality(Q: GradedPoset) -> bool:
     """True when the f-polynomial of the top is palindromic."""
-    _, f = _fg_lists(Q.ranks, Q.below)
+    _, f = Q._fg
     return f == f[::-1]
 
 

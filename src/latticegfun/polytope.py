@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, repeat
 from operator import and_, mul
 from weakref import WeakKeyDictionary
@@ -43,13 +43,37 @@ class Face(namedtuple("Face", "vertex_indices dim containing_facets")):
 
 
 class FaceLattice:
-    """All faces of a polytope as a ranked poset ordered by inclusion."""
+    """All faces of a polytope as a ranked poset ordered by inclusion.
 
-    def __init__(self, faces: list[Face]):
+    The faces come in rank order, empty face first and polytope last.
+    ``covers[j]`` holds the facets of face j, in face order; ``below[j]``
+    (each face strictly inside face j) and ``above[j]`` (each face strictly
+    containing it) are closed from the covers in rank order on first use.
+    """
+
+    def __init__(self, faces: list[Face], covers: list[tuple[int, ...]]):
         self.faces = tuple(faces)
+        self.covers = tuple(covers)
         self._by_vertices = {f.vertex_indices: i for i, f in enumerate(self.faces)}
-        self.empty_index = self._by_vertices[frozenset()]
-        self.top_index = max(range(len(self.faces)), key=lambda i: self.faces[i].dim)
+        self.empty_index, self.top_index = 0, len(self.faces) - 1
+
+    @cached_property
+    def below(self) -> tuple[frozenset[int], ...]:
+        below = []  # the faces come in rank order, so each cover is closed first
+        for covers in self.covers:
+            below.append(frozenset(covers).union(*map(below.__getitem__, covers)))
+        return tuple(below)
+
+    @cached_property
+    def above(self) -> tuple[frozenset[int], ...]:
+        up = [[] for _ in self.faces]  # up[i]: the faces that face i is a facet of
+        for j, covers in enumerate(self.covers):
+            for i in covers:
+                up[i].append(j)
+        above = [frozenset()] * len(up)
+        for i in reversed(range(len(up))):
+            above[i] = frozenset(up[i]).union(*map(above.__getitem__, up[i]))
+        return tuple(above)
 
     def __len__(self):
         return len(self.faces)
@@ -66,22 +90,10 @@ class FaceLattice:
     def nonempty(self) -> list[int]:
         return [i for i, f in enumerate(self.faces) if f.dim >= 0]
 
-    def interval(self, low: int, high: int) -> list[int]:
-        return [i for i in range(len(self.faces)) if self.leq(low, i) and self.leq(i, high)]
-
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_0, ..., f_n) including the polytope itself."""
-        n = self.faces[self.top_index].dim
-        counts = [0] * (n + 1)
-        for f in self.faces:
-            if f.dim >= 0:
-                counts[f.dim] += 1
-        return tuple(counts)
-
-    def maximal_proper_subfaces(self, i: int) -> list[int]:
-        f = self.faces[i]
-        return [j for j in self.faces_of_dim(f.dim - 1)
-                if self.faces[j].vertex_indices < f.vertex_indices]
+        dims = [f.dim for f in self.faces]
+        return tuple(dims.count(d) for d in range(dims[self.top_index] + 1))
 
 
 class Polytope:
@@ -198,33 +210,29 @@ def _hull(pts, n) -> list[HalfSpace]:
 
 
 def face_lattice(P: Polytope) -> FaceLattice:
-    """Faces as intersections of facet vertex sets, closed under meet."""
-    facet_sets = [frozenset(i for i, v in enumerate(P.vertices) if h.value(v) == 0)
-                  for h in P.halfspaces]
-    top = frozenset(range(len(P.vertices)))
-    found = {top}
-    queue = [top]
-    while queue:
-        current = queue.pop()
-        for fs in facet_sets:
-            meet = current & fs
-            if meet not in found:
-                found.add(meet)
-                queue.append(meet)
-    found.add(frozenset())
-
-    # a face is one dimension above its facets, its smaller meets with the
-    # facets of P, so met first; the empty face lies in every facet: -1
-    dims = {}
-    for vset in sorted(found, key=len):
-        dims[vset] = 1 + max((dims[vset & fs] for fs in facet_sets if not vset <= fs),
-                             default=-2)
-    faces = []
-    for vset, dim in dims.items():
-        containing = frozenset(i for i, fs in enumerate(facet_sets) if vset <= fs and vset)
-        faces.append(Face(vset, dim, containing))
-    faces.sort(key=lambda f: (f.dim, sorted(f.vertex_indices)))
-    return FaceLattice(faces)
+    """Faces as intersections of facet vertex sets, closed under meet on
+    vertex bitmasks, ordered by (dim, sorted vertices); each face's covers,
+    its facets, are recorded as face indices for ``below`` and ``above``."""
+    masks = [sum(1 << i for i, v in enumerate(P.vertices) if h.value(v) == 0)
+             for h in P.halfspaces]
+    found = {(1 << len(P.vertices)) - 1}
+    for m in masks:
+        found |= {f & m for f in found}
+    # a face's facets are its largest meets with the facets of P that miss
+    # it, one dimension down, so met first; on: the facets of P through it
+    dims, facets, on = {0: -1}, {0: []}, {0: frozenset()}  # the empty face
+    for vset in sorted(found - {0}, key=int.bit_count):
+        row = [vset & m for m in masks]
+        meets = set(row)
+        meets.discard(vset)
+        dim = dims[vset] = 1 + max(map(dims.__getitem__, meets))
+        facets[vset] = [c for c in meets if dims[c] == dim - 1]
+        on[vset] = frozenset([k for k, meet in enumerate(row) if meet == vset])
+    order = sorted((dims[v], [i for i in range(len(P.vertices)) if v >> i & 1], v)
+                   for v in found)  # by dim, then sorted vertices
+    index = {v: j for j, (_, _, v) in enumerate(order)}
+    return FaceLattice([Face(frozenset(verts), dim, on[v]) for dim, verts, v in order],
+                       [tuple(sorted(map(index.__getitem__, facets[v]))) for _, _, v in order])
 
 
 def is_simple(P: Polytope) -> bool:
@@ -368,23 +376,15 @@ def pulling_triangulation(P: Polytope, anchor: str = "min"):
         raise ValueError(f"anchor must be 'min' or 'max', not {anchor!r}")
     lat = P.face_lattice
     pick = min if anchor == "min" else max
-    memo: dict[int, list[tuple[int, ...]]] = {}
 
-    def simplices_of(face_index: int):
-        if face_index in memo:
-            return memo[face_index]
+    @cache
+    def simplices_of(face_index: int) -> list[tuple[int, ...]]:
         face = lat.faces[face_index]
         if len(face.vertex_indices) == face.dim + 1:
-            memo[face_index] = [tuple(sorted(face.vertex_indices))]
-            return memo[face_index]
+            return [tuple(sorted(face.vertex_indices))]
         v0 = pick(face.vertex_indices)
-        out = []
-        for sub in lat.maximal_proper_subfaces(face_index):
-            if v0 not in lat.faces[sub].vertex_indices:
-                for s in simplices_of(sub):
-                    out.append((v0,) + s)
-        memo[face_index] = out
-        return out
+        return [(v0,) + s for sub in lat.covers[face_index]
+                if v0 not in lat.faces[sub].vertex_indices for s in simplices_of(sub)]
 
     return simplices_of(lat.top_index)
 

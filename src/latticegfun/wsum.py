@@ -23,9 +23,10 @@ with a gap is a broken invariant and raises RuntimeError.  The open sums
 of G are its own bucket.  F is scanned at q = 1..dim F + deg phi + 1; each
 face G is interpolated once, at its first dim G + deg phi + 1 nodes, and
 checked at every further node by Horner's rule.  The closed list of G is
-the sum of the open lists of the faces of G, which at q = 0 gives phi(0)
-by Euler's relation: sum (-1)^dim H = 1 over the nonempty faces H of G,
-and phi(0) = 0 when deg phi > 0.  phi is scaled to integer coefficients,
+the sum of the open lists of the faces of G, as the face lattice's
+``below`` sets give them, which at q = 0 gives phi(0) by Euler's
+relation: sum (-1)^dim H = 1 over the nonempty faces H of G, and
+phi(0) = 0 when deg phi > 0.  phi is scaled to integer coefficients,
 and the node values, the Horner checks and the closed sums are integers
 over one denominator: Fractions appear only out of interpolation and in
 the returned polynomials.
@@ -124,10 +125,13 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
         raise ValueError("weighted sums need a nonempty face")
     if phi.nvars != P.ambient_dim:
         raise ValueError("weight polynomial dimension does not match polytope")
-    faces = [G for G in P.face_lattice.faces
-             if G.dim >= 0 and G.vertex_indices <= F.vertex_indices]
+    lat = P.face_lattice
+    top, empty = lat.index_of(F.vertex_indices), lat.empty_index
+    # F and its nonempty faces in lattice order, each with its own, from the below sets
+    subfaces = {lat.faces[j]: [lat.faces[i] for i in lat.below[j] | {j} if i != empty]
+                for j in sorted(lat.below[top] | {top}) if j != empty}
+    faces = list(subfaces)
     key_of = {G: sum(1 << i for i in G.containing_facets) for G in faces}
-    subfaces = {G: [H for H in faces if H.vertex_indices <= G.vertex_indices] for G in faces}
     # each monomial as outer^α'' y^e_y x_n^e, the scanned point being (outer, y, x_n)
     outer_exps = [exps[:-2] for exps in phi.terms]
     y_exps = [exps[-2] if len(exps) > 1 else 0 for exps in phi.terms]

@@ -195,6 +195,21 @@ def test_empty_face_and_ranks(pyramid):
     assert top.dim == 3 and top.rank == 4
 
 
+def test_recorded_order_is_vertex_set_inclusion(pyramid, corpus2d, corpus3d):
+    # oracle: leq, strict inclusion of vertex sets, tested pair by pair
+    cube4 = build_polytope(list(product((0, 1), repeat=4)))
+    crosses = [cross_polytope(n) for n in (3, 4, 5)]
+    for P in [*corpus2d, *corpus3d, pyramid, cube4, *crosses, build_polytope([[0], [3]])]:
+        lat = P.face_lattice
+        faces = range(len(lat))
+        for j in faces:
+            assert lat.below[j] == {i for i in faces if i != j and lat.leq(i, j)}
+            assert lat.above[j] == {k for k in faces if j in lat.below[k]}
+            assert set(lat.covers[j]) == {i for i in lat.below[j]
+                                          if lat.faces[i].dim == lat.faces[j].dim - 1}
+            assert list(lat.covers[j]) == sorted(lat.covers[j])
+
+
 def test_simplicity(pyramid, unit_cube, simplex3, octahedron):
     assert not pyramid.simple
     assert unit_cube.simple
