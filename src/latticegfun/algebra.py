@@ -329,29 +329,31 @@ def interpolate(nodes, degree: int) -> MultiPoly:
 
     Returns the unique polynomial of degree at most ``degree`` through the
     given ``(abscissa, value)`` pairs, ints or Fractions read as given (any
-    other type, ``bool`` included, raises ``TypeError``).  With the
-    abscissas scaled by ``xscale`` to integers and the values by their
-    common denominator, each coefficient is an integer dot product with a
-    row of the exact inverse Vandermonde matrix of the scaled abscissas,
-    cached per abscissa tuple.  The result is one polynomial in ``q``,
-    constant at degree 0.
+    other type, ``bool`` included, raises ``TypeError`` in the one pass
+    that splits the nodes).  With the abscissas scaled by ``xscale`` to
+    integers and the values by their common denominator, each coefficient
+    is an integer dot product with a row of the exact inverse Vandermonde
+    matrix of the scaled abscissas, cached per abscissa tuple.  The result
+    is one polynomial in ``q``, constant at degree 0.
     """
     if degree < 0:
         raise ValueError("interpolation degree must be nonnegative")
-    nodes = list(nodes)
-    if any(isinstance(v, bool) or not isinstance(v, (int, Fraction))
-           for node in nodes for v in node):
-        raise TypeError("interpolation nodes must be ints or Fractions")
-    if len(nodes) != degree + 1:
+    xs, ys = [], []
+    for x, y in nodes:  # one pass: each node is checked as it is split
+        if isinstance(x, bool) or isinstance(y, bool) or not (
+                isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
+            raise TypeError("interpolation nodes must be ints or Fractions")
+        xs.append(x)
+        ys.append(y)
+    if len(xs) != degree + 1:
         raise ValueError("need exactly degree + 1 interpolation nodes")
-    if len({x for x, _ in nodes}) != len(nodes):
+    if len(set(xs)) != len(xs):
         raise ValueError("degenerate interpolation nodes")
 
-    xscale = math.lcm(*(x.denominator for x, _ in nodes))
-    rows, det = _inverse_vandermonde(tuple(x.numerator * (xscale // x.denominator)
-                                           for x, _ in nodes))
-    yscale = math.lcm(*(y.denominator for _, y in nodes))
-    ys = [y.numerator * (yscale // y.denominator) for _, y in nodes]
+    xscale = math.lcm(*(x.denominator for x in xs))
+    rows, det = _inverse_vandermonde(tuple(x.numerator * (xscale // x.denominator) for x in xs))
+    yscale = math.lcm(*(y.denominator for y in ys))
+    ys = [y.numerator * (yscale // y.denominator) for y in ys]
     return poly_from_list("q" if degree else None,
                           [Fraction(sum(map(mul, row, ys)) * xscale ** k, det * yscale)
                            for k, row in enumerate(rows)])

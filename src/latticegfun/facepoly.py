@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from weakref import WeakKeyDictionary
@@ -86,15 +87,18 @@ def _fg_lists(ranks, below) -> tuple[list[list[int]], list[int]]:
     the last element in rank order (the top of a ``GradedPoset``).
 
     An element of rank n + 1 has f = sum of g(b)·(x-1)^(n - rank b) over
-    the elements b below it, and its g keeps the first floor(n/2)+1
-    coefficient differences of f; the bottom has f = g = [1].
+    the elements b below it, added per rank before the product, and its g
+    keeps f's first floor(n/2)+1 differences; the bottom has f = g = [1].
     """
     g: list = [None] * len(ranks)
     for e in sorted(range(len(ranks)), key=ranks.__getitem__):
         n = ranks[e] - 1
         f = [0] * (n + 1) or [1]  # the bottom (n = -1) has nothing below
+        per_rank = defaultdict(list)  # the g-lists below e, by rank; one rank's share a length
         for b in below[e]:
-            for k, c in enumerate(convolve(g[b], pascal_row(n - ranks[b], -1))):
+            per_rank[ranks[b]].append(g[b])
+        for r, lists in per_rank.items():
+            for k, c in enumerate(convolve(list(map(sum, zip(*lists))), pascal_row(n - r, -1))):
                 f[k] += c
         g[e] = f[:1] + [f[k] - f[k - 1] for k in range(1, n // 2 + 1)]
     return g, f

@@ -13,7 +13,7 @@ such class add their q-lists first and the class multiplies once.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .algebra import MultiPoly, convolve, pascal_row, poly_to_list
@@ -51,11 +51,10 @@ def build_gfun(P: Polytope, phi: WeightPoly | None = None) -> GFunction:
     sums = weighted_sum_poly(P, P.top_face(), phi)
     den = math.lcm(*(c.denominator for wsp in sums.values()
                      for poly in (wsp.closed, wsp.open) for c in poly.terms.values()))
-    classes: dict[tuple, tuple[list[int], list[int]]] = {}  # (dim, g) -> q-lists
+    classes = defaultdict(lambda: ([0] * (n + d + 1), [0] * (n + d + 1)))  # (dim, g) -> q-lists
     for face, wsp in sums.items():
         g = tuple(int(c) for c in poly_to_list(dual_g(P, face)))
-        q_lists = classes.setdefault((face.dim, g), ([0] * (n + d + 1), [0] * (n + d + 1)))
-        for q_list, q_poly in zip(q_lists, (wsp.closed, wsp.open)):
+        for q_list, q_poly in zip(classes[face.dim, g], (wsp.closed, wsp.open)):
             for exps, c in q_poly.terms.items():
                 q_list[sum(exps)] += c.numerator * (den // c.denominator)
     closed_table, open_table = ([[0] * (n + 1) for _ in range(n + d + 1)] for _ in range(2))

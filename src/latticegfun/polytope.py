@@ -99,9 +99,10 @@ class FaceLattice:
 class Polytope:
     """Full-dimensional lattice polytope with derived H-representation."""
 
-    def __init__(self, vertices, halfspaces):
+    def __init__(self, vertices, halfspaces, incidences):
         self.vertices: tuple[tuple[int, ...], ...] = tuple(tuple(v) for v in vertices)
         self.halfspaces: tuple[HalfSpace, ...] = tuple(halfspaces)
+        self.incidences: tuple[int, ...] = tuple(incidences)  # per facet, its vertices' bits
         self.ambient_dim = len(self.vertices[0])
 
     @cached_property
@@ -130,7 +131,8 @@ def build_polytope(points) -> Polytope:
     ``_hull``, which rejects lower-dimensional input, sorted by (normal,
     offset), so they do not depend on the order of the input.  A vertex is
     an input point that is the only one on all the facets through it, read
-    from each facet's mask of the points on it; the vertices are sorted.
+    from each facet's mask of the points on it; the vertices are sorted,
+    and the masks, re-indexed to them, are kept as the ``incidences``.
     A point outside a facet breaks the hull and raises ``RuntimeError``.
     """
     if not isinstance(points, (list, tuple)):
@@ -156,9 +158,10 @@ def build_polytope(points) -> Polytope:
             raise RuntimeError(f"hull invariant violated: point {p} is outside facet {h}")
         masks = [m | (v == 0) << i for m, v in zip(masks, values)]
     # the facets through a vertex meet in it alone; -1 has every bit
-    vertices = sorted(p for i, p in enumerate(pts)
-                      if reduce(and_, [m for m in masks if m >> i & 1], -1) == 1 << i)
-    return Polytope(vertices, facets)
+    order = sorted((p, i) for i, p in enumerate(pts)
+                   if reduce(and_, [m for m in masks if m >> i & 1], -1) == 1 << i)
+    incidences = [sum(1 << j for j, (_, i) in enumerate(order) if m >> i & 1) for m in masks]
+    return Polytope([p for p, _ in order], facets, incidences)
 
 
 def _hull(pts, n) -> list[HalfSpace]:
@@ -213,16 +216,14 @@ def face_lattice(P: Polytope) -> FaceLattice:
     """Faces as intersections of facet vertex sets, closed under meet on
     vertex bitmasks, ordered by (dim, sorted vertices); each face's covers,
     its facets, are recorded as face indices for ``below`` and ``above``."""
-    masks = [sum(1 << i for i, v in enumerate(P.vertices) if h.value(v) == 0)
-             for h in P.halfspaces]
     found = {(1 << len(P.vertices)) - 1}
-    for m in masks:
+    for m in P.incidences:
         found |= {f & m for f in found}
     # a face's facets are its largest meets with the facets of P that miss
     # it, one dimension down, so met first; on: the facets of P through it
     dims, facets, on = {0: -1}, {0: []}, {0: frozenset()}  # the empty face
     for vset in sorted(found - {0}, key=int.bit_count):
-        row = [vset & m for m in masks]
+        row = [vset & m for m in P.incidences]
         meets = set(row)
         meets.discard(vset)
         dim = dims[vset] = 1 + max(map(dims.__getitem__, meets))

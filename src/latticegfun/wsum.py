@@ -20,28 +20,28 @@ bitmask of its tight facets, accumulates integer sums: each monomial over
 the run's inner points in one step into the flat facets' bucket, each
 tight end into its own, a one-point run's two ends folded into one.  A run
 with a gap is a broken invariant and raises RuntimeError.  The open sums
-of G are its own bucket.  F is scanned at q = 1..dim F + deg phi + 1; each
-face G is interpolated once, at its first dim G + deg phi + 1 nodes, and
-checked at every further node by Horner's rule.  The closed list of G is
-the sum of the open lists of the faces of G, as the face lattice's
-``below`` sets give them, which at q = 0 gives phi(0) by Euler's
-relation: sum (-1)^dim H = 1 over the nonempty faces H of G, and
-phi(0) = 0 when deg phi > 0.  phi is scaled to integer coefficients,
-and the node values, the Horner checks and the closed sums are integers
-over one denominator: Fractions appear only out of interpolation and in
-the returned polynomials.
+of G are its own bucket.  F is scanned at q = 1..dim F + deg phi + 1, and
+phi is scaled to integer coefficients, so the node values of each face G,
+with q = 0 fixed by reciprocity, are integers over one denominator.  With
+deg = dim G + deg phi, they lie on one polynomial of degree <= deg exactly
+while their (deg + 1)-th differences vanish (Beck and Robins, ch. 2), the
+check at every node past the first deg + 1; the open sum is interpolated
+at those.  The closed sum takes interpolate's inverse Vandermonde rows to
+the values summed over the faces of G (the lattice's ``below``), which at
+q = 0 is phi(0) by Euler's relation: sum (-1)^dim H = 1 over the nonempty
+faces H of G, and phi(0) = 0 when deg phi > 0.  Fractions appear only in
+the returned polynomials and in interpolate's nodes when den > 1.
 """
 from __future__ import annotations
 
 import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, groupby, repeat, zip_longest
+from itertools import chain, groupby, repeat
 from operator import itemgetter, mul
 
-from .algebra import (MultiPoly, interpolate, poly_from_list, poly_to_list, terms_from_json,
-                      terms_to_json)
+from .algebra import (MultiPoly, _inverse_vandermonde, interpolate, pascal_row, poly_from_list,
+                      terms_from_json, terms_to_json)
 from .polytope import Face, Polytope, iter_lattice_points
 
 
@@ -115,11 +115,9 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
     nonempty face of F, keyed by face in face-lattice order.
 
     The open sum of a face G is interpolated at q = 0..(dim G + deg phi),
-    where the q = 0 value is fixed by reciprocity, which keeps it a bona
-    fide polynomial; every further scanned node validates the degree bound.
-    The closed sum of G is the sum of the open sums of its faces, whose
-    value at q = 0 is phi(0) by Euler's relation.  A run of the scan with
-    a gap raises ``RuntimeError`` naming the dilate and the run's prefix.
+    q = 0 fixed by reciprocity, and every further scanned node checks the
+    degree bound, raising ``RuntimeError`` on a miss; a run of the scan
+    with a gap raises it too, naming the dilate and the run's prefix.
     """
     if F.dim < 0:
         raise ValueError("weighted sums need a nonempty face")
@@ -127,20 +125,19 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
         raise ValueError("weight polynomial dimension does not match polytope")
     lat = P.face_lattice
     top, empty = lat.index_of(F.vertex_indices), lat.empty_index
-    # F and its nonempty faces in lattice order, each with its own, from the below sets
-    subfaces = {lat.faces[j]: [lat.faces[i] for i in lat.below[j] | {j} if i != empty]
-                for j in sorted(lat.below[top] | {top}) if j != empty}
-    faces = list(subfaces)
-    key_of = {G: sum(1 << i for i in G.containing_facets) for G in faces}
+    members = [j for j in sorted(lat.below[top] | {top}) if j != empty]  # F's faces, F last
+    key_of = {j: sum(1 << i for i in lat.faces[j].containing_facets) for j in members}
     # each monomial as outer^α'' y^e_y x_n^e, the scanned point being (outer, y, x_n)
     outer_exps = [exps[:-2] for exps in phi.terms]
     y_exps = [exps[-2] if len(exps) > 1 else 0 for exps in phi.terms]
     last_exps = [exps[-1] for exps in phi.terms]
     den = math.lcm(*(c.denominator for c in phi.terms.values()))
     coeffs = [c.numerator * (den // c.denominator) for c in phi.terms.values()]
+    origin = int(phi.at_origin() * den)
 
     last_q = F.dim + phi.degree + 1
-    values = {G: [] for G in faces}  # den times each face's open sum, per q
+    # den times each face's open sum at q = 0..last_q, q = 0 fixed by reciprocity
+    values = {j: [(-1) ** (lat.faces[j].dim + phi.degree) * origin] for j in members}
     for q in range(1, last_q + 1):
         # on a run (outer, y) x [first, last] facet i, normal (u, s, a), bit 1 << i,
         # reads a * x_n = r - s * y, r = -q c - <u, outer> found once per outer
@@ -188,33 +185,30 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
                     low[j] += head * first ** e
                 if high:
                     high[j] += head * last ** e
-        for G in faces:
-            values[G].append(sum(map(mul, coeffs, buckets.get(key_of[G], ()))))
+        for j in members:
+            values[j].append(sum(map(mul, coeffs, buckets.get(key_of[j], ()))))
 
-    # open lists interpolated from den-scaled values, then held as integers over common * den
-    origin = phi.at_origin()
-    origin = origin.numerator * (den // origin.denominator)
-    lists = {}
-    for G in faces:
+    out = {}
+    for j in members:
+        G, vs = lat.faces[j], values[j]
         deg = G.dim + phi.degree
-        nodes = [(0, (-1) ** deg * origin)] + list(enumerate(values[G][:deg], start=1))
-        lists[G] = poly_to_list(interpolate(nodes, deg))
-    common = math.lcm(*(c.denominator for cs in lists.values() for c in cs))
-    for G, cs in lists.items():
-        lists[G] = cs = [c.numerator * (common // c.denominator) for c in cs]
-        for q in range(G.dim + phi.degree + 1, last_q + 1):
-            value = reduce(lambda v, c: v * q + c, reversed(cs), 0)
-            if value != values[G][q - 1] * common:
+        # the (deg + 1)-th difference ending at q, a dot product with the row of (x - 1)^(deg + 1),
+        # is the scanned value at q minus the polynomial's through the nodes before, if those fit
+        for q in range(deg + 1, last_q + 1):
+            diff = sum(map(mul, pascal_row(deg + 1, -1), vs[q - deg - 1:]))
+            if diff:
                 raise RuntimeError(f"degree assumption violated on the face "
                                    f"{sorted(G.vertex_indices)} at q = {q}: interpolated "
-                                   f"{Fraction(value, common * den)}, scanned "
-                                   f"{Fraction(values[G][q - 1], den)}")
-
-    def poly(G, cs):
-        return poly_from_list("q" if G.dim + phi.degree else None,
-                              [Fraction(c, common * den) for c in cs])
-    return {G: WeightedSumPoly(G, poly(G, map(sum, zip_longest(
-        *map(lists.get, subfaces[G]), fillvalue=0))), poly(G, lists[G])) for G in faces}
+                                   f"{Fraction(vs[q] - diff, den)}, scanned "
+                                   f"{Fraction(vs[q], den)}")
+        nodes = vs[:deg + 1]  # the closed sum: interpolate's map on the summed values of G's faces
+        closed = list(map(sum, zip(nodes, *(values[i] for i in lat.below[j] if i != empty))))
+        rows, det = _inverse_vandermonde(tuple(range(deg + 1)))
+        closed = [Fraction(sum(map(mul, r, closed)), det * den) for r in rows]
+        open_ = interpolate([(q, Fraction(v, den)) for q, v in enumerate(nodes)] if den > 1
+                            else list(enumerate(nodes)), deg)
+        out[G] = WeightedSumPoly(G, poly_from_list("q" if deg else None, closed), open_)
+    return out
 
 
 def ehrhart_polynomial(P: Polytope) -> WeightedSumPoly:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from latticegfun import (CycloNumber, MultiPoly, bernoulli, interpolate, scalar_from_str,
                          scalar_to_str)
+from latticegfun import algebra
 from latticegfun.algebra import resum, terms_to_json
 
 F = Fraction
@@ -167,6 +168,19 @@ def test_interpolate_reads_int_values_over_their_own_denominator():
     q = MultiPoly.variable("q")
     assert interpolate([(0, 3), (1, 5), (2, 7)], 2) == 2 * q + 3
     assert interpolate([(F(0), F(3)), (F(2, 2), F(10, 2))], 1) == 2 * q + 3
+
+
+def test_interpolate_keys_its_cache_by_ints(monkeypatch):
+    # Fraction abscissas, Fraction(2, 2) among them, reach the inverse
+    # Vandermonde cache scaled to a tuple of ints
+    keys = []
+    real = algebra._inverse_vandermonde
+    monkeypatch.setattr(algebra, "_inverse_vandermonde", lambda xs: keys.append(xs) or real(xs))
+    q = MultiPoly.variable("q")
+    assert interpolate([(F(0), F(3)), (F(2, 2), F(10, 2))], 1) == 2 * q + 3
+    assert interpolate([(F(1, 2), 1), (F(3, 2), 2)], 1) == q + F(1, 2)
+    assert keys == [(0, 1), (1, 3)]
+    assert all(type(x) is int for key in keys for x in key)
 
 
 abscissas = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))

@@ -163,6 +163,16 @@ def test_hull_matches_the_subset_scan(case):
     assert (repr(Q.vertices), repr(Q.halfspaces)) == (repr(P.vertices), repr(P.halfspaces))
 
 
+def test_incidences_are_the_vertices_on_each_facet(pyramid, corpus2d, corpus3d):
+    # oracle: each facet evaluated at each vertex; the input lists non-extreme
+    # and repeated points out of order, so the hull's masks must be re-indexed
+    messy = build_polytope([(2, 2), (1, 1), (0, 3), (0, 0), (3, 0), (2, 2), (1, 0), (3, 3)])
+    for P in [pyramid, messy, *corpus2d, *corpus3d]:
+        assert P.incidences == tuple(
+            sum(1 << i for i, v in enumerate(P.vertices) if h.value(v) == 0)
+            for h in P.halfspaces)
+
+
 def test_non_extreme_points_removed():
     P = build_polytope([(0, 0), (2, 0), (0, 2), (1, 0), (1, 1), (2, 0)])
     assert set(P.vertices) == {(0, 0), (2, 0), (0, 2)}

@@ -186,6 +186,19 @@ def test_degree_check_catches_a_missing_point(monkeypatch, pyramid):
     assert tuple(4 * x for x in pyramid.vertices[int(m.group(1))]) == dropped
 
 
+def test_degree_check_names_a_later_node_under_a_weight_of_positive_degree(monkeypatch, pyramid):
+    # under x1 the vertex (-1, -1, 1) has open sum -q, checked at q = 2..5;
+    # with the first point of the dilate q = 5, 5 * (-1, -1, 1), dropped the
+    # first three checks pass and the fourth extrapolates -5 against 0
+    top = pyramid.top_face()
+    phi = WeightPoly.monomial(3, (1, 0, 0))
+    drop_one_point_at(monkeypatch, top.dim + phi.degree + 1)
+    with pytest.raises(RuntimeError) as info:
+        weighted_sum_poly(pyramid, top, phi)
+    assert str(info.value) == ("degree assumption violated on the face [0] at q = 5: "
+                               "interpolated -5, scanned 0")
+
+
 def test_degree_check_catches_a_missing_point_under_a_rational_weight(monkeypatch, pyramid):
     # phi = x1/3 + 2 x3/5 is 1/15 at the dropped vertex (-1, -1, 1), so only
     # the check on values scaled by phi's denominator 15 can see it
