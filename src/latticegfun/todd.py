@@ -14,7 +14,11 @@ The operator runs on integer tables: the coefficients s_k over one
 denominator per derivative order k, each non-rational one as integers in
 the group ring Z[x]/(x^m - 1) of its orbit's order m, where products need
 no reduction and are traced by Ramanujan sums, and an orbit skipped by
-facet mask wherever some s_0(a_F) = 0 meets the term.
+facet mask wherever some s_0(a_F) = 0 meets the term.  Two tables hold
+no coordinate and are shared process-wide in bounded caches: each s_k,
+keyed by the integers (m, e, k) of its root e/m, and each vertex's key
+table of the integral, keyed by its power and facet indices.  Their
+values are immutable, and ``todd_coeffs`` returns a fresh list per call.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 integral lives in the variables (h_1..h_m, t) and t is replaced by q(y+1)
@@ -135,7 +139,7 @@ def gamma_set(fan: NormalFan) -> GammaSet:
         for residue in _residues(W, d):
             point = tuple([sum(map(operator.mul, residue, row)) // d for row in rows])
             rho = solve_exact(rows, point)
-            if rho is None or any(r < 0 or r >= 1 for r in rho):
+            if rho is None or not all(0 <= r.numerator < r.denominator for r in rho):
                 raise RuntimeError(f"produced point {point} is outside the parallelepiped "
                                    f"of the cone on facets {cone.facet_indices}")
             placed = dict(zip(cone.facet_indices, rho))
@@ -211,11 +215,19 @@ def todd_coeffs(a, order: int, *, exponent: Fraction | None = None) -> ToddCoeff
     elif _simplify_root(exponent) != a:
         raise ValueError(f"a is not the root of unity of exponent {exponent}")
 
-    m = exponent.denominator
-    inv = pow(exponent.numerator, -1, m)  # N_j goes to z^p for p = e*j mod m
-    scalars = [cyclo_from_powers(m, [sums[p * inv % m] for p in range(m)]) * scale
-               for sums, scale in (_todd_sums(m, k) for k in range(order + 1))]
-    return ToddCoeffs([s.as_rational() if s.is_rational() else s for s in scalars])
+    m, e = exponent.denominator, exponent.numerator
+    return ToddCoeffs([_todd_scalar(m, e, k) for k in range(order + 1)])
+
+
+@lru_cache(maxsize=1024)
+def _todd_scalar(m: int, e: int, k: int):
+    """s_k(a) for a = exp(2*pi*i*e/m), e/m in lowest terms: a Fraction when
+    rational, else a CycloNumber.  Shared by every caller: its keys are
+    integers and its values immutable."""
+    sums, scale = _todd_sums(m, k)
+    inv = pow(e, -1, m)  # N_j goes to z^p for p = e*j mod m
+    s = cyclo_from_powers(m, [sums[p * inv % m] for p in range(m)]) * scale
+    return s.as_rational() if s.is_rational() else s
 
 
 def h_variable_names(P: Polytope) -> list[str]:
@@ -278,6 +290,16 @@ def _multinomials(power: int, width: int) -> tuple:
                  for rest, c in _multinomials(power - k, width - 1))
 
 
+@lru_cache(maxsize=256)
+def _vertex_keys(power: int, facets: tuple[int, ...], nfacets: int) -> tuple:
+    """The key over (h_1..h_m, t), m = nfacets, of each exponent vector of
+    ``_multinomials(power, n + 1)``, whose entries are the exponents of t
+    and of the h_F of the vertex's sorted facets.  No coordinate enters."""
+    slot = {f: j + 1 for j, f in enumerate(facets)}
+    return tuple(tuple([e[slot[f]] if f in slot else 0 for f in range(nfacets)]) + e[:1]
+                 for e, _ in _multinomials(power, len(facets) + 1))
+
+
 def _power_forms(phi: WeightPoly) -> dict:
     """w_b with phi = sum_b w_b <b + c, x>^d / d! for any shift c: for |a| = d,
     x^a = sum_{b <= a} (-1)^|a-b| prod_i C(a_i, b_i) <b + c, x>^d / d!."""
@@ -323,10 +345,7 @@ def symbolic_integral(P: Polytope, phi: WeightPoly) -> SymbolicIntegral:
     cones = []
     for i, vertex in enumerate(P.vertices):
         facets, W, d = _vertex_frame(P, i)
-        slot = {f: j + 1 for j, f in enumerate(facets)}
-        keys = [tuple([e[slot[f]] if f in slot else 0 for f in range(len(names) - 1)]) + e[:1]
-                for e, _ in table]
-        cones.append((vertex, list(zip(*W)), d, keys))
+        cones.append((vertex, list(zip(*W)), d, _vertex_keys(power, facets, len(names) - 1)))
     forms = _power_forms(phi)
     for k in count(2):  # each <l, m_v^F> is a nonzero polynomial in k of degree < n
         terms = _vertex_terms(forms, cones, [k ** i for i in range(n)], phi.degree)

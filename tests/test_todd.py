@@ -14,7 +14,7 @@ from latticegfun import (CycloNumber, GammaSet, MultiPoly, WeightPoly, apply_tod
                          cyclo_root_of_unity, deformed_vertex, dual_basis_at_vertex,
                          gamma_set, h_variable_names, normal_fan, polytope, symbolic_integral,
                          todd, todd_coeffs, verify_todd_formula)
-from latticegfun.cyclotomic import euler_phi
+from latticegfun.cyclotomic import cyclo_from_powers, euler_phi
 from latticegfun.linalg import det
 
 from formula_helpers import inv_scalar
@@ -413,6 +413,7 @@ def test_one_over_one_minus_a_needs_no_euclid(monkeypatch):
              ((1, 3), (2, 5), (5, 21), (7, 30), (1, 43), (500, 997), (29, 30), (996, 997))]
     roots.append((F(1, 2), F(-1)))
     expected = [inv_scalar(1 - a) for _, a in roots]
+    todd._todd_scalar.cache_clear()  # rows cached by earlier tests would skip the computation
     monkeypatch.setattr(CycloNumber, "inverse", refuse_inverse)
     for (r, a), inv in zip(roots, expected):
         assert todd_coeffs(a, 4).scalars[1] == inv, r
@@ -439,6 +440,7 @@ def test_todd_coeffs_given_the_exponent_multiply_nothing_in_the_field(monkeypatc
             raise AssertionError("product in the field")
         return original(self, other)
 
+    todd._todd_scalar.cache_clear()  # rows cached by earlier tests would skip the computation
     monkeypatch.setattr(CycloNumber, "__mul__", scalar_only)
     monkeypatch.setattr(CycloNumber, "__rmul__", scalar_only)
     monkeypatch.setattr(CycloNumber, "inverse", refuse_inverse)
@@ -451,6 +453,67 @@ def test_todd_coeffs_given_the_exponent_multiply_nothing_in_the_field(monkeypatc
 def test_todd_coeffs_rejects_zero():
     with pytest.raises(ValueError):
         todd_coeffs(F(0), 3)
+
+
+CACHE_ROOTS = [F(0), F(1, 2), F(2, 3), F(7, 30), F(29, 30), F(1, 37), F(20, 37), F(500, 997)]
+
+
+def fresh_scalars(r, order):
+    """The scalars of todd_coeffs computed without its cache: the integer
+    power sums reduced once per k and scaled."""
+    m, inv = r.denominator, pow(r.numerator, -1, r.denominator)
+    out = []
+    for k in range(order + 1):
+        sums, scale = todd._todd_sums(m, k)
+        s = cyclo_from_powers(m, [sums[p * inv % m] for p in range(m)]) * scale
+        out.append(s.as_rational() if s.is_rational() else s)
+    return out
+
+
+def test_todd_scalar_cache_matches_a_fresh_computation():
+    # roots of orders 1, 2, 3, 30, 37 and 997, two roots each of orders 30
+    # and 37, at every order 0..8: a row served from the cache, keyed by
+    # (m, e, k), is the one computed afresh for that root
+    todd._todd_scalar.cache_clear()
+    for order in range(9):
+        for r in CACHE_ROOTS:
+            assert todd_coeffs(None, order, exponent=r).scalars == fresh_scalars(r, order), (r, order)
+    assert todd._todd_scalar.cache_info().hits > 0
+
+
+def test_todd_coeffs_reuses_the_lower_rows():
+    todd._todd_scalar.cache_clear()
+    todd_coeffs(None, 4, exponent=F(7, 30))
+    assert todd._todd_scalar.cache_info()[:2] == (0, 5)  # (hits, misses)
+    todd_coeffs(None, 6, exponent=F(7, 30))
+    assert todd._todd_scalar.cache_info()[:2] == (5, 7)
+    todd_coeffs(None, 6, exponent=F(23, 30))  # a conjugate root has rows of its own
+    assert todd._todd_scalar.cache_info()[:2] == (5, 14)
+
+
+def test_todd_coeffs_returns_a_fresh_scalars_list():
+    r = F(2, 3)
+    tc = todd_coeffs(None, 3, exponent=r)
+    tc.scalars[1] = F(99)
+    tc.scalars.append(F(1))
+    again = todd_coeffs(None, 3, exponent=r)
+    assert again.scalars == fresh_scalars(r, 3) and again.scalars is not tc.scalars
+
+
+@pytest.mark.parametrize("shape", ["simplex3", "unit_cube", "legs_4_5_3"])
+def test_vertex_keys_match_the_inline_table(shape, request):
+    # the cached key table of each vertex is the list the integral used to
+    # build inline from the vertex's facets
+    P = simplex_with_legs(4, 5, 3) if shape == "legs_4_5_3" else request.getfixturevalue(shape)
+    nfacets = len(P.halfspaces)
+    for power in (P.ambient_dim, P.ambient_dim + 2):
+        table = todd._multinomials(power, P.ambient_dim + 1)
+        for i in range(len(P.vertices)):
+            facets, _, _ = todd._vertex_frame(P, i)
+            slot = {f: j + 1 for j, f in enumerate(facets)}
+            inline = [tuple([e[slot[f]] if f in slot else 0 for f in range(nfacets)]) + e[:1]
+                      for e, _ in table]
+            assert list(todd._vertex_keys(power, facets, nfacets)) == inline, (shape, i)
 
 
 # --- deformed vertices and symbolic integration -----------------------
@@ -881,6 +944,7 @@ def test_apply_todd_calls_no_extended_euclid(monkeypatch):
     # whether or not it is stored as one power, takes the closed form
     shapes = [build_polytope(v) for v in HIGH_INDEX]
     expected = [apply_todd(P) for P in shapes]
+    todd._todd_scalar.cache_clear()  # the rows are computed again under the patch
 
     monkeypatch.setattr(CycloNumber, "inverse", refuse_inverse)
     assert [apply_todd(P) for P in shapes] == expected
@@ -891,6 +955,7 @@ def test_apply_todd_builds_no_root(monkeypatch):
     # builds the root itself
     shapes = [build_polytope(v) for v in HIGH_INDEX]
     expected = [apply_todd(P) for P in shapes]
+    todd._todd_scalar.cache_clear()  # the rows are computed again under the patch
 
     def refuse_root(num, den):
         raise AssertionError(f"root exp(2 pi i {num}/{den}) built")
