@@ -21,6 +21,7 @@ ExactScalar = Fraction
 
 _VAR_RE = re.compile(r"^(.*?)(\d*)$")
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_EXACT = (int, Fraction)  # the exact scalar types, matched by identity first
 
 
 def var_sort_key(name: str) -> tuple[str, int]:
@@ -58,12 +59,21 @@ class MultiPoly:
 
     ``terms`` maps exponent tuples (one entry per variable in ``vars``) to
     nonzero coefficients.  Coefficients are rationals, or cyclotomic numbers
-    when roots of unity flow through a computation.  The constructor alone
+    when roots of unity flow through a computation.  The constructor
     normalises (``int`` to ``Fraction``, zero terms dropped), so operations
-    hand it raw sums and products.  Instances are immutable.
+    hand it raw sums and products; the one path for terms already normalised
+    is ``_trusted``, which only ``poly_from_list`` calls.  Immutable.
     """
 
     __slots__ = ("vars", "terms")
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> MultiPoly:
+        """The polynomial over a variable tuple with normalised terms, as given."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vars", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __init__(self, variables=(), terms=None):
         object.__setattr__(self, "vars", tuple(variables))
@@ -340,8 +350,9 @@ def interpolate(nodes, degree: int) -> MultiPoly:
         raise ValueError("interpolation degree must be nonnegative")
     xs, ys = [], []
     for x, y in nodes:  # one pass: each node is checked as it is split
-        if isinstance(x, bool) or isinstance(y, bool) or not (
-                isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
+        if not (type(x) in _EXACT and type(y) in _EXACT) and (
+                isinstance(x, bool) or isinstance(y, bool) or not (
+                isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)))):
             raise TypeError("interpolation nodes must be ints or Fractions")
         xs.append(x)
         ys.append(y)
@@ -350,10 +361,12 @@ def interpolate(nodes, degree: int) -> MultiPoly:
     if len(set(xs)) != len(xs):
         raise ValueError("degenerate interpolation nodes")
 
-    xscale = math.lcm(*(x.denominator for x in xs))
-    rows, det = _inverse_vandermonde(tuple(x.numerator * (xscale // x.denominator) for x in xs))
-    yscale = math.lcm(*(y.denominator for y in ys))
-    ys = [y.numerator * (yscale // y.denominator) for y in ys]
+    ints = all([type(x) is int for x in xs])
+    xscale = 1 if ints else math.lcm(*[x.denominator for x in xs])
+    rows, det = _inverse_vandermonde(
+        tuple(xs) if ints else tuple([x.numerator * (xscale // x.denominator) for x in xs]))
+    yscale = math.lcm(*[y.denominator for y in ys])
+    ys = [y.numerator * (yscale // y.denominator) for y in ys] if yscale > 1 else ys
     return poly_from_list("q" if degree else None,
                           [Fraction(sum(map(mul, row, ys)) * xscale ** k, det * yscale)
                            for k, row in enumerate(rows)])
@@ -367,10 +380,12 @@ def _inverse_vandermonde(xs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ..
 
 
 def poly_from_list(var: str | None, coeffs) -> MultiPoly:
-    """The polynomial with dense coefficient list ``coeffs`` in ``var``; a
-    constant over no variables when ``var`` is None."""
+    """The polynomial with dense coefficient list ``coeffs`` in ``var``, normalised
+    here; a constant over no variables (the last coefficient) when ``var`` is None."""
     width = 0 if var is None else 1
-    return MultiPoly((var,)[:width], {(k,)[:width]: c for k, c in enumerate(coeffs)})
+    coeffs = coeffs if width else list(coeffs)[-1:]  # each would land on the key ()
+    return MultiPoly._trusted((var,)[:width], {
+        (k,)[:width]: Fraction(c) if isinstance(c, int) else c for k, c in enumerate(coeffs) if c})
 
 
 def poly_to_list(poly: MultiPoly) -> list:

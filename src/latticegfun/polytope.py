@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import chain, repeat
-from operator import and_, mul
+from operator import and_, itemgetter, mul
 from weakref import WeakKeyDictionary
 
 from .linalg import det, mat_rank, nullspace_vector
@@ -248,23 +248,27 @@ def scan_box(lo, hi, constraints, shadows=()):
     order, that meet every constraint ``(normal, offset)``, an integer pair
     meaning <normal, x> + offset >= 0.  Each coordinate is solved as an
     interval given the ones before it, from one list per level built once
-    per call: for d < len(shadows), ``shadows[d]`` alone, constraints on
+    per call: for d < len(shadows) < n, ``shadows[d]`` alone, constraints on
     coordinates 0..d whose real solutions are the projection of those of
     the box and the constraints; after that, the constraints with nonzero
     coefficient there, given the most the box lets later coordinates add.
     So each level leaves every constraint room, and one left out of a level
     for its coefficient 0 can fail only at level 0, where it is checked
     before the scan; an integer point of a rational shadow may still have
-    no extension.  One loop over a stack of levels walks the first n - 1
-    coordinates and hands out each nonempty interval of the last whole, as
-    a line ``zip(*map(repeat, prefix), range(first, last + 1))``; the lines
-    are chained, so no bytecode runs per point.  An empty box (n = 0) holds
-    the point () if every offset is >= 0.  Face dilates are enumerated
-    here; cone parallelepipeds are not (see ``todd.gamma_set``).
+    no extension.  One loop over a stack of levels walks coordinates 0..n-3,
+    each value x of n - 2 solves the last at once, and its interval goes out
+    whole, as ``zip(*map(repeat, prefix), repeat(x), range(first, last + 1))``;
+    the lines are chained, so no bytecode runs per point.  n = 1 is scanned
+    with a coordinate 0 before it; an empty box (n = 0) holds the point ()
+    if every offset is >= 0.  Face dilates are enumerated here; cone
+    parallelepipeds are not (see ``todd.gamma_set``).
     """
     n, ns = len(lo), len(shadows)
     if not n:
         return iter([()] if all(c >= 0 for _, c in constraints) else [])
+    if n == 1:  # a leading coordinate fixed at 0 is coordinate n - 2 for the last
+        lifted = scan_box([0, *lo], [0, *hi], [((0, *u), c) for u, c in constraints])
+        return map(itemgetter(slice(1, None)), lifted)
     # rows: each level's (normal, offset + reach), the later levels first, so
     # a level's partial sums are a prefix of them that its own rows end;
     # reach[ci]: the most the coordinates after the level can add to normal ci
@@ -284,8 +288,8 @@ def scan_box(lo, hi, constraints, shadows=()):
                      for r, (u, _) in zip(reach, constraints)]
 
     def lines():
-        # levels[d]: (values left for coordinate d, partial sums before it);
-        # prefix[d]: the value drawn for coordinate d
+        # levels[d]: (values left for coordinate d, partial sums before it),
+        # d < n - 2; prefix[d]: the value drawn for coordinate d
         prefix, levels, partial = [], [], [c for _, c in rows]
         while True:
             d = len(levels)
@@ -298,10 +302,23 @@ def scan_box(lo, hi, constraints, shadows=()):
                 x = partial[i] // a
                 if x < last:
                     last = x
-            if d < n - 1:
+            if d < n - 2:
                 levels.append((iter(range(first, last + 1)), partial))
-            elif first <= last:
-                yield zip(*map(repeat, prefix), range(first, last + 1))
+            else:  # each value x of coordinate n - 2 bounds the last one at once
+                lows = [(partial[i], columns[d][i], a) for i, a in below[n - 1]]
+                highs = [(partial[i], columns[d][i], a) for i, a in above[n - 1]]
+                for x in range(first, last + 1):
+                    start, stop = lo[-1], hi[-1]
+                    for p, b, a in lows:  # a * y + p + b * x >= 0
+                        y = -((p + b * x) // a)
+                        if y > start:
+                            start = y
+                    for p, b, a in highs:  # -a * y + p + b * x >= 0
+                        y = (p + b * x) // a
+                        if y < stop:
+                            stop = y
+                    if start <= stop:
+                        yield zip(*map(repeat, prefix), repeat(x), range(start, stop + 1))
             while levels:
                 x = next(levels[-1][0], None)
                 if x is not None:

@@ -14,11 +14,12 @@ The operator runs on integer tables: the coefficients s_k over one
 denominator per derivative order k, each non-rational one as integers in
 the group ring Z[x]/(x^m - 1) of its orbit's order m, where products need
 no reduction and are traced by Ramanujan sums, and an orbit skipped by
-facet mask wherever some s_0(a_F) = 0 meets the term.  Two tables hold
+facet mask wherever some s_0(a_F) = 0 meets the term.  Three tables hold
 no coordinate and are shared process-wide in bounded caches: each s_k,
-keyed by the integers (m, e, k) of its root e/m, and each vertex's key
-table of the integral, keyed by its power and facet indices.  Their
-values are immutable, and ``todd_coeffs`` returns a fresh list per call.
+keyed by the integers (m, e, k) of its root e/m (1,024), the m integers it
+is summed from, keyed by (m, k) (16, each k of the orders met in turn),
+and each vertex's key table of the integral, keyed by its power and facet
+indices.  Their values are immutable; ``todd_coeffs`` returns a fresh list.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 integral lives in the variables (h_1..h_m, t) and t is replaced by q(y+1)
@@ -169,7 +170,7 @@ class ToddCoeffs(namedtuple("ToddCoeffs", "scalars")):
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _todd_sums(m: int, k: int) -> tuple[tuple[int, ...], Fraction]:
     """Integers N_j (j < m) and a scale c with s_k(a) = c sum_j N_j a^j for
     each primitive m-th root a: N_j / D = m^k B_k(j/m) = sum_i C(k,i) B_i
@@ -177,9 +178,11 @@ def _todd_sums(m: int, k: int) -> tuple[tuple[int, ...], Fraction]:
     row = [math.comb(k, i) * (Fraction(-1, 2) if i == 1 else bernoulli(i)) * m ** i
            for i in range(k + 1)]
     den = math.lcm(*(c.denominator for c in row))
-    row = [c.numerator * (den // c.denominator) for c in row]
-    sums = tuple(sum(c * j ** (k - i) for i, c in enumerate(row)) for j in range(m))
-    return sums, Fraction((-1) ** k, m * math.factorial(k) * den)
+    sums = [0] * m
+    for c in row:  # Horner's rule in j, every j at once
+        c = c.numerator * (den // c.denominator)
+        sums = [s * j + c for j, s in enumerate(sums)]
+    return tuple(sums), Fraction((-1) ** k, m * math.factorial(k) * den)
 
 
 def todd_coeffs(a, order: int, *, exponent: Fraction | None = None) -> ToddCoeffs:

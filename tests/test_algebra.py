@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from latticegfun import (CycloNumber, MultiPoly, bernoulli, interpolate, scalar_from_str,
                          scalar_to_str)
 from latticegfun import algebra
-from latticegfun.algebra import resum, terms_to_json
+from latticegfun.algebra import poly_from_list, resum, terms_to_json
 
 F = Fraction
 
@@ -154,12 +154,34 @@ def test_interpolate_degenerate_nodes():
 
 @pytest.mark.parametrize("nodes", [[(0, 0.5), (1, 1.0)], [(0.0, 1), (1, 2)],
                                    [(0, "1/2"), (1, 1)], [(0, True), (1, 1)],
-                                   [(False, 1), (1, 2)]])
+                                   [(False, 1), (1, 2)], [("0", 1), (1, 2)]])
 def test_interpolate_takes_only_ints_and_fractions(nodes):
     # a float, a string or a bool anywhere in a node is refused, so none can
     # reach a result
     with pytest.raises(TypeError, match="ints or Fractions"):
         interpolate(nodes, 1)
+
+
+class Count(int):
+    """An int subclass, as a caller's own integer type may be."""
+
+
+def test_interpolate_takes_int_subclasses_as_ints():
+    nodes = [(0, 1), (1, 4), (2, 9)]
+    assert interpolate([(Count(x), Count(y)) for x, y in nodes], 2) == interpolate(nodes, 2)
+    assert interpolate([(Count(x), y) for x, y in nodes], 2).terms == {(0,): 1, (1,): 2, (2,): 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["q", None]),
+       st.lists(st.one_of(st.integers(-3, 3), rationals, st.just(0), st.just(F(0))), max_size=6))
+def test_poly_from_list_normalises_as_the_constructor_does(var, coeffs):
+    poly = poly_from_list(var, coeffs)
+    width = 0 if var is None else 1
+    built = MultiPoly((var,)[:width], {(k,)[:width]: c for k, c in enumerate(coeffs)})
+    assert poly == built and poly.terms == built.terms and poly.vars == built.vars
+    assert all(type(c) is Fraction for c in poly.terms.values())
+    assert MultiPoly.from_json(poly.to_json()) == poly
 
 
 def test_interpolate_reads_int_values_over_their_own_denominator():

@@ -470,6 +470,24 @@ def fresh_scalars(r, order):
     return out
 
 
+@pytest.mark.parametrize("m, k", [(1, 0), (2, 1), (3, 4), (30, 2), (37, 5), (997, 4)])
+def test_todd_sums_rows_are_the_bernoulli_sums(m, k):
+    # N_j / D = m^k B_k(j/m) = sum_i C(k, i) B_i m^i j^(k - i), B_1 = -1/2, summed directly
+    sums, scale = todd._todd_sums(m, k)
+    terms = [math.comb(k, i) * (F(-1, 2) if i == 1 else bernoulli(i)) * m ** i for i in range(k + 1)]
+    den = math.lcm(*(t.denominator for t in terms))
+    assert sums == tuple(sum(t * den * j ** (k - i) for i, t in enumerate(terms)) for j in range(m))
+    assert all(type(s) is int for s in sums)
+    assert scale == F((-1) ** k, m * math.factorial(k) * den)
+
+
+def test_todd_tables_are_bounded():
+    # both process-wide tables of the coefficients are bounded; a row of
+    # _todd_sums holds m integers, read only when _todd_scalar misses
+    assert todd._todd_sums.cache_info().maxsize is not None
+    assert todd._todd_scalar.cache_info().maxsize is not None
+
+
 def test_todd_scalar_cache_matches_a_fresh_computation():
     # roots of orders 1, 2, 3, 30, 37 and 997, two roots each of orders 30
     # and 37, at every order 0..8: a row served from the cache, keyed by

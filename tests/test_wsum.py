@@ -121,20 +121,25 @@ def test_closed_is_sum_of_opens(pyramid, corpus2d):
         assert total == weighted_sum_poly(P, P.top_face(), phi)[P.top_face()].closed
 
 
-def test_one_interpolation_per_face(monkeypatch, pyramid, corpus3d):
-    calls = []
-    real = wsum.interpolate
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(wsum, "interpolate", counted)
+def test_one_scan_per_dilate_and_one_interpolation_per_face(monkeypatch, pyramid, corpus3d):
+    # the benchmark's tracer times both sites by rebinding wsum's globals:
+    # F is scanned once per dilate q = 1 .. dim F + deg phi + 1, and each
+    # nonempty face of F is interpolated once
+    scans, fits = [], []
+    real_scan, real_fit = wsum.iter_lattice_points, wsum.interpolate
+    monkeypatch.setattr(wsum, "iter_lattice_points",
+                        lambda P, F, q, *args: scans.append((F, q)) or real_scan(P, F, q, *args))
+    monkeypatch.setattr(wsum, "interpolate", lambda *args: fits.append(args) or real_fit(*args))
     for P in (pyramid, corpus3d[0]):
-        for phi in (WeightPoly.one(3), WeightPoly.monomial(3, (1, 0, 0))):
-            calls.clear()
-            weighted_sum_poly(P, P.top_face(), phi)
-            assert len(calls) == len(P.face_lattice.nonempty())
+        lat = P.face_lattice
+        for j in (lat.top_index, lat.faces_of_dim(2)[0]):
+            F = lat.faces[j]
+            for phi in (WeightPoly.one(3), WeightPoly.monomial(3, (2, 0, 0))):
+                scans.clear()
+                fits.clear()
+                weighted_sum_poly(P, F, phi)
+                assert scans == [(F, q) for q in range(1, F.dim + phi.degree + 2)]
+                assert len(fits) == len(lat.below[j] - {lat.empty_index} | {j})
 
 
 def drop_one_point_at(monkeypatch, last_q):
