@@ -15,10 +15,6 @@ from operator import mul
 
 from .linalg import mat_inverse
 
-#: Arbitrary-precision rational scalar used throughout the package.
-#: Always stored in lowest terms with positive denominator.
-ExactScalar = Fraction
-
 _VAR_RE = re.compile(r"^(.*?)(\d*)$")
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _EXACT = (int, Fraction)  # the exact scalar types, matched by identity first

@@ -58,7 +58,6 @@ def _mobius(n: int) -> int:
     return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, ascending.
 

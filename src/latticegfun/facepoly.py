@@ -62,19 +62,6 @@ class GradedPoset:
         """The full face poset including the empty face (rank 0)."""
         return cls([f.rank for f in lattice.faces], lattice.below)
 
-    @classmethod
-    def reversed_interval(cls, lattice: FaceLattice, low: int) -> GradedPoset:
-        """The interval [low, top] of the face lattice with order reversed.
-
-        Ranks become codimensions, the polytope sits at the bottom, and the
-        chosen face is the top element; the order is ``above``, reindexed.
-        """
-        members = sorted(lattice.above[low] | {low})
-        index = {j: k for k, j in enumerate(members)}
-        n = lattice.faces[lattice.top_index].dim
-        return cls([n - lattice.faces[j].dim for j in members],
-                   [{index[i] for i in lattice.above[j]} for j in members])
-
     @cached_property
     def _fg(self) -> tuple[list[list[int]], list[int]]:
         """``_fg_lists`` of this poset, run once for ``fg_polynomials`` and

@@ -17,7 +17,7 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .algebra import MultiPoly, convolve, pascal_row, poly_to_list
-from .facepoly import dual_g, gessel_cube_g
+from .facepoly import dual_g
 from .polytope import Polytope, build_polytope, volume
 from .wsum import WeightPoly, weighted_sum_poly
 
@@ -136,20 +136,3 @@ def cross_polytope(n: int) -> Polytope:
         verts.append(tuple(e))
         verts.append(tuple(-x for x in e))
     return build_polytope(verts)
-
-
-def cross_polytope_gfun(n: int, phi: WeightPoly | None = None) -> GFunction:
-    """G(q, y) of the n-dimensional cross-polytope.
-
-    Every dual face of the cross-polytope is a face of the cube, so each
-    dual-face g-polynomial is checked against the closed-form cube value
-    for the matching dimension before assembling.
-    """
-    P = cross_polytope(n)
-    lattice = P.face_lattice
-    for i in lattice.nonempty():
-        face = lattice.faces[i]
-        expected = MultiPoly.const(1) if face.dim == n else gessel_cube_g(n - 1 - face.dim)
-        if dual_g(P, face) != expected:
-            raise RuntimeError("cross-polytope dual face does not match the cube")
-    return build_gfun(P, phi)

@@ -416,8 +416,3 @@ def volume(P: Polytope) -> Fraction:
         rows = [[P.vertices[i][k] - base[k] for k in range(n)] for i in simplex[1:]]
         total += abs(det(rows))
     return total / math.factorial(n)
-
-
-def euler_characteristic(P: Polytope) -> int:
-    """Alternating face count over nonempty faces; equals 1 for polytopes."""
-    return sum((-1) ** P.face_lattice.faces[i].dim for i in P.face_lattice.nonempty())

@@ -242,7 +242,8 @@ def _vertex_frame(P: Polytope, vertex_index: int):
     """The sorted facets through a vertex, and (W, d) with W / d the inverse
     of the matrix whose rows are their normals: column j of W / d is the
     vector m_v^F dual to the j-th facet's normal.  Each vertex's frame is
-    inverted once per polytope and kept while P lives."""
+    inverted once per polytope for its two readers, ``gamma_set`` and
+    ``symbolic_integral``, and kept while P lives."""
     frames = _frames.setdefault(P, {})
     if vertex_index not in frames:
         lattice = P.face_lattice
@@ -255,25 +256,6 @@ def _vertex_frame(P: Polytope, vertex_index: int):
 
 
 _frames: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def dual_basis_at_vertex(P: Polytope, vertex_index: int):
-    """The rational vectors m_v^F dual to the facet normals through v,
-    keyed by facet index."""
-    facets, W, d = _vertex_frame(P, vertex_index)
-    return {fj: tuple(Fraction(row[j], d) for row in W) for j, fj in enumerate(facets)}
-
-
-def deformed_vertex(P: Polytope, vertex_index: int):
-    """Symbolic vertex of the deformed dilate, as polynomials in (t, h).
-
-    The vertex of the t-dilate moves by -h_F along the basis dual to the
-    facet normals through the vertex.
-    """
-    t = MultiPoly.variable("t")
-    dual = dual_basis_at_vertex(P, vertex_index)
-    return tuple(sum((MultiPoly.variable(f"h{fj + 1}") * -m[k] for fj, m in dual.items()), t * x)
-                 for k, x in enumerate(P.vertices[vertex_index]))
 
 
 class SymbolicIntegral(namedtuple("SymbolicIntegral", "poly")):
@@ -333,10 +315,12 @@ def symbolic_integral(P: Polytope, phi: WeightPoly) -> SymbolicIntegral:
     """Integrate phi exactly over the deformed dilate of a simple polytope by
     Brion's formula, as a sum over vertices: for a regular linear form l,
         int <l,x>^d = d!/(d+n)! sum_v <l, v(t,h)>^(d+n) / (|det U_v| prod_F -<l, m_v^F>),
-    v(t,h) the ``deformed_vertex``.  phi's forms l = b + (1, k, k^2, ...) are
-    taken at the first k >= 2 that makes each regular.  With U_v^-1 = W/d,
-    each term is a weight times (A t + sum_F B_F h_F)^(d+n) for the integers
-    A = d<l,v> and B_F = -<l, W e_F>, summed in integers over one denominator.
+    v(t,h) = t v - sum_F h_F m_v^F the deformed vertex (built symbolically
+    only by the oracle, ``tests/integral_reference.py``).  phi's forms
+    l = b + (1, k, k^2, ...) are taken at the first k >= 2 that makes each
+    regular.  With U_v^-1 = W/d from the vertex frame, each term is a weight
+    times (A t + sum_F B_F h_F)^(d+n) for the integers A = d<l,v> and
+    B_F = -<l, W e_F>, summed in integers over one denominator.
     """
     if not P.simple:
         raise ValueError("normal fan machinery requires a simple polytope")

@@ -18,6 +18,17 @@ def poset_of(P):
     return GradedPoset.from_face_lattice(P.face_lattice)
 
 
+def reversed_interval(lat, low):
+    """The interval [low, P] of the face lattice with order reversed, read
+    from ``FaceLattice.leq``: ranks are codimensions, P is the bottom and
+    face ``low`` the top."""
+    members = [j for j in range(len(lat)) if lat.leq(low, j)]
+    n = lat.faces[lat.top_index].dim
+    return GradedPoset([n - lat.faces[j].dim for j in members],
+                       [{k for k, i in enumerate(members) if i != j and lat.leq(j, i)}
+                        for j in members])
+
+
 def mgon_poset(m):
     """Abstract face poset of an m-gon: a cycle of m vertices and m edges."""
     ranks = [0] + [1] * m + [2] * m + [3]
@@ -135,7 +146,7 @@ def test_dual_g_matches_reversed_interval(pyramid, corpus2d, corpus3d):
     for P in [*corpus2d, *corpus3d, *held_out, pyramid, cross_polytope(3), cross_polytope(4)]:
         lat = P.face_lattice
         for i in lat.nonempty():
-            _, expected = fg_polynomials(GradedPoset.reversed_interval(lat, i))
+            _, expected = fg_polynomials(reversed_interval(lat, i))
             assert dual_g(P, lat.faces[i]).to_json() == expected.to_json()
 
 

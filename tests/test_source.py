@@ -89,3 +89,29 @@ def test_no_floats_in_src():
                 continue
             found.append(f"{path.name}:{node.lineno}: {what}")
     assert not found, found
+
+
+def test_exports_resolve():
+    # a stale string in __all__ would otherwise fail only on a star import;
+    # the symbolic deformed vertex and its dual basis, the cross-polytope
+    # self-check, the Euler characteristic and the Fraction alias are the
+    # tests' own, and the reversed interval poset is the dual_g oracle's
+    import latticegfun
+    names = latticegfun.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    assert not [n for n in names if not hasattr(latticegfun, n)]
+    removed = {"deformed_vertex", "dual_basis_at_vertex", "cross_polytope_gfun",
+               "euler_characteristic", "ExactScalar"}
+    assert not removed & set(names)
+    assert not hasattr(latticegfun.GradedPoset, "reversed_interval")
+    namespace = {}
+    exec("from latticegfun import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+
+
+def test_readme_library_example_runs():
+    # the fenced python block under "## Library", run as written; optimize=0
+    # keeps its asserts under python -O
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec", optimize=0), {})

@@ -11,14 +11,13 @@ import pytest
 
 from latticegfun import (CycloNumber, GammaSet, MultiPoly, WeightPoly, apply_todd,
                          bernoulli, build_gfun, build_polytope, cli, random_corpus,
-                         cyclo_root_of_unity, deformed_vertex, dual_basis_at_vertex,
-                         gamma_set, h_variable_names, normal_fan, polytope, symbolic_integral,
-                         todd, todd_coeffs, verify_todd_formula)
+                         cyclo_root_of_unity, gamma_set, h_variable_names, normal_fan,
+                         polytope, symbolic_integral, todd, todd_coeffs, verify_todd_formula)
 from latticegfun.cyclotomic import cyclo_from_powers, euler_phi
 from latticegfun.linalg import det
 
 from formula_helpers import inv_scalar
-from integral_reference import triangulation_integral
+from integral_reference import deformed_vertex, dual_basis_at_vertex, triangulation_integral
 from linalg_reference import inverse, rank, solve
 
 F = Fraction
@@ -249,8 +248,8 @@ def test_gamma_set_cross_checks_each_point(monkeypatch):
 
 
 def test_apply_todd_inverts_each_vertex_frame_once(monkeypatch):
-    # gamma_set, symbolic_integral and dual_basis_at_vertex share one
-    # inverse per vertex of the polytope
+    # gamma_set and symbolic_integral share one inverse per vertex of the
+    # polytope
     P = build_polytope(GROUP_SHAPES[1])
     inverted = []
     original = todd.mat_inverse
@@ -263,9 +262,6 @@ def test_apply_todd_inverts_each_vertex_frame_once(monkeypatch):
     expected = build_gfun(P).poly
     assert apply_todd(P) == expected
     assert len(inverted) == len(P.vertices) == len(set(inverted))
-    for v in range(len(P.vertices)):
-        deformed_vertex(P, v)
-    assert len(inverted) == len(P.vertices)
 
 
 def test_gamma_set_builds_no_root_of_unity(monkeypatch):
@@ -565,7 +561,7 @@ def test_dual_basis_kronecker(right_triangle, unit_cube):
 def test_deformed_vertex_requires_simple(pyramid):
     apex = pyramid.vertices.index((0, 0, 0))
     with pytest.raises(ValueError, match="not simple at vertex"):
-        deformed_vertex(pyramid, apex)
+        todd._vertex_frame(pyramid, apex)
 
 
 def test_deformed_vertex_membership(right_triangle, unit_cube):
