@@ -4,6 +4,7 @@ Every number in this package is either a :class:`fractions.Fraction` or a
 cyclotomic field element (see :mod:`latticegfun.cyclotomic`); no floating
 point enters any computation.  Polynomials are stored sparsely as a map
 from exponent vectors to coefficients over an explicit variable tuple.
+Both routes share this module's weight type and integer fit.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import chain
 from operator import mul
 
 from .linalg import mat_inverse
@@ -330,17 +332,73 @@ def terms_from_json(items, width: int) -> dict:
     return terms
 
 
+class WeightPoly:
+    """A homogeneous polynomial weight on the ambient space.
+
+    Variables are x1..xn and exponents are nonnegative integers.  The
+    constant weight 1 has degree 0.  ``terms`` maps each full-width
+    exponent vector (one entry per x_i, in order) to its coefficient.
+    """
+
+    def __init__(self, poly: MultiPoly, nvars: int):
+        self.poly = poly
+        self.nvars = nvars
+        for e in chain.from_iterable(poly.terms):
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+                raise ValueError(f"weight exponents must be nonnegative integers, got {e!r}")
+        if not poly.is_homogeneous():
+            raise ValueError("weight polynomial must be homogeneous")
+        names = [f"x{i + 1}" for i in range(nvars)]
+        for v in poly.vars:
+            if v not in names:
+                raise ValueError(f"unexpected weight variable {v!r}")
+        slot = {v: i for i, v in enumerate(poly.vars)}
+        self.terms = {tuple(exps[slot[x]] if x in slot else 0 for x in names): coeff
+                      for exps, coeff in poly.terms.items()}
+        self.degree = max(poly.degree(), 0)
+
+    @classmethod
+    def one(cls, nvars: int) -> WeightPoly:
+        return cls(MultiPoly.const(1), nvars)
+
+    @classmethod
+    def monomial(cls, nvars: int, exps, coeff=1) -> WeightPoly:
+        names = tuple(f"x{i + 1}" for i in range(nvars))
+        return cls(MultiPoly.monomial(names, tuple(exps), coeff), nvars)
+
+    def at_origin(self) -> Fraction:
+        return self.terms.get((0,) * self.nvars, Fraction(0))
+
+    def to_json(self) -> dict:
+        return {"vars": self.nvars, "terms": terms_to_json(self.terms)}
+
+    @classmethod
+    def from_json(cls, obj: dict, expected_vars: int | None = None) -> WeightPoly:
+        """Parse ``{"vars": n, "terms": [...]}``.  A well-formed ``vars``
+        other than ``expected_vars`` is rejected before any variable is
+        built, so its size costs nothing."""
+        if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
+            raise ValueError("a weight needs the keys 'vars' and 'terms'")
+        nvars = obj["vars"]
+        if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 1:
+            raise ValueError("weight 'vars' must be a positive integer")
+        if expected_vars is not None and nvars != expected_vars:
+            raise ValueError("weight polynomial dimension does not match polytope")
+        names = tuple(f"x{i + 1}" for i in range(nvars))
+        return cls(MultiPoly(names, terms_from_json(obj["terms"], nvars)), nvars)
+
+    def __repr__(self):
+        return f"WeightPoly({self.poly})"
+
+
 def interpolate(nodes, degree: int) -> MultiPoly:
     """Exact interpolation in ``q`` through ``degree + 1`` nodes.
 
     Returns the unique polynomial of degree at most ``degree`` through the
     given ``(abscissa, value)`` pairs, ints or Fractions read as given (any
     other type, ``bool`` included, raises ``TypeError`` in the one pass
-    that splits the nodes).  With the abscissas scaled by ``xscale`` to
-    integers and the values by their common denominator, each coefficient
-    is an integer dot product with a row of the exact inverse Vandermonde
-    matrix of the scaled abscissas, cached per abscissa tuple.  The result
-    is one polynomial in ``q``, constant at degree 0.
+    that splits the nodes).  The abscissas are scaled by ``xscale`` to
+    integers and the values by their common denominator for ``fit_integers``.
     """
     if degree < 0:
         raise ValueError("interpolation degree must be nonnegative")
@@ -359,11 +417,19 @@ def interpolate(nodes, degree: int) -> MultiPoly:
 
     ints = all([type(x) is int for x in xs])
     xscale = 1 if ints else math.lcm(*[x.denominator for x in xs])
-    rows, det = _inverse_vandermonde(
-        tuple(xs) if ints else tuple([x.numerator * (xscale // x.denominator) for x in xs]))
     yscale = math.lcm(*[y.denominator for y in ys])
-    ys = [y.numerator * (yscale // y.denominator) for y in ys] if yscale > 1 else ys
-    return poly_from_list("q" if degree else None,
+    return fit_integers(
+        tuple(xs) if ints else tuple([x.numerator * (xscale // x.denominator) for x in xs]),
+        [y.numerator * (yscale // y.denominator) for y in ys] if yscale > 1 else ys,
+        xscale, yscale)
+
+
+def fit_integers(xs: tuple[int, ...], ys, xscale: int, yscale: int) -> MultiPoly:
+    """The polynomial in ``q`` through (x / xscale, y / yscale), for distinct
+    integers xs and integers ys, a constant over no variables at degree 0:
+    each coefficient is an integer dot product with a cached inverse Vandermonde row."""
+    rows, det = _inverse_vandermonde(xs)
+    return poly_from_list("q" if len(xs) > 1 else None,
                           [Fraction(sum(map(mul, row, ys)) * xscale ** k, det * yscale)
                            for k, row in enumerate(rows)])
 

@@ -11,13 +11,13 @@ import argparse
 import json
 import sys
 
-from .algebra import MultiPoly, scalar_to_str
+from .algebra import MultiPoly, WeightPoly, scalar_to_str
 from .corpus import random_corpus
 from .facepoly import GradedPoset, check_master_duality, dual_g, fg_polynomials, h_polynomial
 from .gfun import build_gfun, check_reciprocity, reciprocity_image, y_coefficient_profile
 from .polytope import Polytope, build_polytope, volume
 from .todd import apply_todd
-from .wsum import WeightPoly, weighted_sum_poly
+from .wsum import weighted_sum_poly
 
 #: Largest ``corpus --count`` accepted; 1,000 polytopes take under a second.
 MAX_CORPUS_COUNT = 1000

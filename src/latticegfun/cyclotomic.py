@@ -367,7 +367,7 @@ def cyclo_from_powers(order: int, coeffs) -> CycloNumber:
 
 
 @lru_cache(maxsize=None)
-def _ramanujan_sums(n: int) -> tuple[int, ...]:
+def ramanujan_sums(n: int) -> tuple[int, ...]:
     """c_n(e), the sum of the e-th powers of the primitive n-th roots of
     unity, for e < n: mu(n/g) * phi(n)/phi(n/g) with g = gcd(e, n)."""
     by_gcd = {g: _mobius(n // g) * (euler_phi(n) // euler_phi(n // g))
@@ -401,5 +401,5 @@ def gmul(a, b, m: int) -> list[int]:
 
 def _trace_numerator(x: CycloNumber) -> int:
     """x.den times the trace of x over its own field."""
-    return sum(c * s for c, s in zip(x.nums, _ramanujan_sums(x.order)) if c)
+    return sum(c * s for c, s in zip(x.nums, ramanujan_sums(x.order)) if c)
 

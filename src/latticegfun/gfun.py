@@ -9,6 +9,7 @@ sums with the factor at -y.  Every build computes both, each in a dense
 [q-power][y-power] table, and insists they agree.  The y-lists depend on
 a face only through its dimension and dual g-list, so the faces of one
 such class add their q-lists first and the class multiplies once.
+``verify_todd_formula`` checks G against the Todd operator route's.
 """
 from __future__ import annotations
 
@@ -16,10 +17,11 @@ import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
-from .algebra import MultiPoly, convolve, pascal_row, poly_to_list
+from .algebra import MultiPoly, WeightPoly, convolve, pascal_row, poly_to_list
 from .facepoly import dual_g
 from .polytope import Polytope, build_polytope, volume
-from .wsum import WeightPoly, weighted_sum_poly
+from .todd import apply_todd
+from .wsum import weighted_sum_poly
 
 
 class GFunction(namedtuple("GFunction", "poly n d polytope phi")):
@@ -103,6 +105,11 @@ def reciprocity_image(G: GFunction) -> MultiPoly:
 def check_reciprocity(G: GFunction) -> bool:
     """G(q, y) == (-y)^(n+d) G(-q, 1/y) as exact polynomials."""
     return reciprocity_image(G) == G.poly
+
+
+def verify_todd_formula(P: Polytope, phi: WeightPoly | None = None) -> bool:
+    """Check the operator route against the face-sum assembly of G(q, y)."""
+    return apply_todd(P, phi) == build_gfun(P, phi).poly
 
 
 def y_coefficient_profile(G: GFunction) -> list[MultiPoly]:

@@ -111,7 +111,10 @@ class Polytope:
 
     @cached_property
     def simple(self) -> bool:
-        return is_simple(self)
+        """True when every vertex lies on exactly n facets."""
+        lat = self.face_lattice
+        return all(len(lat.faces[i].containing_facets) == self.ambient_dim
+                   for i in lat.faces_of_dim(0))
 
     def top_face(self) -> Face:
         lat = self.face_lattice
@@ -234,13 +237,6 @@ def face_lattice(P: Polytope) -> FaceLattice:
     index = {v: j for j, (_, _, v) in enumerate(order)}
     return FaceLattice([Face(frozenset(verts), dim, on[v]) for dim, verts, v in order],
                        [tuple(sorted(map(index.__getitem__, facets[v]))) for _, _, v in order])
-
-
-def is_simple(P: Polytope) -> bool:
-    """True when every vertex lies on exactly n facets."""
-    n = P.ambient_dim
-    lat = P.face_lattice
-    return all(len(lat.faces[i].containing_facets) == n for i in lat.faces_of_dim(0))
 
 
 def scan_box(lo, hi, constraints, shadows=()):

@@ -14,17 +14,19 @@ The operator runs on integer tables: the coefficients s_k over one
 denominator per derivative order k, each non-rational one as integers in
 the group ring Z[x]/(x^m - 1) of its orbit's order m, where products need
 no reduction and are traced by Ramanujan sums, and an orbit skipped by
-facet mask wherever some s_0(a_F) = 0 meets the term.  Three tables hold
-no coordinate and are shared process-wide in bounded caches: each s_k,
-keyed by the integers (m, e, k) of its root e/m (1,024), the m integers it
-is summed from, keyed by (m, k) (16, each k of the orders met in turn),
-and each vertex's key table of the integral, keyed by its power and facet
-indices.  Their values are immutable; ``todd_coeffs`` returns a fresh list.
+facet mask wherever some s_0(a_F) = 0 meets the term.  Four tables hold
+no coordinate and are shared process-wide: s_k by (m, e, k) for its root
+e/m (at most 1,024), the m integers it is summed from by (m, k) (16), each
+vertex's key table of the integral by power, sorted facets and facet
+count (256), and the multinomials by (power, width), unbounded: one entry
+per pair met or reached by recursion.  All values are immutable, and
+``todd_coeffs`` returns a fresh list.
 
 The deformed dilate depends on q and y only through t = q(y+1), so the
 integral lives in the variables (h_1..h_m, t) and t is replaced by q(y+1)
 once, after the operator is applied.  The points and the integral read one
-vertex frame per vertex, inverted once per polytope.
+vertex frame per vertex, inverted once per polytope.  No face-sum module is
+imported; the check that the routes agree, ``verify_todd_formula``, is gfun's.
 """
 from __future__ import annotations
 
@@ -36,13 +38,11 @@ from functools import cached_property, lru_cache
 from itertools import count, product
 from weakref import WeakKeyDictionary
 
-from .algebra import MultiPoly, bernoulli, resum
-from .cyclotomic import (CycloNumber, _ramanujan_sums, cyclo_from_powers, cyclo_root_of_unity,
-                         euler_phi, gmul)
-from .gfun import build_gfun
+from .algebra import MultiPoly, WeightPoly, bernoulli, resum
+from .cyclotomic import (CycloNumber, cyclo_from_powers, cyclo_root_of_unity, euler_phi, gmul,
+                         ramanujan_sums)
 from .linalg import lattice_index, mat_inverse, solve_exact
 from .polytope import Polytope
-from .wsum import WeightPoly
 
 
 class Cone(namedtuple("Cone", "generators facet_indices face_index")):
@@ -424,12 +424,12 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
         rows = [[s if m < 3 else [s, *lift] if isinstance(s, int) else
                  [x for c in s for x in (c, *pad)] for s in scaled[r]]
                 for r in rho for pad in [[0] * (m // r.denominator - 1)]]
-        tables.append((sum(1 << f for f, r in enumerate(rho) if r), rows, m, _ramanujan_sums(m),
+        tables.append((sum(1 << f for f, r in enumerate(rho) if r), rows, m, ramanujan_sums(m),
                        1 if m < 3 else [1, *lift]))
     terms = [(alpha, power, coeff, coeff.denominator * math.prod(dens[k] for k in alpha))
              for (*alpha, power), coeff in integral.terms.items()]  # vars (h_1..h_m, t)
     common = math.lcm(*[den for *_, den in terms])
-    d1 = dens[1] if order else 1
+    d1 = dens[1]
     out = [[0] * (order + 1) for _ in range(order + 1)]  # [q][u] over common
     for alpha, power, coeff, den in terms:
         support = [(f, k) for f, k in enumerate(alpha) if k]
@@ -466,10 +466,3 @@ def apply_todd(P: Polytope, phi: WeightPoly | None = None) -> MultiPoly:
     out = [resum(row, 1) for row in out]  # u = y + 1
     return MultiPoly(("q", "y"), {(e, j): Fraction(c, common)
                                   for e, row in enumerate(out) for j, c in enumerate(row) if c})
-
-
-def verify_todd_formula(P: Polytope, phi: WeightPoly | None = None) -> bool:
-    """Check the operator route against the face-sum assembly of G(q, y)."""
-    if phi is None:
-        phi = WeightPoly.one(P.ambient_dim)
-    return apply_todd(P, phi) == build_gfun(P, phi).poly

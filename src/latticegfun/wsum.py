@@ -26,9 +26,9 @@ with q = 0 fixed by reciprocity, are integers over one denominator.  With
 deg = dim G + deg phi, they lie on one polynomial of degree <= deg exactly
 while their (deg + 1)-th differences vanish (Beck and Robins, ch. 2), the
 check at every node past the first deg + 1; the open sum is interpolated
-at those.  The closed sum takes interpolate's inverse Vandermonde rows to
-the values summed over the faces of G (the lattice's ``below``), which at
-q = 0 is phi(0) by Euler's relation: sum (-1)^dim H = 1 over the nonempty
+at those.  The closed sum is interpolate's integer fit, ``fit_integers``,
+of the values summed over the faces of G (the lattice's ``below``), phi(0)
+at q = 0 by Euler's relation: sum (-1)^dim H = 1 over the nonempty
 faces H of G, and phi(0) = 0 when deg phi > 0.  Fractions appear only in
 the returned polynomials and in interpolate's nodes when den > 1.
 """
@@ -37,71 +37,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from itertools import chain, groupby, repeat
+from itertools import groupby, repeat
 from operator import itemgetter, mul
 
-from .algebra import (MultiPoly, _inverse_vandermonde, interpolate, pascal_row, poly_from_list,
-                      terms_from_json, terms_to_json)
+from .algebra import MultiPoly, WeightPoly, fit_integers, interpolate, pascal_row
 from .polytope import Face, Polytope, iter_lattice_points
-
-
-class WeightPoly:
-    """A homogeneous polynomial weight on the ambient space.
-
-    Variables are x1..xn and exponents are nonnegative integers.  The
-    constant weight 1 has degree 0.  ``terms`` maps each full-width
-    exponent vector (one entry per x_i, in order) to its coefficient.
-    """
-
-    def __init__(self, poly: MultiPoly, nvars: int):
-        self.poly = poly
-        self.nvars = nvars
-        for e in chain.from_iterable(poly.terms):
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"weight exponents must be nonnegative integers, got {e!r}")
-        if not poly.is_homogeneous():
-            raise ValueError("weight polynomial must be homogeneous")
-        names = [f"x{i + 1}" for i in range(nvars)]
-        for v in poly.vars:
-            if v not in names:
-                raise ValueError(f"unexpected weight variable {v!r}")
-        slot = {v: i for i, v in enumerate(poly.vars)}
-        self.terms = {tuple(exps[slot[x]] if x in slot else 0 for x in names): coeff
-                      for exps, coeff in poly.terms.items()}
-        self.degree = max(poly.degree(), 0)
-
-    @classmethod
-    def one(cls, nvars: int) -> WeightPoly:
-        return cls(MultiPoly.const(1), nvars)
-
-    @classmethod
-    def monomial(cls, nvars: int, exps, coeff=1) -> WeightPoly:
-        names = tuple(f"x{i + 1}" for i in range(nvars))
-        return cls(MultiPoly.monomial(names, tuple(exps), coeff), nvars)
-
-    def at_origin(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def to_json(self) -> dict:
-        return {"vars": self.nvars, "terms": terms_to_json(self.terms)}
-
-    @classmethod
-    def from_json(cls, obj: dict, expected_vars: int | None = None) -> WeightPoly:
-        """Parse ``{"vars": n, "terms": [...]}``.  A well-formed ``vars``
-        other than ``expected_vars`` is rejected before any variable is
-        built, so its size costs nothing."""
-        if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
-            raise ValueError("a weight needs the keys 'vars' and 'terms'")
-        nvars = obj["vars"]
-        if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 1:
-            raise ValueError("weight 'vars' must be a positive integer")
-        if expected_vars is not None and nvars != expected_vars:
-            raise ValueError("weight polynomial dimension does not match polytope")
-        names = tuple(f"x{i + 1}" for i in range(nvars))
-        return cls(MultiPoly(names, terms_from_json(obj["terms"], nvars)), nvars)
-
-    def __repr__(self):
-        return f"WeightPoly({self.poly})"
 
 
 class WeightedSumPoly(namedtuple("WeightedSumPoly", "face closed open")):
@@ -201,13 +141,11 @@ def weighted_sum_poly(P: Polytope, F: Face, phi: WeightPoly) -> dict[Face, Weigh
                                    f"{sorted(G.vertex_indices)} at q = {q}: interpolated "
                                    f"{Fraction(vs[q] - diff, den)}, scanned "
                                    f"{Fraction(vs[q], den)}")
-        nodes = vs[:deg + 1]  # the closed sum: interpolate's map on the summed values of G's faces
+        nodes = vs[:deg + 1]  # the closed sum: the same fit on the summed values of G's faces
         closed = list(map(sum, zip(nodes, *(values[i] for i in lat.below[j] if i != empty))))
-        rows, det = _inverse_vandermonde(tuple(range(deg + 1)))
-        closed = [Fraction(sum(map(mul, r, closed)), det * den) for r in rows]
         open_ = interpolate([(q, Fraction(v, den)) for q, v in enumerate(nodes)] if den > 1
                             else list(enumerate(nodes)), deg)
-        out[G] = WeightedSumPoly(G, poly_from_list("q" if deg else None, closed), open_)
+        out[G] = WeightedSumPoly(G, fit_integers(tuple(range(deg + 1)), closed, 1, den), open_)
     return out
 
 

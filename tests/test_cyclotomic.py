@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from cyclotomic_reference import cyclotomic_by_division
 from latticegfun import CycloNumber, cyclo_root_of_unity
-from latticegfun.cyclotomic import (_ramanujan_sums, _trace_numerator, cyclo_from_powers,
-                                    cyclotomic_polynomial, euler_phi, gmul)
+from latticegfun.cyclotomic import (_trace_numerator, cyclo_from_powers, cyclotomic_polynomial,
+                                    euler_phi, gmul, ramanujan_sums)
 
 F = Fraction
 
@@ -251,7 +251,7 @@ def test_group_ring_trace_matches_the_field_trace():
     # from the subring of order d | m enters by x^j -> x^(j m/d)
     rng = random.Random(20)
     for m in range(1, 61):
-        sums = _ramanujan_sums(m)
+        sums = ramanujan_sums(m)
         assert len(sums) == m and sums[0] == euler_phi(m)
         for d in (d for d in range(1, m + 1) if m % d == 0):
             a = [rng.randint(-9, 9) for _ in range(d)]

@@ -91,19 +91,54 @@ def test_no_floats_in_src():
     assert not found, found
 
 
+def _sibling_imports(path):
+    """(module, name) for each name a package module imports from another
+    one, relative or through ``latticegfun``; ``from . import m`` gives (m, m)."""
+    pairs = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
+                "latticegfun.")):
+            module = (node.module or "").removeprefix("latticegfun.")
+            pairs += [(module or alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            pairs += [(alias.name.split(".")[1],) * 2 for alias in node.names
+                      if alias.name.startswith("latticegfun.")]
+    return pairs
+
+
+def test_routes_are_sibling_modules():
+    # the Todd route shares only the common layers with the face-sum route,
+    # and the face-sum layers know neither the Todd route nor G's assembly
+    imports = {path.stem: {module for module, _ in _sibling_imports(path)}
+               for path in SRC.glob("*.py")}
+    assert imports["todd"] <= {"algebra", "cyclotomic", "linalg", "polytope"}, imports["todd"]
+    for name in ("wsum", "facepoly"):
+        assert not imports[name] & {"todd", "gfun"}, (name, imports[name])
+
+
+def test_no_private_names_imported_across_modules():
+    # a name shared by two modules is public in the one that defines it
+    found = [f"{path.name}: {module}.{name}" for path in sorted(SRC.glob("*.py"))
+             for module, name in _sibling_imports(path) if name.startswith("_")]
+    assert not found, found
+
+
 def test_exports_resolve():
     # a stale string in __all__ would otherwise fail only on a star import;
     # the symbolic deformed vertex and its dual basis, the cross-polytope
     # self-check, the Euler characteristic and the Fraction alias are the
-    # tests' own, and the reversed interval poset is the dual_g oracle's
+    # tests' own, the reversed interval poset is the dual_g oracle's, and
+    # is_simple is Polytope.simple; the weight type keeps its wsum name
     import latticegfun
+    import latticegfun.wsum
     names = latticegfun.__all__
     assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
     assert not [n for n in names if not hasattr(latticegfun, n)]
     removed = {"deformed_vertex", "dual_basis_at_vertex", "cross_polytope_gfun",
-               "euler_characteristic", "ExactScalar"}
+               "euler_characteristic", "ExactScalar", "is_simple"}
     assert not removed & set(names)
     assert not hasattr(latticegfun.GradedPoset, "reversed_interval")
+    assert latticegfun.wsum.WeightPoly is latticegfun.WeightPoly
     namespace = {}
     exec("from latticegfun import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names)
