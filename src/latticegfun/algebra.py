@@ -60,7 +60,8 @@ class MultiPoly:
     when roots of unity flow through a computation.  The constructor
     normalises (``int`` to ``Fraction``, zero terms dropped), so operations
     hand it raw sums and products; the one path for terms already normalised
-    is ``_trusted``, which only ``poly_from_list`` calls.  Immutable.
+    is ``_trusted``, which only ``poly_from_list`` and ``fit_integers`` call.
+    Immutable.
     """
 
     __slots__ = ("vars", "terms")
@@ -396,42 +397,46 @@ def interpolate(nodes, degree: int) -> MultiPoly:
 
     Returns the unique polynomial of degree at most ``degree`` through the
     given ``(abscissa, value)`` pairs, ints or Fractions read as given (any
-    other type, ``bool`` included, raises ``TypeError`` in the one pass
-    that splits the nodes).  The abscissas are scaled by ``xscale`` to
-    integers and the values by their common denominator for ``fit_integers``.
+    other type, ``bool`` included, raises ``TypeError``).  Nodes that are
+    all exact ``int``s go to ``fit_integers`` as they are; otherwise the
+    abscissas are scaled by ``xscale`` to integers and the values by their
+    common denominator.
     """
     if degree < 0:
         raise ValueError("interpolation degree must be nonnegative")
-    xs, ys = [], []
-    for x, y in nodes:  # one pass: each node is checked as it is split
-        if not (type(x) in _EXACT and type(y) in _EXACT) and (
-                isinstance(x, bool) or isinstance(y, bool) or not (
-                isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)))):
-            raise TypeError("interpolation nodes must be ints or Fractions")
-        xs.append(x)
-        ys.append(y)
+    nodes = list(nodes)  # read once, so a one-shot iterator serves
+    xs, ys = [x for x, _ in nodes], [y for _, y in nodes]
+    xscale = yscale = 1  # exact ints, as the face sums' nodes at den = 1, are used as they are
+    if not all([type(v) is int for v in chain(xs, ys)]):
+        for x, y in nodes:
+            if not (type(x) in _EXACT and type(y) in _EXACT) and (
+                    isinstance(x, bool) or isinstance(y, bool) or not (
+                    isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)))):
+                raise TypeError("interpolation nodes must be ints or Fractions")
+        xscale = math.lcm(*[x.denominator for x in xs])
+        yscale = math.lcm(*[y.denominator for y in ys])
+        xs = [x.numerator * (xscale // x.denominator) for x in xs]
+        ys = [y.numerator * (yscale // y.denominator) for y in ys]
     if len(xs) != degree + 1:
         raise ValueError("need exactly degree + 1 interpolation nodes")
     if len(set(xs)) != len(xs):
         raise ValueError("degenerate interpolation nodes")
-
-    ints = all([type(x) is int for x in xs])
-    xscale = 1 if ints else math.lcm(*[x.denominator for x in xs])
-    yscale = math.lcm(*[y.denominator for y in ys])
-    return fit_integers(
-        tuple(xs) if ints else tuple([x.numerator * (xscale // x.denominator) for x in xs]),
-        [y.numerator * (yscale // y.denominator) for y in ys] if yscale > 1 else ys,
-        xscale, yscale)
+    return fit_integers(tuple(xs), ys, xscale, yscale)
 
 
 def fit_integers(xs: tuple[int, ...], ys, xscale: int, yscale: int) -> MultiPoly:
     """The polynomial in ``q`` through (x / xscale, y / yscale), for distinct
     integers xs and integers ys, a constant over no variables at degree 0:
-    each coefficient is an integer dot product with a cached inverse Vandermonde row."""
+    each coefficient is an integer dot product with a cached inverse
+    Vandermonde row, made a ``Fraction`` only when it is nonzero."""
     rows, det = _inverse_vandermonde(xs)
-    return poly_from_list("q" if len(xs) > 1 else None,
-                          [Fraction(sum(map(mul, row, ys)) * xscale ** k, det * yscale)
-                           for k, row in enumerate(rows)])
+    width = 1 if len(xs) > 1 else 0
+    terms = {}
+    for k, row in enumerate(rows):
+        v = sum(map(mul, row, ys))
+        if v:
+            terms[(k,)[:width]] = Fraction(v * xscale ** k, det * yscale)
+    return MultiPoly._trusted(("q",)[:width], terms)
 
 
 @lru_cache(maxsize=16)

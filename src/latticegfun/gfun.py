@@ -50,22 +50,26 @@ def build_gfun(P: Polytope, phi: WeightPoly | None = None) -> GFunction:
         phi = WeightPoly.one(P.ambient_dim)
     n, d = P.ambient_dim, phi.degree
 
-    sums = weighted_sum_poly(P, P.top_face(), phi)
-    den = math.lcm(*(c.denominator for wsp in sums.values()
-                     for poly in (wsp.closed, wsp.open) for c in poly.terms.values()))
-    classes = defaultdict(lambda: ([0] * (n + d + 1), [0] * (n + d + 1)))  # (dim, g) -> q-lists
-    for face, wsp in sums.items():
-        g = tuple(int(c) for c in poly_to_list(dual_g(P, face)))
-        for q_list, q_poly in zip(classes[face.dim, g], (wsp.closed, wsp.open)):
+    # dual_g hands out shared polynomials; each is read once, and held so its id stays its own
+    g_of = {}  # id(dual g) -> (dual g, its int tuple)
+    classes = defaultdict(lambda: ({}, {}))  # (dim, g) -> closed, open {(exps, den): numerators}
+    for face, wsp in weighted_sum_poly(P, P.top_face(), phi).items():
+        poly = dual_g(P, face)
+        if id(poly) not in g_of:
+            g_of[id(poly)] = poly, tuple(int(c) for c in poly_to_list(poly))
+        for acc, q_poly in zip(classes[face.dim, g_of[id(poly)][1]], (wsp.closed, wsp.open)):
             for exps, c in q_poly.terms.items():
-                q_list[sum(exps)] += c.numerator * (den // c.denominator)
+                key = exps, c.denominator
+                acc[key] = acc.get(key, 0) + c.numerator
+    den = math.lcm(*(key[1] for accs in classes.values() for acc in accs for key in acc))
     closed_table, open_table = ([[0] * (n + 1) for _ in range(n + d + 1)] for _ in range(2))
-    for (dim, g), (closed_q, open_q) in classes.items():
-        for table, y_list, q_list in (
-                (closed_table, _cleared(list(g), n - dim), closed_q),
-                (open_table, [(-1) ** j * c for j, c in enumerate(g)], open_q)):
+    for (dim, g), (closed_acc, open_acc) in classes.items():
+        for table, y_list, acc in (
+                (closed_table, _cleared(list(g), n - dim), closed_acc),
+                (open_table, [(-1) ** j * c for j, c in enumerate(g)], open_acc)):
             y_list = convolve(pascal_row(dim), y_list)
-            for row, c in zip(table, q_list):
+            for (exps, c_den), c in acc.items():
+                row, c = table[sum(exps)], c * (den // c_den)
                 for j, b in enumerate(y_list):
                     row[j] += c * b
 

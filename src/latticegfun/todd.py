@@ -18,7 +18,8 @@ facet mask wherever some s_0(a_F) = 0 meets the term.  Four tables hold
 no coordinate and are shared process-wide: s_k by (m, e, k) for its root
 e/m (at most 1,024), the m integers it is summed from by (m, k) (16), each
 vertex's key table of the integral by power, sorted facets and facet
-count (256), and the multinomials by (power, width), unbounded: one entry
+count (256 tables of at most 256 keys; a larger one is built per call and
+not kept), and the multinomials by (power, width), unbounded: one entry
 per pair met or reached by recursion.  All values are immutable, and
 ``todd_coeffs`` returns a fresh list.
 
@@ -275,14 +276,23 @@ def _multinomials(power: int, width: int) -> tuple:
                  for rest, c in _multinomials(power - k, width - 1))
 
 
-@lru_cache(maxsize=256)
 def _vertex_keys(power: int, facets: tuple[int, ...], nfacets: int) -> tuple:
     """The key over (h_1..h_m, t), m = nfacets, of each exponent vector of
     ``_multinomials(power, n + 1)``, whose entries are the exponents of t
-    and of the h_F of the vertex's sorted facets.  No coordinate enters."""
+    and of the h_F of the vertex's sorted facets.  No coordinate enters.
+    A table of at most 256 keys is kept; a larger one is built per call."""
+    if len(_multinomials(power, len(facets) + 1)) > 256:
+        return _key_table(power, facets, nfacets)
+    return _kept_key_table(power, facets, nfacets)
+
+
+def _key_table(power: int, facets: tuple[int, ...], nfacets: int) -> tuple:
     slot = {f: j + 1 for j, f in enumerate(facets)}
     return tuple(tuple([e[slot[f]] if f in slot else 0 for f in range(nfacets)]) + e[:1]
                  for e, _ in _multinomials(power, len(facets) + 1))
+
+
+_kept_key_table = lru_cache(maxsize=256)(_key_table)
 
 
 def _power_forms(phi: WeightPoly) -> dict:

@@ -205,6 +205,45 @@ def test_interpolate_keys_its_cache_by_ints(monkeypatch):
     assert all(type(x) is int for key in keys for x in key)
 
 
+def test_interpolate_reads_an_iterator_once():
+    nodes = [(0, 1), (1, 3)]
+    expected = interpolate(nodes, 1)
+    assert interpolate(iter(nodes), 1) == expected
+    assert interpolate(((x, 2 * x + 1) for x in range(2)), 1).terms == expected.terms
+    for bad in ([(True, 1)], [(0, 1.0)]):  # neither takes the path of exact int nodes
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            interpolate(bad, 0)
+
+
+def lagrange_coefficients(xs, ys) -> list:
+    """Coefficients, lowest first, of the polynomial through the nodes, from
+    the Lagrange basis in Fractions."""
+    out = [F(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = [F(1)]
+        for xj in xs[:i] + xs[i + 1:]:  # times (q - xj) / (xi - xj)
+            basis = [(a - xj * b) / (xi - xj) for a, b in zip([F(0)] + basis, basis + [F(0)])]
+        out = [o + yi * b for o, b in zip(out, basis)]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-8, 8), min_size=1, max_size=6, unique=True).flatmap(
+    lambda xs: st.tuples(st.just(xs), st.one_of(
+        st.lists(st.integers(-20, 20), min_size=len(xs), max_size=len(xs)),
+        st.just([0] * len(xs))))),
+    st.integers(1, 4), st.integers(1, 6))
+def test_fit_integers_stores_only_nonzero_fractions(case, xscale, yscale):
+    xs, ys = case
+    poly = algebra.fit_integers(tuple(xs), ys, xscale, yscale)
+    expected = poly_from_list("q" if len(xs) > 1 else None, lagrange_coefficients(
+        [F(x, xscale) for x in xs], [F(y, yscale) for y in ys]))
+    assert poly.vars == expected.vars and poly.terms == expected.terms
+    assert all(c and type(c) is Fraction for c in poly.terms.values())
+    if len(xs) == 1:
+        assert set(poly.terms) <= {()}
+
+
 abscissas = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
 
 

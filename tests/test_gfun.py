@@ -245,6 +245,18 @@ def test_degree_bound_check_catches_a_long_g_list(monkeypatch, pyramid):
         build_gfun(pyramid)
 
 
+def test_build_gfun_reads_a_fresh_dual_g_per_face(monkeypatch, pyramid, corpus3d):
+    # dual_g usually hands out shared polynomials; one that builds a new copy
+    # per face, each freed after use, must still give every face its own g
+    cases = [(pyramid, None), (cross_polytope(4), WeightPoly.monomial(4, (1, 0, 0, 0))),
+             (next(P for P in corpus3d if not P.simple), None)]
+    expected = [build_gfun(P, phi).poly for P, phi in cases]
+    real = gfun.dual_g
+    monkeypatch.setattr(gfun, "dual_g", lambda P, face: MultiPoly(real(P, face).vars,
+                                                                   dict(real(P, face).terms)))
+    assert [build_gfun(P, phi).poly for P, phi in cases] == expected
+
+
 def test_profile_check_catches_a_wrong_volume(monkeypatch, right_triangle):
     G = build_gfun(right_triangle)
     monkeypatch.setattr(gfun, "volume", lambda P: F(7))

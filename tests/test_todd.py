@@ -530,6 +530,21 @@ def test_vertex_keys_match_the_inline_table(shape, request):
             assert list(todd._vertex_keys(power, facets, nfacets)) == inline, (shape, i)
 
 
+def test_a_large_vertex_key_table_is_built_per_call_not_kept():
+    # power 8 over 6 of 12 facets: C(14, 6) = 3,003 keys, past the 256 a kept
+    # table may hold, so the table is built and the cache does not grow
+    power, facets, nfacets = 8, (0, 2, 3, 7, 9, 11), 12
+    before = todd._kept_key_table.cache_info().currsize
+    table = todd._vertex_keys(power, facets, nfacets)
+    assert todd._kept_key_table.cache_info().currsize == before
+    slot = {f: j + 1 for j, f in enumerate(facets)}
+    inline = [tuple([e[slot[f]] if f in slot else 0 for f in range(nfacets)]) + e[:1]
+              for e, _ in todd._multinomials(power, len(facets) + 1)]
+    assert len(inline) == 3003 and list(table) == inline
+    # a small table is the kept one
+    assert todd._vertex_keys(2, facets[:2], nfacets) is todd._vertex_keys(2, facets[:2], nfacets)
+
+
 # --- deformed vertices and symbolic integration -----------------------
 
 
